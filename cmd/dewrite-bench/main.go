@@ -27,7 +27,6 @@ import (
 	"dewrite/internal/experiments"
 	"dewrite/internal/monitor"
 	"dewrite/internal/stats"
-	"dewrite/internal/telemetry"
 )
 
 // benchFileSchema identifies the BENCH_<date>.json layout. v2 added the
@@ -123,11 +122,10 @@ func main() {
 		jsonOut  = flag.Bool("json", false, "shorthand for -format json")
 		plotDir  = flag.String("plot", "", "also write gnuplot .dat files into this directory")
 		benchOut = flag.String("bench-out", "auto", "write timings and tables to this JSON file ('auto' = BENCH_<date>.json, 'none' disables)")
-		pprof    = flag.String("pprof", "", "serve net/http/pprof and runtime metrics on this address")
 		parallel = flag.Int("parallel", 0, "worker goroutines (<1 = GOMAXPROCS); output is identical at any count")
 		speedup  = flag.Bool("speedup", false, "also run a sequential pass and the sharded scaling curve, recording both")
 		shards   = flag.Int("shards", 0, "validate the sharded engine at this shard count before the experiments (0 disables)")
-		monAddr  = flag.String("monitor", "", "serve live gauges (/metrics, /healthz, /debug/vars) on this address (e.g. :8080)")
+		monAddr  = flag.String("monitor", "", "serve live gauges (/metrics, /healthz, /debug/vars) and /debug/pprof/ on this address (e.g. :8080)")
 	)
 	flag.Parse()
 	if *jsonOut {
@@ -161,15 +159,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dewrite-bench: %v (use -list)\n", err)
 		os.Exit(2)
-	}
-
-	if *pprof != "" {
-		addr, err := telemetry.ServeDebug(*pprof)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dewrite-bench: pprof: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "dewrite-bench: pprof at http://%s/debug/pprof/\n", addr)
 	}
 
 	if *monAddr != "" {

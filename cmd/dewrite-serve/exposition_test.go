@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestServeExposition is the end-to-end observability check CI runs as a
@@ -76,19 +77,11 @@ func TestServeExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	code, scrape := get("/metrics")
-	if code != http.StatusOK {
-		t.Fatalf("/metrics: %d", code)
-	}
-	if out := os.Getenv("DEWRITE_SCRAPE_OUT"); out != "" {
-		if err := os.WriteFile(out, []byte(scrape), 0o644); err != nil {
-			t.Fatalf("DEWRITE_SCRAPE_OUT: %v", err)
-		}
-	}
-	validateExposition(t, scrape)
-
 	// The metric families the daemon promises (see ops.go) are all present.
-	for _, want := range []string{
+	// The daemon counts a response just after flushing it, so the last
+	// count may land a moment after the client has read the response: poll
+	// the scrape for up to a second.
+	wants := []string{
 		"# TYPE dewrite_serve_ready gauge",
 		"# TYPE dewrite_serve_requests_total counter",
 		"# TYPE dewrite_serve_request_latency_ns histogram",
@@ -97,7 +90,24 @@ func TestServeExposition(t *testing.T) {
 		`dewrite_serve_requests_total{op="put"} 200`,
 		`dewrite_serve_requests_total{op="get"} 200`,
 		`dewrite_serve_requests_total{op="stats"} 1`,
-	} {
+	}
+	var scrape string
+	for deadline := time.Now().Add(time.Second); ; time.Sleep(10 * time.Millisecond) {
+		var code int
+		if code, scrape = get("/metrics"); code != http.StatusOK {
+			t.Fatalf("/metrics: %d", code)
+		}
+		if containsAll(scrape, wants) || time.Now().After(deadline) {
+			break
+		}
+	}
+	if out := os.Getenv("DEWRITE_SCRAPE_OUT"); out != "" {
+		if err := os.WriteFile(out, []byte(scrape), 0o644); err != nil {
+			t.Fatalf("DEWRITE_SCRAPE_OUT: %v", err)
+		}
+	}
+	validateExposition(t, scrape)
+	for _, want := range wants {
 		if !strings.Contains(scrape, want) {
 			t.Errorf("scrape missing %q", want)
 		}
@@ -118,6 +128,15 @@ func TestServeExposition(t *testing.T) {
 	if ring.K != 8 || len(ring.Slowest) == 0 {
 		t.Fatalf("/debug/slow empty after 401 requests: %s", slow)
 	}
+}
+
+func containsAll(s string, subs []string) bool {
+	for _, sub := range subs {
+		if !strings.Contains(s, sub) {
+			return false
+		}
+	}
+	return true
 }
 
 // validateExposition checks the whole scrape the way a strict scraper would:

@@ -27,14 +27,23 @@ func requestsTotal(reg *monitor.Registry) uint64 {
 	return total
 }
 
+// settle polls cond for up to a second. The daemon counts a response just
+// after flushing it, so its counters may trail what a client has read.
+func settle(cond func() bool) {
+	for deadline := time.Now().Add(time.Second); !cond() && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // checkBooks asserts the invariant every response flushed to a client is
 // counted exactly once: client-received == requests_total + shed_total.
 func checkBooks(t *testing.T, srv *Server, received uint64) {
 	t.Helper()
-	counted := requestsTotal(srv.Registry()) + srv.m.shedTotal()
-	if counted != received {
+	counted := func() uint64 { return requestsTotal(srv.Registry()) + srv.m.shedTotal() }
+	settle(func() bool { return counted() == received })
+	if got := counted(); got != received {
 		t.Fatalf("books unbalanced: clients received %d responses, server counted %d (requests %d + sheds %d)",
-			received, counted, requestsTotal(srv.Registry()), srv.m.shedTotal())
+			received, got, requestsTotal(srv.Registry()), srv.m.shedTotal())
 	}
 }
 
@@ -154,13 +163,15 @@ func TestDeadlineExpiresInQueue(t *testing.T) {
 	if deadlined == 0 {
 		t.Fatal("no queued request expired despite 1ms budgets against 30ms stalls")
 	}
+	// checkBooks settles the flush-then-count window, so the per-cause
+	// counter read after it is final.
+	checkBooks(t, srv, frames)
 	cause := srv.reg.Counter("serve_shed_total",
 		monitor.Label{Key: "shard", Value: "0"},
 		monitor.Label{Key: "cause", Value: "deadline"}).Value()
 	if cause != uint64(deadlined) {
 		t.Fatalf("shed{cause=deadline} = %d, clients saw %d DEADLINE responses", cause, deadlined)
 	}
-	checkBooks(t, srv, frames)
 }
 
 // TestSnapshotRecoveryAfterCrash is the kill -9 contract: state as of the

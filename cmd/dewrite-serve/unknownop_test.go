@@ -46,18 +46,20 @@ func TestUnknownOpIsCounted(t *testing.T) {
 		}
 	}
 
+	// The client received 3 responses (1 put + 2 errors): the books must
+	// balance including the unknown bucket.
+	checkBooks(t, srv, 3)
 	reg := srv.Registry()
 	unknown := reg.Counter("serve_requests_total",
 		monitor.Label{Key: "op", Value: "unknown"}).Value()
 	if unknown != 2 {
 		t.Fatalf("serve_requests_total{op=%q} = %d, want 2", "unknown", unknown)
 	}
-	if errs := reg.Counter("serve_errors_total",
+	errs := reg.Counter("serve_errors_total",
 		monitor.Label{Key: "op", Value: "unknown"},
-		monitor.Label{Key: "cause", Value: "unknown_op"}).Value(); errs != 2 {
-		t.Fatalf("serve_errors_total{op=unknown,cause=unknown_op} = %d, want 2", errs)
+		monitor.Label{Key: "cause", Value: "unknown_op"})
+	settle(func() bool { return errs.Value() == 2 })
+	if got := errs.Value(); got != 2 {
+		t.Fatalf("serve_errors_total{op=unknown,cause=unknown_op} = %d, want 2", got)
 	}
-	// The client received 3 responses (1 put + 2 errors): the books must
-	// balance including the unknown bucket.
-	checkBooks(t, srv, 3)
 }

@@ -29,7 +29,6 @@ import (
 	"dewrite/internal/fault"
 	"dewrite/internal/monitor"
 	"dewrite/internal/sim"
-	"dewrite/internal/telemetry"
 	"dewrite/internal/timeline"
 	"dewrite/internal/units"
 	"dewrite/internal/workload"
@@ -116,10 +115,8 @@ func main() {
 		listApps  = flag.Bool("apps", false, "list application profiles and exit")
 		hierarchy = flag.Bool("hierarchy", false, "interpose the 4-level CPU cache hierarchy")
 
-		jsonOut    = flag.Bool("json", false, "emit the full report as one JSON object on stdout")
-		traceOut   = flag.String("trace", "", "write a Chrome trace-event JSON file (open in Perfetto)")
-		metricsCSV = flag.String("metrics", "", "write the counter time series as CSV")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof and runtime metrics on this address (e.g. localhost:6060)")
+		jsonOut  = flag.Bool("json", false, "emit the full report as one JSON object on stdout")
+		traceOut = flag.String("trace", "", "write a Chrome trace-event JSON file of every request (every -attr-sample'th if given; open in Perfetto)")
 
 		faultsFile = flag.String("faults", "", "fault-injection config as a JSON file (see internal/fault.Config)")
 		endurance  = flag.Uint64("endurance", 0, "mean per-line write endurance (0 = no wear-out faults)")
@@ -135,7 +132,7 @@ func main() {
 		epochEvery  = flag.Uint64("epoch", 0, "timeline epoch size in requests (0 = requests/64)")
 		timelineCSV = flag.String("timeline-csv", "", "write the epoch time series as CSV (single run)")
 		heatmapOut  = flag.String("heatmap", "", "write the per-bank wear heatmap as CSV (single run)")
-		monitorAddr = flag.String("monitor", "", "serve live gauges (/metrics, /healthz, /debug/vars) on this address (e.g. :8080)")
+		monitorAddr = flag.String("monitor", "", "serve live gauges (/metrics, /healthz, /debug/vars) and /debug/pprof/ on this address (e.g. :8080)")
 
 		// Custom-profile overrides: set -app custom (or override a named
 		// profile's fields individually).
@@ -191,13 +188,20 @@ func main() {
 		}
 	}
 	single := len(jobs) == 1
-	if !single && (*traceOut != "" || *metricsCSV != "" || *timelineCSV != "" || *heatmapOut != "" ||
+	if !single && (*traceOut != "" || *timelineCSV != "" || *heatmapOut != "" ||
 		*attrFolded != "" || *attrCSV != "") {
-		fmt.Fprintf(os.Stderr, "dewrite-sim: -trace/-metrics/-timeline-csv/-heatmap/-attr-folded/-attr-csv need a single (app, scheme) run\n")
+		fmt.Fprintf(os.Stderr, "dewrite-sim: -trace/-timeline-csv/-heatmap/-attr-folded/-attr-csv need a single (app, scheme) run\n")
 		os.Exit(2)
 	}
+	// -trace records through the attribution recorder with span capture on,
+	// sampling every request unless -attr-sample says otherwise; without
+	// -attr the report stays the plain one.
 	enableAttr := *attrOn || *attrFolded != "" || *attrCSV != ""
-	if enableAttr && *attrSample < 1 {
+	samplePeriod := *attrSample
+	if *traceOut != "" && !flagGiven("attr-sample") {
+		samplePeriod = 1
+	}
+	if (enableAttr || *traceOut != "") && samplePeriod < 1 {
 		fmt.Fprintf(os.Stderr, "dewrite-sim: -attr-sample must be >= 1\n")
 		os.Exit(2)
 	}
@@ -232,20 +236,6 @@ func main() {
 	if *crashAt > uint64(*requests) {
 		fmt.Fprintf(os.Stderr, "dewrite-sim: -crash-at %d is beyond -requests %d\n", *crashAt, *requests)
 		os.Exit(2)
-	}
-
-	if *pprofAddr != "" {
-		addr, err := telemetry.ServeDebug(*pprofAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dewrite-sim: pprof: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "dewrite-sim: pprof at http://%s/debug/pprof/\n", addr)
-	}
-
-	var tracer *telemetry.Tracer
-	if *traceOut != "" || *metricsCSV != "" {
-		tracer = telemetry.New(telemetry.DefaultMaxEvents)
 	}
 
 	var reg *monitor.Registry
@@ -285,13 +275,15 @@ func main() {
 		}
 		opts := sim.Options{
 			Requests: *requests, Warmup: *warmup, Seed: *seed,
-			Tracer: tracer, Timeline: tl,
-			Faults: fcfg, CrashAt: *crashAt,
+			Timeline: tl, Faults: fcfg, CrashAt: *crashAt,
 		}
-		if enableAttr {
+		if enableAttr || *traceOut != "" {
 			// One recorder per job: the sampling counter is recorder-local,
 			// so which requests get traced is independent of -parallel.
-			recs[i] = attr.NewRecorder(*attrSample, *seed)
+			recs[i] = attr.NewRecorder(samplePeriod, *seed)
+			if *traceOut != "" {
+				recs[i].CaptureSpans(0)
+			}
 			opts.Attr = recs[i]
 		}
 		if *hierarchy {
@@ -299,6 +291,9 @@ func main() {
 		}
 		mem := sim.NewMemoryWith(j.sch, j.prof.WorkingSetLines, cfg, fcfg, *crashAt != 0)
 		results[i] = sim.Run(j.prof.Name, j.sch.String(), mem, j.prof, opts)
+		if !enableAttr {
+			results[i].Attribution = nil
+		}
 		mems[i] = results[i].FinalMemory()
 		if reg != nil {
 			reg.PublishAttribution(prefix, results[i].Attribution)
@@ -306,17 +301,12 @@ func main() {
 	})
 
 	if *traceOut != "" {
-		if err := writeFileWith(*traceOut, tracer.WriteChromeTrace); err != nil {
+		if err := writeFileWith(*traceOut, recs[0].WriteChromeTrace); err != nil {
 			fmt.Fprintf(os.Stderr, "dewrite-sim: trace: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "dewrite-sim: wrote %d trace events to %s\n", tracer.Len(), *traceOut)
-	}
-	if *metricsCSV != "" {
-		if err := writeFileWith(*metricsCSV, tracer.WriteMetricsCSV); err != nil {
-			fmt.Fprintf(os.Stderr, "dewrite-sim: metrics: %v\n", err)
-			os.Exit(1)
-		}
+		fmt.Fprintf(os.Stderr, "dewrite-sim: wrote %d trace events to %s (%d dropped)\n",
+			recs[0].Captured(), *traceOut, recs[0].Dropped())
 	}
 	if *timelineCSV != "" {
 		if err := writeFileWith(*timelineCSV, results[0].Timeline.WriteCSV); err != nil {
@@ -432,6 +422,17 @@ func printText(res sim.Result, prof workload.Profile, mem sim.Memory) {
 			fmt.Printf("  %-8s cache       %.2f%% hit rate\n", mc.Name(), mc.HitRate()*100)
 		}
 	}
+}
+
+// flagGiven reports whether the named flag was set on the command line.
+func flagGiven(name string) bool {
+	given := false
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == name {
+			given = true
+		}
+	})
+	return given
 }
 
 func pct(a, b uint64) float64 {

@@ -1,7 +1,7 @@
-// Package attr is the per-request attribution layer: it explains *why* a
-// request took its latency and *which subsystem* consumed the device's write
-// endurance, at a granularity the coarse spans (telemetry) and per-epoch
-// aggregates (timeline) cannot reach.
+// Package attr is the simulator's one instrumentation path: it explains *why*
+// a request took its latency and *which subsystem* consumed the device's
+// write endurance, at a granularity the per-epoch aggregates (timeline)
+// cannot reach.
 //
 // The layer has two halves:
 //
@@ -11,8 +11,9 @@
 //     phases — hash, fingerprint lookup, metadata-cache miss fill,
 //     encryption, verify read, bank-queue wait, array service and the
 //     degradation ladder — recorded by the components the request flows
-//     through. Sampled phases export as Chrome-trace spans through the
-//     telemetry sink and as flamegraph-compatible folded stacks.
+//     through. Sampled phases export as report aggregates, as
+//     flamegraph-compatible folded stacks and, with span capture on, as a
+//     Chrome trace with per-phase, per-bank and per-thread request tracks.
 //
 //   - Write-provenance ledger. Every physical NVM line write is tagged with
 //     the cause that issued it (demand data, dedup-miss unique placement,
@@ -22,11 +23,11 @@
 //     per-cause write counters always reproduces the device's total line
 //     writes, which the accounting-invariant tests pin.
 //
-// Like the telemetry sink, the whole layer is nil-safe: a nil *Recorder (or
-// *Ledger) is the disabled instrument, every method returns immediately, and
-// the hot path pays one predictable branch and zero allocations. Recording is
-// purely observational — attaching a recorder never changes a run's timing,
-// statistics or report bytes.
+// The whole layer is nil-safe: a nil *Recorder (or *Ledger) is the disabled
+// instrument, every method returns immediately, and the hot path pays one
+// predictable branch and zero allocations. Recording is purely observational
+// — attaching a recorder, with or without span capture, never changes a
+// run's timing, statistics or report bytes.
 package attr
 
 // Cause classifies why one physical NVM line write was issued. The taxonomy

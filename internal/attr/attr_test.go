@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"dewrite/internal/rng"
-	"dewrite/internal/telemetry"
 	"dewrite/internal/units"
 )
 
@@ -20,12 +19,16 @@ func TestNilSafety(t *testing.T) {
 	if r.SamplePeriod() != 0 || r.SampleOffset() != 0 {
 		t.Fatal("nil recorder reports a sampling period")
 	}
-	r.SetTracer(telemetry.New(0))
-	r.Begin(KindWrite, 1, 0)
+	r.CaptureSpans(8)
+	if r.Capturing() || r.Captured() != 0 || r.Dropped() != 0 {
+		t.Fatal("nil recorder claims to capture")
+	}
+	r.Begin(KindWrite, 0, 1, 0)
 	if r.Sampling() {
 		t.Fatal("nil recorder claims to be sampling")
 	}
 	r.Phase(PhaseHash, 0, 10)
+	r.BankPhase(PhaseService, 3, 0, 10)
 	r.Op(OpCRC)
 	r.End(10)
 	if rep := r.Report(); rep != nil {
@@ -36,6 +39,9 @@ func TestNilSafety(t *testing.T) {
 	}
 	if err := r.WriteProvenanceCSV(&bytes.Buffer{}); err != nil {
 		t.Fatal(err)
+	}
+	if err := r.WriteChromeTrace(&bytes.Buffer{}); err == nil {
+		t.Fatal("nil recorder wrote a Chrome trace")
 	}
 
 	led := r.Ledger()
@@ -64,7 +70,7 @@ func TestSamplingDeterministic(t *testing.T) {
 	}
 	var sampledIdx []uint64
 	for i := uint64(0); i < 64; i++ {
-		r.Begin(KindWrite, i, units.Time(i))
+		r.Begin(KindWrite, 0, i, units.Time(i))
 		if r.Sampling() {
 			sampledIdx = append(sampledIdx, i)
 		}
@@ -82,7 +88,7 @@ func TestSamplingDeterministic(t *testing.T) {
 	// Identical (period, seed) → identical report bytes.
 	other := NewRecorder(period, seed)
 	for i := uint64(0); i < 64; i++ {
-		other.Begin(KindWrite, i, units.Time(i))
+		other.Begin(KindWrite, 0, i, units.Time(i))
 		other.End(units.Time(i + 1))
 	}
 	var a, b bytes.Buffer
@@ -101,7 +107,7 @@ func TestSamplingDeterministic(t *testing.T) {
 // open sampled context and land under the right kind.
 func TestPhaseAttribution(t *testing.T) {
 	r := NewRecorder(1, 0) // sample everything
-	r.Begin(KindWrite, 7, 100)
+	r.Begin(KindWrite, 0, 7, 100)
 	r.Phase(PhaseHash, 100, 115)
 	r.Phase(PhaseVerify, 115, 190)
 	r.Op(OpCRC)
@@ -112,7 +118,7 @@ func TestPhaseAttribution(t *testing.T) {
 	r.Phase(PhaseHash, 0, 1000)
 	r.Op(OpCRC)
 
-	r.Begin(KindRead, 9, 300)
+	r.Begin(KindRead, 0, 9, 300)
 	r.Phase(PhaseEncrypt, 300, 396)
 	r.End(400)
 
@@ -186,9 +192,9 @@ func TestLedgerAccounting(t *testing.T) {
 // kind;phase frames, picosecond weights.
 func TestFoldedOutput(t *testing.T) {
 	r := NewRecorder(1, 0)
-	r.Begin(KindWrite, 1, 0)
+	r.Begin(KindWrite, 0, 1, 0)
 	r.Phase(PhaseHash, 0, 15)
-	r.Phase(PhaseQueue, 15, 40)
+	r.BankPhase(PhaseQueue, 2, 15, 40)
 	r.End(300)
 	var buf bytes.Buffer
 	if err := r.WriteFolded(&buf); err != nil {
@@ -252,13 +258,14 @@ func TestProvenanceCSV(t *testing.T) {
 }
 
 // TestDisabledPathZeroAlloc is the allocs-per-op pin for the disabled layer:
-// the nil recorder and the enabled-but-unsampled fast path must allocate
-// nothing per request.
+// the nil recorder and the enabled-but-unsampled fast path (span capture on
+// or off) must allocate nothing per request.
 func TestDisabledPathZeroAlloc(t *testing.T) {
 	var nilRec *Recorder
 	if allocs := testing.AllocsPerRun(1000, func() {
-		nilRec.Begin(KindWrite, 1, 0)
+		nilRec.Begin(KindWrite, 0, 1, 0)
 		nilRec.Phase(PhaseHash, 0, 15)
+		nilRec.BankPhase(PhaseService, 2, 15, 40)
 		nilRec.Op(OpCRC)
 		nilRec.End(100)
 		nilRec.Ledger().RecordWrite(CauseDemand, 0, 1)
@@ -266,41 +273,69 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 		t.Fatalf("nil recorder: %v allocs/op, want 0", allocs)
 	}
 
-	// Sampling at 1/1<<40 never opens a context in this loop: the enabled
+	// Sampling at 1/1<<30 never opens a context in this loop: the enabled
 	// unsampled path must be allocation-free too.
-	rec := NewRecorder(1<<30, 7)
-	led := rec.Ledger()
-	led.RecordWrite(CauseDemand, 7, 1) // pre-grow the bank slice
-	if allocs := testing.AllocsPerRun(1000, func() {
-		rec.Begin(KindWrite, 1, 0)
-		rec.Phase(PhaseHash, 0, 15)
-		rec.Op(OpCRC)
-		rec.End(100)
-		led.RecordWrite(CauseDemand, 3, 1)
-	}); allocs != 0 {
-		t.Fatalf("unsampled recorder: %v allocs/op, want 0", allocs)
+	for _, capture := range []bool{false, true} {
+		rec := NewRecorder(1<<30, 7)
+		if capture {
+			rec.CaptureSpans(0)
+		}
+		led := rec.Ledger()
+		led.RecordWrite(CauseDemand, 7, 1) // pre-grow the bank slice
+		if allocs := testing.AllocsPerRun(1000, func() {
+			rec.Begin(KindWrite, 0, 1, 0)
+			rec.Phase(PhaseHash, 0, 15)
+			rec.BankPhase(PhaseService, 2, 15, 40)
+			rec.Op(OpCRC)
+			rec.End(100)
+			led.RecordWrite(CauseDemand, 3, 1)
+		}); allocs != 0 {
+			t.Fatalf("unsampled recorder (capture %v): %v allocs/op, want 0", capture, allocs)
+		}
 	}
 }
 
-// TestTracerSpans checks sampled phases surface as Chrome-trace spans on the
-// attribution track.
+// TestTracerSpans checks span capture is fed by the same calls as the
+// aggregates: a sampled request's phases land on their phase's (or bank's)
+// track and the request itself on its thread's track, while capture leaves
+// the report untouched.
 func TestTracerSpans(t *testing.T) {
-	trc := telemetry.New(0)
-	r := NewRecorder(1, 0)
-	r.SetTracer(trc)
-	r.Begin(KindWrite, 5, 0)
-	r.Phase(PhaseHash, 0, 15)
-	r.End(100)
-	events := trc.Events()
-	if len(events) != 2 {
-		t.Fatalf("%d spans, want phase + request", len(events))
+	run := func(capture bool) *Recorder {
+		r := NewRecorder(1, 0)
+		if capture {
+			r.CaptureSpans(0)
+		}
+		r.Begin(KindWrite, 2, 5, 0)
+		r.Phase(PhaseHash, 0, 15)
+		r.BankPhase(PhaseService, 3, 15, 90)
+		r.End(100)
+		return r
 	}
-	for _, e := range events {
-		if e.Track != telemetry.TrackAttr {
-			t.Fatalf("span on track %d, want %d", e.Track, telemetry.TrackAttr)
+	off, on := run(false), run(true)
+	if off.Capturing() || off.Captured() != 0 {
+		t.Fatal("capture off, spans kept")
+	}
+	if !on.Capturing() || on.Captured() != 3 {
+		t.Fatalf("%d spans, want hash + service + request", on.Captured())
+	}
+	want := []span{
+		{name: "hash", track: phaseTrack(PhaseHash), start: 0, dur: 15, addr: 5},
+		{name: "bank-service", track: bankTrack(3), start: 15, dur: 75, addr: 5},
+		{name: "write", track: requestTrack(2), start: 0, dur: 100, addr: 5},
+	}
+	for i, s := range on.spans {
+		if s != want[i] {
+			t.Errorf("span %d = %+v, want %+v", i, s, want[i])
 		}
 	}
-	if events[0].Label != "attr:hash" || events[1].Label != "attr:write" {
-		t.Fatalf("labels = %q, %q", events[0].Label, events[1].Label)
+	var a, b bytes.Buffer
+	if err := off.WriteFolded(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := on.WriteFolded(&b); err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() {
+		t.Fatalf("capture changed the aggregates:\n%s\nvs\n%s", a.String(), b.String())
 	}
 }

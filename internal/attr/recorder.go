@@ -2,15 +2,16 @@ package attr
 
 import (
 	"dewrite/internal/rng"
-	"dewrite/internal/telemetry"
 	"dewrite/internal/units"
 )
 
-// Recorder is the causal-tracing half of the attribution layer: a sampled
-// per-request context that the simulation loop opens around each memory
-// request and that the components the request flows through decorate with
-// phases and functional-op counts. It owns the run's write-provenance Ledger
-// so one attachment call wires both halves.
+// Recorder is the attribution layer's one instrument: a sampled per-request
+// context that the simulation loop opens around each memory request and that
+// the components the request flows through decorate with phases and
+// functional-op counts. It owns the run's write-provenance Ledger, so one
+// attachment call wires both halves, and — with span capture on — it keeps
+// every sampled request and phase as a span for the Chrome trace, fed by the
+// same calls that feed the aggregates.
 //
 // Sampling is deterministic: request i is sampled iff i mod period equals an
 // offset drawn from internal/rng with the run's seed, so two runs of the
@@ -27,10 +28,11 @@ type Recorder struct {
 	offset uint64
 	seen   uint64
 
-	open  bool
-	kind  Kind
-	addr  uint64
-	start units.Time
+	open   bool
+	kind   Kind
+	thread int
+	addr   uint64
+	start  units.Time
 
 	// Per-open-request scratch, folded into the totals at End.
 	curr    [NumPhases]phaseAgg
@@ -42,7 +44,12 @@ type Recorder struct {
 	total   [NumKinds]units.Duration
 
 	led Ledger
-	trc *telemetry.Tracer
+
+	// Span capture: off while maxSpans is 0. Spans past the cap are counted
+	// in dropped, so a long run cannot exhaust memory.
+	maxSpans int
+	spans    []span
+	dropped  uint64
 }
 
 type phaseAgg struct {
@@ -50,9 +57,22 @@ type phaseAgg struct {
 	total units.Duration
 }
 
+// span is one captured segment of simulated time on one trace track.
+type span struct {
+	name  string
+	track int32
+	start units.Time
+	dur   units.Duration
+	addr  uint64
+}
+
 // DefaultSamplePeriod is the sampling period used when none is given: one in
 // 1024 requests, the rate at which the measured overhead stays below 1 %.
 const DefaultSamplePeriod = 1024
+
+// DefaultMaxSpans bounds the span buffer when capture is turned on without
+// a cap: 4 Mi spans ≈ 200 MB.
+const DefaultMaxSpans = 4 << 20
 
 // NewRecorder returns an enabled recorder sampling every period-th request,
 // with the sampling offset derived deterministically from seed. period <= 0
@@ -85,14 +105,40 @@ func (r *Recorder) SampleOffset() uint64 {
 	return r.offset
 }
 
-// SetTracer attaches (or, with nil, detaches) the telemetry sink; sampled
-// phases are then also emitted as Chrome-trace spans on the attribution
-// track.
-func (r *Recorder) SetTracer(trc *telemetry.Tracer) {
+// CaptureSpans turns span capture on: every sampled request and every phase
+// recorded inside it is also kept as a span for WriteChromeTrace, up to
+// maxSpans spans (DefaultMaxSpans when maxSpans <= 0); later spans are
+// counted as dropped. Capture changes no aggregate, so the report is the
+// same with it on or off.
+func (r *Recorder) CaptureSpans(maxSpans int) {
 	if r == nil {
 		return
 	}
-	r.trc = trc
+	if maxSpans <= 0 {
+		maxSpans = DefaultMaxSpans
+	}
+	r.maxSpans = maxSpans
+}
+
+// Capturing reports whether span capture is on.
+func (r *Recorder) Capturing() bool {
+	return r != nil && r.maxSpans > 0
+}
+
+// Captured returns the number of spans kept so far.
+func (r *Recorder) Captured() int {
+	if r == nil {
+		return 0
+	}
+	return len(r.spans)
+}
+
+// Dropped returns the number of spans discarded after the buffer filled.
+func (r *Recorder) Dropped() uint64 {
+	if r == nil {
+		return 0
+	}
+	return r.dropped
 }
 
 // Ledger returns the recorder's write-provenance ledger (nil when the
@@ -104,10 +150,10 @@ func (r *Recorder) Ledger() *Ledger {
 	return &r.led
 }
 
-// Begin opens the request context for one memory request issued at issue.
-// Whether the request is sampled is decided here; until the matching End,
-// Phase and Op calls attribute into this request.
-func (r *Recorder) Begin(kind Kind, addr uint64, issue units.Time) {
+// Begin opens the request context for one memory request that hardware
+// thread issued at issue. Whether the request is sampled is decided here;
+// until the matching End, Phase and Op calls attribute into this request.
+func (r *Recorder) Begin(kind Kind, thread int, addr uint64, issue units.Time) {
 	if r == nil {
 		return
 	}
@@ -118,6 +164,7 @@ func (r *Recorder) Begin(kind Kind, addr uint64, issue units.Time) {
 	}
 	r.open = true
 	r.kind = kind
+	r.thread = thread
 	r.addr = addr
 	r.start = issue
 	r.curr = [NumPhases]phaseAgg{}
@@ -132,16 +179,41 @@ func (r *Recorder) Sampling() bool {
 }
 
 // Phase attributes the [start, end] segment of the open sampled request to
-// phase p. Outside an open context (or on the nil recorder) it is a no-op.
+// phase p; a captured span lands on the phase's own track. Outside an open
+// context (or on the nil recorder) it is a no-op.
 func (r *Recorder) Phase(p Phase, start, end units.Time) {
 	if r == nil || !r.open || int(p) >= NumPhases {
 		return
 	}
-	r.curr[p].count++
-	r.curr[p].total += end.Sub(start)
-	if r.trc != nil && end > start {
-		r.trc.Span(p.category(), telemetry.TrackAttr, "attr:"+p.String(), start, end, r.addr)
+	r.phase(p, phaseTrack(p), start, end)
+}
+
+// BankPhase is Phase for a device phase served by bank: it feeds the same
+// aggregates, and a captured span lands on the bank's track.
+func (r *Recorder) BankPhase(p Phase, bank int, start, end units.Time) {
+	if r == nil || !r.open || int(p) >= NumPhases {
+		return
 	}
+	r.phase(p, bankTrack(bank), start, end)
+}
+
+func (r *Recorder) phase(p Phase, track int32, start, end units.Time) {
+	d := end.Sub(start)
+	r.curr[p].count++
+	r.curr[p].total += d
+	r.keep(p.String(), track, start, d)
+}
+
+// keep captures one span when capture is on.
+func (r *Recorder) keep(name string, track int32, start units.Time, dur units.Duration) {
+	if r.maxSpans == 0 {
+		return
+	}
+	if len(r.spans) >= r.maxSpans {
+		r.dropped++
+		return
+	}
+	r.spans = append(r.spans, span{name: name, track: track, start: start, dur: dur, addr: r.addr})
 }
 
 // Op counts one functional operation performed for the open sampled request.
@@ -153,15 +225,17 @@ func (r *Recorder) Op(op Op) {
 }
 
 // End closes the request context opened by Begin, folding the request's
-// phases into the per-kind totals. done is the request's completion time.
+// phases into the per-kind totals; a captured span covers the whole request
+// on its thread's track. done is the request's completion time.
 func (r *Recorder) End(done units.Time) {
 	if r == nil || !r.open {
 		return
 	}
 	r.open = false
 	k := r.kind
+	d := done.Sub(r.start)
 	r.sampled[k]++
-	r.total[k] += done.Sub(r.start)
+	r.total[k] += d
 	for p := 0; p < NumPhases; p++ {
 		r.phases[k][p].count += r.curr[p].count
 		r.phases[k][p].total += r.curr[p].total
@@ -169,29 +243,5 @@ func (r *Recorder) End(done units.Time) {
 	for o := 0; o < NumOps; o++ {
 		r.ops[k][o] += r.currOps[o]
 	}
-	if r.trc != nil {
-		cat := telemetry.CatWrite
-		if k == KindRead {
-			cat = telemetry.CatRead
-		}
-		r.trc.Span(cat, telemetry.TrackAttr, "attr:"+k.String(), r.start, done, r.addr)
-	}
-}
-
-// category maps a latency phase onto the telemetry category its span carries.
-func (p Phase) category() telemetry.Category {
-	switch p {
-	case PhaseHash:
-		return telemetry.CatHash
-	case PhaseLookup, PhaseMetaMiss:
-		return telemetry.CatMetadata
-	case PhaseEncrypt:
-		return telemetry.CatAES
-	case PhaseVerify:
-		return telemetry.CatVerifyRead
-	case PhaseQueue:
-		return telemetry.CatBankQueue
-	default:
-		return telemetry.CatBankService
-	}
+	r.keep(k.String(), requestTrack(r.thread), r.start, d)
 }

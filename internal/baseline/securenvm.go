@@ -21,7 +21,6 @@ import (
 	"dewrite/internal/metacache"
 	"dewrite/internal/nvm"
 	"dewrite/internal/stats"
-	"dewrite/internal/telemetry"
 	"dewrite/internal/timeline"
 	"dewrite/internal/units"
 )
@@ -38,8 +37,7 @@ type SecureNVM struct {
 	dataLines uint64
 	ctrBase   uint64 // first NVM line of the counter table
 	pfCtr     int
-	trc       *telemetry.Tracer // nil when tracing is off
-	rec       *attr.Recorder    // nil when attribution is off
+	rec       *attr.Recorder // nil when attribution is off
 
 	writes        stats.Counter
 	reads         stats.Counter
@@ -115,28 +113,12 @@ func prefetchLines(entries, perLine int) int {
 	return n
 }
 
-// SetTracer attaches (or, with nil, detaches) the telemetry sink, cascading
-// it to the NVM device.
-func (s *SecureNVM) SetTracer(trc *telemetry.Tracer) {
-	s.trc = trc
-	s.dev.SetTracer(trc)
-}
-
 // SetAttr attaches (or, with nil, detaches) the attribution recorder,
 // cascading it to the device and the crypto engine.
 func (s *SecureNVM) SetAttr(rec *attr.Recorder) {
 	s.rec = rec
 	s.dev.SetAttr(rec)
 	s.enc.SetAttr(rec)
-}
-
-// EmitSamples records the baseline's counter series (counter-cache hit rate)
-// at the simulated time now.
-func (s *SecureNVM) EmitSamples(trc *telemetry.Tracer, now units.Time) {
-	if trc == nil {
-		return
-	}
-	s.ctrCache.EmitSamples(trc, now)
 }
 
 // SampleEpoch implements timeline.Sampler: scheme write count, counter-cache
@@ -170,8 +152,7 @@ func (s *SecureNVM) counterAccess(now units.Time, logical uint64, write bool) un
 	line := s.counterLine(logical)
 	if s.ctrCache.Lookup(line, write) {
 		done := now.Add(s.cfg.Timing.MetaCache)
-		s.ctrCache.Trace(s.trc, now, done, line)
-		s.rec.Phase(attr.PhaseLookup, now, done)
+		s.ctrCache.Attr(s.rec, true, now, done)
 		return done
 	}
 	// Timing-only read: the functional counters live in the CounterStore.
@@ -202,8 +183,7 @@ func (s *SecureNVM) counterAccess(now units.Time, logical uint64, write bool) un
 		}
 	}
 	filled := done.Add(s.cfg.Timing.MetaCache)
-	s.ctrCache.Trace(s.trc, now, filled, line)
-	s.ctrCache.AttrMiss(s.rec, now, filled)
+	s.ctrCache.Attr(s.rec, false, now, filled)
 	return filled
 }
 
@@ -221,7 +201,6 @@ func (s *SecureNVM) Write(now units.Time, logical uint64, data []byte) units.Tim
 	ctrDone := s.counterAccess(now, logical, true)
 	counter := s.ctrs.Bump(logical)
 	encDone := ctrDone.Add(s.cfg.Timing.AESLine)
-	s.trc.Span(telemetry.CatAES, telemetry.TrackAES, "", ctrDone, encDone, logical)
 	s.rec.Phase(attr.PhaseEncrypt, ctrDone, encDone)
 	s.aesLineOps.Inc()
 	s.dev.AddEnergy(s.cfg.Energy.AESBlock * config.AESBlocksPerLine)
@@ -276,7 +255,6 @@ func (s *SecureNVM) ReadInto(now units.Time, logical uint64, dst []byte) units.T
 	ct := s.lineScratch[:]
 	readDone := s.dev.ReadInto(ctrDone, logical, ct)
 	otpDone := ctrDone.Add(s.cfg.Timing.AESLine)
-	s.trc.Span(telemetry.CatAES, telemetry.TrackAES, "aes:otp", ctrDone, otpDone, logical)
 	s.rec.Phase(attr.PhaseEncrypt, ctrDone, otpDone)
 	done := units.Max(readDone, otpDone).Add(s.cfg.Timing.XOR)
 	s.aesLineOps.Inc()

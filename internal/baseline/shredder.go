@@ -6,7 +6,6 @@ import (
 	"dewrite/internal/attr"
 	"dewrite/internal/config"
 	"dewrite/internal/stats"
-	"dewrite/internal/telemetry"
 	"dewrite/internal/timeline"
 	"dewrite/internal/units"
 )
@@ -36,16 +35,8 @@ func NewShredder(dataLines uint64, cfg config.Config) *Shredder {
 // Inner exposes the wrapped SecureNVM for statistics.
 func (sh *Shredder) Inner() *SecureNVM { return sh.inner }
 
-// SetTracer attaches the telemetry sink to the wrapped SecureNVM.
-func (sh *Shredder) SetTracer(trc *telemetry.Tracer) { sh.inner.SetTracer(trc) }
-
 // SetAttr attaches the attribution recorder to the wrapped SecureNVM.
 func (sh *Shredder) SetAttr(rec *attr.Recorder) { sh.inner.SetAttr(rec) }
-
-// EmitSamples records the wrapped baseline's counter series at now.
-func (sh *Shredder) EmitSamples(trc *telemetry.Tracer, now units.Time) {
-	sh.inner.EmitSamples(trc, now)
-}
 
 // SampleEpoch implements timeline.Sampler: the wrapper's own write and
 // zero-elimination counts over the inner SecureNVM's device/cache state.

@@ -42,7 +42,6 @@ import (
 	"dewrite/internal/nvm"
 	"dewrite/internal/predict"
 	"dewrite/internal/stats"
-	"dewrite/internal/telemetry"
 	"dewrite/internal/timeline"
 	"dewrite/internal/units"
 )
@@ -152,11 +151,8 @@ type Controller struct {
 	invCache  *metacache.Cache
 	fsmCache  *metacache.Cache
 
-	// Telemetry sink; nil when tracing is off (the nil-safe contract keeps
-	// every emission a single branch on the hot path).
-	trc *telemetry.Tracer
-
-	// Attribution recorder; nil when attribution is off, same contract.
+	// Attribution recorder; nil when attribution is off (the nil-safe
+	// contract keeps every instrumented site a single branch on the hot path).
 	rec *attr.Recorder
 
 	// Optional integrity tree (nil when disabled).
@@ -388,37 +384,15 @@ func prefetchLines(entries, perLine int) int {
 	return n
 }
 
-// SetTracer attaches (or, with nil, detaches) the telemetry sink, cascading
-// it to the NVM device. Tracing only observes timestamps the controller
-// already computed, so attaching it never changes simulated behavior.
-func (c *Controller) SetTracer(trc *telemetry.Tracer) {
-	c.trc = trc
-	c.dev.SetTracer(trc)
-}
-
 // SetAttr attaches (or, with nil, detaches) the attribution recorder,
-// cascading it to the device, the dedup tables and the crypto engine. Like
-// tracing, attribution only observes timestamps the controller already
-// computed and never changes simulated behavior.
+// cascading it to the device, the dedup tables and the crypto engine.
+// Attribution only observes timestamps the controller already computed and
+// never changes simulated behavior.
 func (c *Controller) SetAttr(rec *attr.Recorder) {
 	c.rec = rec
 	c.dev.SetAttr(rec)
 	c.tables.SetAttr(rec)
 	c.enc.SetAttr(rec)
-}
-
-// EmitSamples records the controller's counter series (duplication ratio,
-// prediction accuracy, per-partition metadata-cache hit rates) at the
-// simulated time now.
-func (c *Controller) EmitSamples(trc *telemetry.Tracer, now units.Time) {
-	if trc == nil {
-		return
-	}
-	trc.Sample("core.dup_ratio", now, stats.Ratio(c.dupEliminated.Value(), c.writes.Value()))
-	trc.Sample("core.pred_accuracy", now, c.pred.Accuracy())
-	for _, mc := range c.MetaCaches() {
-		mc.EmitSamples(trc, now)
-	}
 }
 
 // SampleEpoch implements timeline.Sampler: it fills one epoch with the
@@ -472,8 +446,7 @@ func (c *Controller) checkLine(data []byte) {
 func (c *Controller) metaAccess(now units.Time, cache *metacache.Cache, line uint64, write bool, prefetch int) units.Time {
 	if cache.Lookup(line, write) {
 		done := now.Add(c.cfg.Timing.MetaCache)
-		cache.Trace(c.trc, now, done, line)
-		c.rec.Phase(attr.PhaseLookup, now, done)
+		cache.Attr(c.rec, true, now, done)
 		return done
 	}
 	// Demand miss: NVM read + direct decryption. Timing-only — the
@@ -505,8 +478,7 @@ func (c *Controller) metaAccess(now units.Time, cache *metacache.Cache, line uin
 		}
 	}
 	filled := done.Add(c.cfg.Timing.MetaCache)
-	cache.Trace(c.trc, now, filled, line)
-	cache.AttrMiss(c.rec, now, filled)
+	cache.Attr(c.rec, false, now, filled)
 	return filled
 }
 
@@ -556,17 +528,11 @@ func (c *Controller) Write(now units.Time, logical uint64, data []byte) units.Ti
 
 	predictedDup := c.pred.Predict()
 	parallelAES := c.mode == ModeParallel || (c.mode == ModeDeWrite && !predictedDup)
-	if predictedDup {
-		c.trc.Instant(telemetry.CatPredict, telemetry.TrackPredict, "predict:dup", now, logical)
-	} else {
-		c.trc.Instant(telemetry.CatPredict, telemetry.TrackPredict, "predict:unique", now, logical)
-	}
 
 	// CRC-32 fingerprint (always computed; the detection front end).
 	detect := now.Add(t.CRC32)
 	c.crcOps.Inc()
 	c.dev.AddEnergy(c.cfg.Energy.CRC32Line)
-	c.trc.Span(telemetry.CatHash, telemetry.TrackHash, "", now, detect, logical)
 	c.rec.Phase(attr.PhaseHash, now, detect)
 	c.rec.Op(attr.OpCRC)
 	h := hashes.CRC32(data) & c.hashMask
@@ -636,13 +602,11 @@ func (c *Controller) Write(now units.Time, logical uint64, data []byte) units.Ti
 			// cached, so it extends the path only past the read itself.
 			ctrDone := c.metaAccess(detect, c.addrCache, c.layout.AddrMapLine(cand), false, c.pfAddr)
 			otpDone := ctrDone.Add(t.AESLine)
-			c.trc.Span(telemetry.CatAES, telemetry.TrackAES, "aes:otp", ctrDone, otpDone, cand)
 			done = units.Max(done, otpDone).Add(t.XOR + t.Compare)
 			c.compareOps.Inc()
 			c.rec.Op(attr.OpCompare)
 			c.dev.AddEnergy(c.cfg.Energy.CompareLine)
 			c.enc.DecryptLine(c.plainScratch[:], c.lineScratch[:], cand, c.ctrs.Get(cand))
-			c.trc.Span(telemetry.CatVerifyRead, telemetry.TrackVerify, "", detect, done, cand)
 			c.rec.Phase(attr.PhaseVerify, detect, done)
 			detect = done
 			if !bytes.Equal(c.plainScratch[:], data) {
@@ -668,7 +632,6 @@ func (c *Controller) Write(now units.Time, logical uint64, data []byte) units.Ti
 			c.aesLineOps.Inc()
 			c.aesWasted.Inc()
 			c.dev.AddEnergy(c.cfg.Energy.AESBlock * config.AESBlocksPerLine)
-			c.trc.Span(telemetry.CatAES, telemetry.TrackAES, "aes:wasted", now, now.Add(c.cfg.Timing.AESLine), logical)
 			c.rec.Phase(attr.PhaseEncrypt, now, now.Add(c.cfg.Timing.AESLine))
 		}
 		completed = c.writeDuplicate(detect, logical, target)
@@ -758,7 +721,6 @@ func (c *Controller) writeUnique(now, detect units.Time, logical uint64, data []
 	encDone := encStart.Add(t.AESLine)
 	c.aesLineOps.Inc()
 	c.dev.AddEnergy(c.cfg.Energy.AESBlock * config.AESBlocksPerLine)
-	c.trc.Span(telemetry.CatAES, telemetry.TrackAES, "", encStart, encDone, chosen)
 	c.rec.Phase(attr.PhaseEncrypt, encStart, encDone)
 
 	ct := c.ctScratch[:]
@@ -915,7 +877,6 @@ func (c *Controller) readInto(now units.Time, logical uint64, dst []byte) (units
 	ct := c.lineScratch[:]
 	readDone := c.dev.ReadInto(ctrDone, loc, ct)
 	otpDone := ctrDone.Add(t.AESLine)
-	c.trc.Span(telemetry.CatAES, telemetry.TrackAES, "aes:otp", ctrDone, otpDone, loc)
 	c.rec.Phase(attr.PhaseEncrypt, ctrDone, otpDone)
 	done := units.Max(readDone, otpDone).Add(t.XOR)
 	c.aesLineOps.Inc()

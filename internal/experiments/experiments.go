@@ -130,7 +130,6 @@ func All() []Experiment {
 		{ID: "abl-integrity", Title: "Ablation: Merkle integrity tree (extension)", Run: AblationIntegrity},
 		{ID: "abl-seeds", Title: "Ablation: seed sensitivity", Run: AblationSeeds},
 		{ID: "abl-rowpolicy", Title: "Ablation: open vs closed row-buffer policy", Run: AblationRowPolicy},
-		{ID: "abl-telemetry", Title: "Ablation: telemetry drift and capture", Run: AblationTelemetry},
 		{ID: "faultcampaign", Title: "Fault campaign: crash recovery, wear-out, transient errors", Run: FaultCampaign},
 		{ID: "tail", Title: "Tail latency: p50/p95/p99 per scheme", Run: TailLatency},
 	}

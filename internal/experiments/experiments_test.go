@@ -28,7 +28,7 @@ func TestRegistryComplete(t *testing.T) {
 		"abl-pna", "abl-history", "abl-refwidth", "abl-modes",
 		"abl-hashwidth", "abl-wear", "abl-persist", "abl-hierarchy", "abl-cachescale",
 		"abl-openloop", "abl-bus", "abl-phases", "abl-integrity", "abl-seeds",
-		"abl-rowpolicy", "abl-telemetry", "faultcampaign", "tail"}
+		"abl-rowpolicy", "faultcampaign", "tail"}
 	if len(All()) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d", len(All()), len(want))
 	}

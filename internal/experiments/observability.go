@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"bytes"
-
 	"dewrite/internal/sim"
 	"dewrite/internal/stats"
-	"dewrite/internal/telemetry"
 )
 
 // tailSchemes is the scheme set the tail-latency table compares: the paper's
@@ -32,47 +29,4 @@ func TailLatency(s *Suite) []*stats.Table {
 		}
 	}
 	return []*stats.Table{tb}
-}
-
-// telemetryCategories is the stable reporting order of span categories.
-var telemetryCategories = []telemetry.Category{
-	telemetry.CatPredict, telemetry.CatHash, telemetry.CatVerifyRead,
-	telemetry.CatAES, telemetry.CatMetadata, telemetry.CatBankQueue,
-	telemetry.CatBankService, telemetry.CatRead, telemetry.CatWrite,
-}
-
-// AblationTelemetry is the observability smoke test as an experiment: it runs
-// the same (app, seed) simulation with the tracer off and on, asserts the
-// serialized reports are byte-identical (tracing must only observe the
-// simulated clock, never advance it), and tabulates what the tracer captured.
-func AblationTelemetry(s *Suite) []*stats.Table {
-	drift := stats.NewTable("Telemetry drift check (tracer off vs on)",
-		"app", "identical report", "trace events", "dropped", "samples")
-	capture := stats.NewTable("Telemetry capture by category",
-		"app", "category", "events")
-	for _, prof := range s.ablationApps() {
-		opts := sim.Options{Requests: s.Opts.Requests, Warmup: s.Opts.Warmup, Seed: s.Opts.Seed}
-		memOff := sim.NewMemory(sim.SchemeDeWrite, prof.WorkingSetLines, s.cfg)
-		resOff := sim.Run(prof.Name, sim.SchemeDeWrite.String(), memOff, prof, opts)
-
-		trc := telemetry.New(telemetry.DefaultMaxEvents)
-		opts.Tracer = trc
-		memOn := sim.NewMemory(sim.SchemeDeWrite, prof.WorkingSetLines, s.cfg)
-		resOn := sim.Run(prof.Name, sim.SchemeDeWrite.String(), memOn, prof, opts)
-
-		var off, on bytes.Buffer
-		identical := "NO"
-		if sim.NewRunReport(resOff, memOff).WriteJSON(&off) == nil &&
-			sim.NewRunReport(resOn, memOn).WriteJSON(&on) == nil &&
-			bytes.Equal(off.Bytes(), on.Bytes()) {
-			identical = "yes"
-		}
-		drift.AddRow(prof.Name, identical, int(trc.Len()), int(trc.Dropped()), len(trc.Samples()))
-
-		byCat := trc.CountByCategory()
-		for _, cat := range telemetryCategories {
-			capture.AddRow(prof.Name, cat.String(), byCat[cat])
-		}
-	}
-	return []*stats.Table{drift, capture}
 }

@@ -22,29 +22,3 @@ func TestTailLatencyShapes(t *testing.T) {
 		}
 	}
 }
-
-func TestAblationTelemetryNoDrift(t *testing.T) {
-	tabs := AblationTelemetry(quickSuite())
-	if len(tabs) != 2 {
-		t.Fatalf("AblationTelemetry returned %d tables", len(tabs))
-	}
-	drift := tabs[0]
-	for row := 0; row < drift.NumRows(); row++ {
-		if got := drift.Cell(row, 1); got != "yes" {
-			t.Errorf("%s: tracing changed the report (identical=%q)", drift.Cell(row, 0), got)
-		}
-		if events := drift.Cell(row, 2); events == "0" {
-			t.Errorf("%s: tracer captured no events", drift.Cell(row, 0))
-		}
-	}
-	capture := tabs[1]
-	var sawHash bool
-	for row := 0; row < capture.NumRows(); row++ {
-		if capture.Cell(row, 1) == "hash" && capture.Cell(row, 2) != "0" {
-			sawHash = true
-		}
-	}
-	if !sawHash {
-		t.Error("no hash spans captured in any app")
-	}
-}

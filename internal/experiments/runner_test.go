@@ -11,7 +11,7 @@ import (
 // profiles, and the percentile table. TableI is excluded by design — it
 // measures host wall-clock hash throughput and is nondeterministic even
 // sequentially.
-var goldenIDs = []string{"fig12", "fig14", "abl-pna", "abl-wear", "abl-telemetry", "tail"}
+var goldenIDs = []string{"fig12", "fig14", "abl-pna", "abl-wear", "tail"}
 
 // renderAll runs the experiments over a fresh suite at the given worker
 // count (prefilling the shared grid first when parallel) and renders every

@@ -35,7 +35,6 @@ func TestPoolRecycleFixtures(t *testing.T) {
 
 func TestNilSafeFixtures(t *testing.T) {
 	analysistest.Run(t, "../..", lint.NilSafe,
-		"testdata/src/nilsafe/telemetry",
 		"testdata/src/nilsafe/timeline",
 		"testdata/src/nilsafe/attr",
 		"testdata/src/nilsafe/monitor",

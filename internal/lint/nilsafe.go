@@ -8,15 +8,14 @@ import (
 )
 
 // nilsafePkgs are the observational instrumentation packages. Every
-// component carries a possibly-nil *Tracer / *Collector / *Recorder /
-// *Registry, and the hot path relies on "nil means disabled" costing exactly
-// one branch — so a method without a guard is a latent panic in every run
-// that disables tracing, attribution or monitoring.
+// component carries a possibly-nil *Collector / *Recorder / *Registry, and
+// the hot path relies on "nil means disabled" costing exactly one branch —
+// so a method without a guard is a latent panic in every run that disables
+// attribution, the timeline or monitoring.
 var nilsafePkgs = map[string]bool{
-	"telemetry": true,
-	"timeline":  true,
-	"attr":      true,
-	"monitor":   true,
+	"timeline": true,
+	"attr":     true,
+	"monitor":  true,
 }
 
 // NilSafe requires exported pointer-receiver methods in the instrumentation
@@ -25,7 +24,7 @@ var NilSafe = &analysis.Analyzer{
 	Name: "nilsafe",
 	Doc: `require nil-receiver guards on exported instrumentation methods
 
-In telemetry, timeline, attr and monitor the nil receiver is the documented
+In timeline, attr and monitor the nil receiver is the documented
 "disabled" state, held unconditionally by every simulated component. An exported method
 on a pointer receiver must therefore begin with a nil guard. Three forms
 satisfy the check:

@@ -27,8 +27,27 @@ func (r *Recorder) End(addr uint64) {
 	r.Begin(addr)
 }
 
+// Capturing delegates through a return statement.
+func (r *Recorder) Capturing() bool {
+	return r.Sampling()
+}
+
+// Seen copies the receiver: nil cannot reach a value receiver's fields
+// through a method call on a non-nil interface path, so it is exempt.
+func (r Recorder) Seen() uint64 {
+	return r.seen
+}
+
 func (r *Recorder) Unguarded() { // want `exported method Unguarded must begin with a nil-receiver guard`
 	r.seen++
+}
+
+func (r *Recorder) GuardedLate(addr uint64) { // want `exported method GuardedLate must begin with a nil-receiver guard`
+	addr++
+	if r == nil {
+		return
+	}
+	r.seen += addr
 }
 
 type Ledger struct {

@@ -16,11 +16,9 @@ import (
 	"fmt"
 	"sort"
 
-	"dewrite/internal/attr"
 	"dewrite/internal/config"
 	"dewrite/internal/fault"
 	"dewrite/internal/stats"
-	"dewrite/internal/telemetry"
 	"dewrite/internal/units"
 )
 
@@ -267,64 +265,6 @@ func SimulateStats(reqs []Request, cfg Config, policy Policy) ([]Completion, fau
 		return out, ws.stats
 	}
 	return out, fault.DeviceStats{}
-}
-
-// SimulateTraced is Simulate plus telemetry: each completion is emitted as a
-// bank-queue span (arrival to service start, when the request actually
-// waited) and a bank-service span (start to done) on the bank's trace track.
-// With a nil tracer it is exactly Simulate.
-func SimulateTraced(reqs []Request, cfg Config, policy Policy, trc *telemetry.Tracer) []Completion {
-	out := Simulate(reqs, cfg, policy)
-	if !trc.Enabled() {
-		return out
-	}
-	rowLines := cfg.RowLines
-	if rowLines == 0 {
-		rowLines = 1
-	}
-	for _, c := range out {
-		bank := int32((c.Addr / rowLines) % uint64(cfg.Banks))
-		track := telemetry.TrackBankBase + bank
-		if c.Start > c.Arrive {
-			trc.Span(telemetry.CatBankQueue, track, "", c.Arrive, c.Start, c.Addr)
-		}
-		label := "write"
-		if c.Op == Read {
-			label = "read"
-			if c.Hit {
-				label = "read:rowhit"
-			}
-		}
-		trc.Span(telemetry.CatBankService, track, label, c.Start, c.Done, c.Addr)
-	}
-	return out
-}
-
-// AttributeCompletions replays an open-loop run's completions into the
-// attribution recorder: each completion becomes a sampled-or-not request
-// (the recorder's deterministic every-Nth rule decides which) whose queueing
-// wait and bank service are attributed as latency phases. The open-loop
-// simulator has no write-provenance to report — every request is a demand
-// access — so only the causal-tracing half is fed. With a nil recorder it is
-// a no-op.
-func AttributeCompletions(cs []Completion, rec *attr.Recorder) {
-	if !rec.Enabled() {
-		return
-	}
-	for _, c := range cs {
-		kind := attr.KindWrite
-		if c.Op == Read {
-			kind = attr.KindRead
-		}
-		rec.Begin(kind, c.Addr, c.Arrive)
-		if rec.Sampling() {
-			if c.Start > c.Arrive {
-				rec.Phase(attr.PhaseQueue, c.Arrive, c.Start)
-			}
-			rec.Phase(attr.PhaseService, c.Start, c.Done)
-		}
-		rec.End(c.Done)
-	}
 }
 
 // indexed carries a request together with its position in the input slice.

@@ -17,7 +17,6 @@ import (
 
 	"dewrite/internal/attr"
 	"dewrite/internal/stats"
-	"dewrite/internal/telemetry"
 	"dewrite/internal/timeline"
 	"dewrite/internal/units"
 )
@@ -187,20 +186,16 @@ func (c *Cache) HitRate() float64 {
 	return stats.Ratio(c.hits.Value(), total)
 }
 
-// Trace emits one metadata-access span for this partition covering
-// [start, end] — the cache has no clock of its own, so the controller that
-// timed the access supplies the boundaries. The span is labeled with the
-// partition name so a hash-table probe and an address-mapping fill are
-// distinguishable in the trace. Nil-safe on trc.
-func (c *Cache) Trace(trc *telemetry.Tracer, start, end units.Time, block uint64) {
-	trc.Span(telemetry.CatMetadata, telemetry.TrackMetadata, c.name, start, end, block)
-}
-
-// AttrMiss attributes the [start, end] NVM fill of a miss in this partition
-// to the open sampled request's meta-miss phase. Like Trace, the controller
-// supplies the boundaries; nil-safe on rec.
-func (c *Cache) AttrMiss(rec *attr.Recorder, start, end units.Time) {
-	rec.Phase(attr.PhaseMetaMiss, start, end)
+// Attr attributes one access to this partition, covering [start, end], to
+// the open sampled request: a hit is a lookup, a miss is the NVM fill of a
+// meta-miss. The cache has no clock of its own, so the caller that timed the
+// access supplies the boundaries. Nil-safe on rec.
+func (c *Cache) Attr(rec *attr.Recorder, hit bool, start, end units.Time) {
+	p := attr.PhaseMetaMiss
+	if hit {
+		p = attr.PhaseLookup
+	}
+	rec.Phase(p, start, end)
 }
 
 // SampleEpoch adds this partition's cumulative hit/miss counters into the
@@ -209,14 +204,6 @@ func (c *Cache) AttrMiss(rec *attr.Recorder, start, end units.Time) {
 func (c *Cache) SampleEpoch(e *timeline.Epoch, _ units.Time) {
 	e.MetaHits += c.hits.Value()
 	e.MetaMisses += c.misses.Value()
-}
-
-// EmitSamples records the partition's hit-rate counter series at now.
-func (c *Cache) EmitSamples(trc *telemetry.Tracer, now units.Time) {
-	if trc == nil {
-		return
-	}
-	trc.Sample("metacache."+c.name+".hit_rate", now, c.HitRate())
 }
 
 // DirtyBlocks returns the blocks currently cached dirty, sorted, without

@@ -259,14 +259,6 @@ func (r *Registry) Histogram(name string, bounds []uint64, labels ...Label) *His
 	return h
 }
 
-// LabeledName renders the registry key a labeled series is stored under —
-// the same key SetLabeled and Counter/Histogram construct. Callers on hot
-// paths precompute it once and use the plain-name methods, avoiding the
-// label rendering per operation.
-func LabeledName(name string, labels ...Label) string {
-	return labeledKey(name, labels)
-}
-
 // splitKey splits a registry key into its base name and pre-escaped label
 // block ("" when unlabeled).
 func splitKey(key string) (base, labels string) {

@@ -2,7 +2,8 @@
 // benchmark suite executes: named float gauges published three ways —
 // Prometheus text exposition at /metrics, the process expvar tree at
 // /debug/vars, and a load-balancer-style /healthz — plus a Progress adapter
-// feeding per-worker state from the parallel experiment engine.
+// feeding per-worker state from the parallel experiment engine, and Go's
+// pprof profiles of the process itself under /debug/pprof/.
 //
 // Gauges are atomic float64 cells, so simulation goroutines set them
 // wait-free; HTTP readers see whatever was last stored. The monitor is
@@ -16,6 +17,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"sort"
 	"strings"
 	"sync"
@@ -361,6 +363,11 @@ func ServeWith(addr string, reg *Registry, opts ServeOpts) (*Server, error) {
 		mux.Handle("/debug/slow", opts.Slow)
 	}
 	mux.Handle("/debug/vars", expvar.Handler())
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		writePrometheus(w, reg)

@@ -157,6 +157,27 @@ func TestServeSecondRegistry(t *testing.T) {
 	}
 }
 
+// TestServeDebug checks the process's pprof profiles are served on the
+// monitor mux: the index lists them, a named profile renders, and the
+// separately routed cmdline handler answers.
+func TestServeDebug(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0", NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	base := "http://" + srv.Addr()
+	for path, want := range map[string]string{
+		"/debug/pprof/":                  "goroutine",
+		"/debug/pprof/goroutine?debug=1": "goroutine profile",
+		"/debug/pprof/cmdline":           "",
+	} {
+		if code, body := get(t, base+path); code != http.StatusOK || !strings.Contains(body, want) {
+			t.Errorf("GET %s = %d, want 200 with %q in:\n%s", path, code, want, body)
+		}
+	}
+}
+
 func TestSanitize(t *testing.T) {
 	if got := sanitize("mcf/DeWrite.wear_max"); got != "mcf_DeWrite_wear_max" {
 		t.Fatalf("sanitize = %q", got)
@@ -260,8 +281,8 @@ func parseSeries(t *testing.T, line string) (string, map[string]string, float64)
 	return metric, labels, v
 }
 
-// TestScrapeRoundTrip is the end-to-end audit: every endpoint declares its
-// Content-Type, and attribution gauges published under a hostile run name
+// TestScrapeRoundTrip is the end-to-end audit: every endpoint (pprof's index
+// included) declares its Content-Type, and attribution gauges published under a hostile run name
 // survive the /metrics scrape — parse the exposition text back and recover
 // the exact label values and numbers that went in.
 func TestScrapeRoundTrip(t *testing.T) {
@@ -286,9 +307,10 @@ func TestScrapeRoundTrip(t *testing.T) {
 	base := "http://" + srv.Addr()
 
 	for path, want := range map[string]string{
-		"/healthz":    "text/plain",
-		"/metrics":    "text/plain; version=0.0.4",
-		"/debug/vars": "application/json",
+		"/healthz":      "text/plain",
+		"/metrics":      "text/plain; version=0.0.4",
+		"/debug/vars":   "application/json",
+		"/debug/pprof/": "text/html",
 	} {
 		resp, err := http.Get(base + path)
 		if err != nil {

@@ -120,15 +120,15 @@ func (d *Device) writeChecked(now units.Time, lineAddr uint64, data []byte, caus
 	if fs == nil {
 		return d.writeArray(now, lineAddr, data, true, cause), true
 	}
+	phys := d.resolve(lineAddr)
 	if fs.stuck[lineAddr] {
 		// A known-stuck line still pulses the array and fails the verify.
 		fs.stuckWrites++
-		pulsed := d.writeArray(now, d.resolve(lineAddr), data, false, attr.CauseVerify)
+		pulsed := d.writeArray(now, phys, data, false, attr.CauseVerify)
 		done := d.verifyPenalty(pulsed)
-		d.recDegrade(pulsed, done)
+		d.recDegrade(phys, pulsed, done)
 		return done, false
 	}
-	phys := d.resolve(lineAddr)
 	if fs.inj == nil || !fs.inj.WornOut(phys, d.wear[phys]+1) {
 		return d.writeArray(now, phys, data, true, cause), true
 	}
@@ -142,7 +142,7 @@ func (d *Device) writeChecked(now units.Time, lineAddr uint64, data []byte, caus
 		fs.ecpUsed[phys]++
 		fs.ecpCorrections++
 		d.pokeRaw(phys, data)
-		d.recDegrade(pulsed, done)
+		d.recDegrade(phys, pulsed, done)
 		return done, true
 	}
 	if fs.spareNext < fs.spareLines {
@@ -153,7 +153,7 @@ func (d *Device) writeChecked(now units.Time, lineAddr uint64, data []byte, caus
 		fs.remap[lineAddr] = sp
 		fs.remaps++
 		done = d.writeArray(done, sp, data, true, attr.CauseRemap)
-		d.recDegrade(pulsed, done)
+		d.recDegrade(phys, pulsed, done)
 		return done, true
 	}
 	// No spares left: the line is permanently stuck.
@@ -164,15 +164,15 @@ func (d *Device) writeChecked(now units.Time, lineAddr uint64, data []byte, caus
 	if fs.retireLimit > 0 && fs.bankStuck[bank] == fs.retireLimit {
 		fs.banksRetired++
 	}
-	d.recDegrade(pulsed, done)
+	d.recDegrade(phys, pulsed, done)
 	return done, false
 }
 
-// recDegrade attributes the ladder's extra latency beyond the first pulse to
-// the degrade phase of the open sampled request, if any.
-func (d *Device) recDegrade(pulsed, done units.Time) {
+// recDegrade attributes the ladder's extra latency beyond the first pulse at
+// phys to the degrade phase of the open sampled request, if any.
+func (d *Device) recDegrade(phys uint64, pulsed, done units.Time) {
 	if d.rec.Sampling() && done > pulsed {
-		d.rec.Phase(attr.PhaseDegrade, pulsed, done)
+		d.rec.BankPhase(attr.PhaseDegrade, d.Bank(phys), pulsed, done)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"dewrite/internal/attr"
 	"dewrite/internal/config"
 	"dewrite/internal/stats"
-	"dewrite/internal/telemetry"
 	"dewrite/internal/timeline"
 	"dewrite/internal/units"
 )
@@ -35,10 +34,9 @@ type Device struct {
 	busLat   units.Duration
 	store    map[uint64][]byte
 	wear     map[uint64]uint64
-	trc      *telemetry.Tracer // nil when tracing is off
-	rec      *attr.Recorder    // nil when attribution is off
-	led      *attr.Ledger      // rec's ledger, cached (nil when attribution is off)
-	faults   *faultState       // nil when the fault layer is not armed
+	rec      *attr.Recorder // nil when attribution is off
+	led      *attr.Ledger   // rec's ledger, cached (nil when attribution is off)
+	faults   *faultState    // nil when the fault layer is not armed
 
 	// Incrementally maintained views of d.wear, so per-epoch sampling never
 	// scans the full wear map: cumulative writes per bank, and a wear-value →
@@ -194,15 +192,11 @@ func (d *Device) readInto(now units.Time, lineAddr uint64, open bool, dst []byte
 	if d.geom.ClosePage {
 		b.hasOpen = false
 	}
-	if start > now {
-		d.trc.Span(telemetry.CatBankQueue, telemetry.TrackBankBase+int32(bank), "", now, start, lineAddr)
-	}
-	d.trc.Span(telemetry.CatBankService, telemetry.TrackBankBase+int32(bank), "read", start, done, lineAddr)
 	if d.rec.Sampling() {
 		if start > now {
-			d.rec.Phase(attr.PhaseQueue, now, start)
+			d.rec.BankPhase(attr.PhaseQueue, bank, now, start)
 		}
-		d.rec.Phase(attr.PhaseService, start, done)
+		d.rec.BankPhase(attr.PhaseService, bank, start, done)
 	}
 	done = d.busTransfer(bank, done)
 
@@ -282,15 +276,11 @@ func (d *Device) writeArray(now units.Time, phys uint64, data []byte, mutate boo
 	done := start.Add(d.writeLat)
 	b.busyUntil = done
 	b.openRow, b.hasOpen = d.row(phys), !d.geom.ClosePage
-	if start > now {
-		d.trc.Span(telemetry.CatBankQueue, telemetry.TrackBankBase+int32(bank), "", now, start, phys)
-	}
-	d.trc.Span(telemetry.CatBankService, telemetry.TrackBankBase+int32(bank), "write", start, done, phys)
 	if d.rec.Sampling() {
 		if start > now {
-			d.rec.Phase(attr.PhaseQueue, now, start)
+			d.rec.BankPhase(attr.PhaseQueue, bank, now, start)
 		}
-		d.rec.Phase(attr.PhaseService, start, done)
+		d.rec.BankPhase(attr.PhaseService, bank, start, done)
 	}
 
 	d.writes.Inc()
@@ -402,38 +392,14 @@ func (d *Device) Stats() Stats {
 	}
 }
 
-// SetTracer attaches (or, with nil, detaches) the telemetry sink. The device
-// emits one bank-queue span per queued request and one bank-service span per
-// array access; tracing never alters timing.
-func (d *Device) SetTracer(trc *telemetry.Tracer) { d.trc = trc }
-
 // SetAttr attaches (or, with nil, detaches) the attribution recorder. The
 // device records every physical line write's cause into the recorder's
 // ledger and, while a sampled request is open, its bank-queue and
-// bank-service segments as latency phases. Attribution never alters timing.
+// bank-service segments as latency phases on the bank's track. Attribution
+// never alters timing.
 func (d *Device) SetAttr(rec *attr.Recorder) {
 	d.rec = rec
 	d.led = rec.Ledger()
-}
-
-// EmitSamples records the device's counter series at the simulated time now:
-// the number of banks still busy (the queue-depth gauge), cumulative
-// read/write counts, and the running mean queueing delays.
-func (d *Device) EmitSamples(trc *telemetry.Tracer, now units.Time) {
-	if trc == nil {
-		return
-	}
-	busy := 0
-	for i := range d.banks {
-		if d.banks[i].busyUntil > now {
-			busy++
-		}
-	}
-	trc.Sample("nvm.banks_busy", now, float64(busy))
-	trc.Sample("nvm.reads", now, float64(d.reads.Value()))
-	trc.Sample("nvm.writes", now, float64(d.writes.Value()))
-	trc.Sample("nvm.mean_read_wait_ns", now, d.readWait.Mean().Nanoseconds())
-	trc.Sample("nvm.mean_write_wait_ns", now, d.writeWait.Mean().Nanoseconds())
 }
 
 // SampleEpoch fills the device's share of a timeline epoch: cumulative

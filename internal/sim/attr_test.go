@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"testing"
 
 	"dewrite/internal/attr"
@@ -22,37 +21,6 @@ func attrRun(t *testing.T, sch Scheme, rec *attr.Recorder, fcfg fault.Config, cr
 	mem := NewMemoryWith(sch, prof.WorkingSetLines, config.Default(), fcfg, crashAt != 0)
 	res := Run(prof.Name, sch.String(), mem, prof, opts)
 	return res, res.FinalMemory()
-}
-
-// TestAttributionOffByteIdentical is the zero-interference promise: a run
-// without a recorder serializes no attribution block, and an attributed run
-// of the same workload produces a byte-identical report once the block is
-// removed — attribution observes the simulation, never steers it.
-func TestAttributionOffByteIdentical(t *testing.T) {
-	off := runReportJSON(t, nil)
-	if bytes.Contains(off, []byte(`"attribution"`)) {
-		t.Fatal("disabled run serialized an attribution block")
-	}
-
-	prof, _ := workload.ByName("mcf")
-	opts := Options{Requests: 3000, Warmup: 300, Seed: 7, Attr: attr.NewRecorder(64, 7)}
-	mem := NewMemory(SchemeDeWrite, prof.WorkingSetLines, config.Default())
-	res := Run(prof.Name, SchemeDeWrite.String(), mem, prof, opts)
-	rep := NewRunReport(res, mem)
-	if rep.Attribution == nil {
-		t.Fatal("attributed run lacks the attribution block")
-	}
-	if rep.Attribution.SampledWrites == 0 && rep.Attribution.SampledReads == 0 {
-		t.Fatal("attributed run sampled nothing at period 64")
-	}
-	rep.Attribution = nil
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(off, buf.Bytes()) {
-		t.Fatalf("attribution changed the report:\n--- off ---\n%s\n--- on ---\n%s", off, buf.Bytes())
-	}
 }
 
 // TestAttributionAccountingInvariant pins the funnel property: because every

@@ -6,57 +6,124 @@ import (
 	"reflect"
 	"testing"
 
+	"dewrite/internal/attr"
 	"dewrite/internal/config"
-	"dewrite/internal/telemetry"
 	"dewrite/internal/workload"
 )
 
-func runReportJSON(t *testing.T, trc *telemetry.Tracer) []byte {
+// runReport drives one mcf run of the scheme, with rec attached, and returns
+// its report.
+func runReport(t *testing.T, sch Scheme, rec *attr.Recorder) RunReport {
 	t.Helper()
 	prof, _ := workload.ByName("mcf")
-	opts := Options{Requests: 3000, Warmup: 300, Seed: 7, Tracer: trc}
-	mem := NewMemory(SchemeDeWrite, prof.WorkingSetLines, config.Default())
-	res := Run(prof.Name, SchemeDeWrite.String(), mem, prof, opts)
-	var buf bytes.Buffer
-	if err := NewRunReport(res, mem).WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	return buf.Bytes()
+	opts := Options{Requests: 3000, Warmup: 300, Seed: 7, Attr: rec}
+	mem := NewMemory(sch, prof.WorkingSetLines, config.Default())
+	res := Run(prof.Name, sch.String(), mem, prof, opts)
+	return NewRunReport(res, mem)
 }
 
 // TestRunReportGoldenDeterminism is the golden determinism check: two runs
 // with identical seeds must serialize to byte-identical reports.
 func TestRunReportGoldenDeterminism(t *testing.T) {
-	a := runReportJSON(t, nil)
-	b := runReportJSON(t, nil)
+	a := reportBytes(t, runReport(t, SchemeDeWrite, nil))
+	b := reportBytes(t, runReport(t, SchemeDeWrite, nil))
 	if !bytes.Equal(a, b) {
 		t.Fatalf("same-seed runs produced different reports:\n--- first ---\n%s\n--- second ---\n%s", a, b)
 	}
 }
 
-// TestRunReportTracerNeutral asserts the observability promise: attaching a
-// tracer must not change a single byte of the report.
-func TestRunReportTracerNeutral(t *testing.T) {
-	off := runReportJSON(t, nil)
-	trc := telemetry.New(telemetry.DefaultMaxEvents)
-	on := runReportJSON(t, trc)
-	if !bytes.Equal(off, on) {
-		t.Fatalf("tracing changed the report:\n--- off ---\n%s\n--- on ---\n%s", off, on)
-	}
-	if trc.Len() == 0 {
-		t.Fatal("tracer attached but recorded no events")
-	}
-	byCat := trc.CountByCategory()
-	for _, cat := range []telemetry.Category{
-		telemetry.CatPredict, telemetry.CatHash, telemetry.CatAES,
-		telemetry.CatMetadata, telemetry.CatBankService, telemetry.CatWrite,
-	} {
-		if byCat[cat] == 0 {
-			t.Errorf("no %s events recorded", cat)
+// checkNeutral is the observability promise for every scheme: a run without
+// a recorder serializes no attribution block, and a run with newRec's
+// recorder serializes a byte-identical report once that block is removed —
+// the recorder observes the simulation, never steers it. check, when not
+// nil, then inspects each scheme's recorder.
+func checkNeutral(t *testing.T, newRec func() *attr.Recorder, check func(Scheme, *attr.Recorder)) {
+	t.Helper()
+	for _, sch := range []Scheme{SchemeDeWrite, SchemeDirect, SchemeParallel, SchemeSecureNVM, SchemeShredder} {
+		off := runReport(t, sch, nil)
+		if off.Attribution != nil {
+			t.Fatalf("%s: disabled run serialized an attribution block", sch)
+		}
+		rec := newRec()
+		on := runReport(t, sch, rec)
+		if a := on.Attribution; a == nil || a.SampledWrites+a.SampledReads == 0 {
+			t.Fatalf("%s: recorder attached but sampled nothing", sch)
+		}
+		on.Attribution = nil
+		if a, b := reportBytes(t, off), reportBytes(t, on); !bytes.Equal(a, b) {
+			t.Errorf("%s: the recorder changed the report:\n--- off ---\n%s\n--- on ---\n%s", sch, a, b)
+		}
+		if check != nil {
+			check(sch, rec)
 		}
 	}
-	if len(trc.Samples()) == 0 {
-		t.Error("no counter samples recorded")
+}
+
+// TestAttributionOffByteIdentical: sampling every 64th request leaves every
+// scheme's report byte-identical to a run without a recorder.
+func TestAttributionOffByteIdentical(t *testing.T) {
+	checkNeutral(t, func() *attr.Recorder { return attr.NewRecorder(64, 7) }, nil)
+}
+
+// TestRunReportTracerNeutral: capturing spans of every request under a small
+// cap leaves every scheme's report byte-identical too, and the capture must
+// parse as a Chrome trace with stage, bank and request tracks that counts
+// the spans its cap dropped.
+func TestRunReportTracerNeutral(t *testing.T) {
+	const maxSpans = 4096
+	checkNeutral(t, func() *attr.Recorder {
+		r := attr.NewRecorder(1, 7)
+		r.CaptureSpans(maxSpans)
+		return r
+	}, func(sch Scheme, rec *attr.Recorder) { checkCapture(t, sch, rec, maxSpans) })
+}
+
+// checkCapture parses a capped capture's Chrome trace and checks its tracks
+// and drop count.
+func checkCapture(t *testing.T, sch Scheme, rec *attr.Recorder, maxSpans int) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := rec.WriteChromeTrace(&buf); err != nil {
+		t.Fatalf("%s: %v", sch, err)
+	}
+	var trace struct {
+		OtherData struct {
+			DroppedEvents uint64 `json:"droppedEvents"`
+		} `json:"otherData"`
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+			Args struct {
+				Name string `json:"name"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+		t.Fatalf("%s: capture is not valid JSON: %v", sch, err)
+	}
+	if rec.Captured() != maxSpans || rec.Dropped() == 0 || trace.OtherData.DroppedEvents != rec.Dropped() {
+		t.Errorf("%s: captured %d, dropped %d, trace says %d dropped; want the %d-span cap hit",
+			sch, rec.Captured(), rec.Dropped(), trace.OtherData.DroppedEvents, maxSpans)
+	}
+	tracks := map[string]bool{}
+	spans := 0
+	for _, e := range trace.TraceEvents {
+		switch e.Ph {
+		case "M":
+			if e.Name == "thread_name" {
+				tracks[e.Args.Name] = true
+			}
+		case "X":
+			spans++
+		}
+	}
+	if spans != maxSpans {
+		t.Errorf("%s: %d spans in the trace, want %d", sch, spans, maxSpans)
+	}
+	for _, want := range []string{"encrypt", "bank 0", "thread 0 requests"} {
+		if !tracks[want] {
+			t.Errorf("%s: no %q track among %v", sch, want, tracks)
+		}
 	}
 }
 

@@ -46,11 +46,11 @@ import (
 const DefaultEpochRequests = 1024
 
 // ShardedOptions configures a sharded run. The embedded Options keep their
-// sequential meaning, with restrictions: Hierarchy, Tracer and CrashAt are
-// not supported at Shards > 1 (the cache filter and the crash model are
-// whole-machine, not per-shard), and Attr is treated as a request for
-// attribution — the run builds one recorder per shard with the same sample
-// period and merges the reports.
+// sequential meaning, with restrictions: Hierarchy, CrashAt and an Attr
+// recorder capturing spans are not supported at Shards > 1 (the cache
+// filter, the crash model and the trace are whole-machine, not per-shard),
+// and Attr is treated as a request for attribution — the run builds one
+// recorder per shard with the same sample period and merges the reports.
 type ShardedOptions struct {
 	Options
 
@@ -158,8 +158,8 @@ func RunSharded(s Scheme, prof workload.Profile, cfg config.Config, opts Sharded
 	if opts.Hierarchy != nil {
 		panic("sim: sharded runs do not support a CPU cache hierarchy")
 	}
-	if opts.Tracer.Enabled() {
-		panic("sim: sharded runs do not support span tracing")
+	if opts.Attr.Capturing() {
+		panic("sim: sharded runs do not support span capture")
 	}
 	if opts.CrashAt != 0 {
 		panic("sim: sharded runs do not support crash points")
@@ -266,7 +266,7 @@ func RunSharded(s Scheme, prof workload.Profile, cfg config.Config, opts Sharded
 						sh.crossDup++
 					}
 				}
-				sh.rec.Begin(attr.KindWrite, local, issue)
+				sh.rec.Begin(attr.KindWrite, th, local, issue)
 				done := sh.mem.Write(issue, local, req.Data)
 				sh.rec.End(done)
 				sh.machine.RetireWrite(th, done)
@@ -279,7 +279,7 @@ func RunSharded(s Scheme, prof workload.Profile, cfg config.Config, opts Sharded
 				}
 			} else {
 				issue := sh.machine.IssueRead(th)
-				sh.rec.Begin(attr.KindRead, local, issue)
+				sh.rec.Begin(attr.KindRead, th, local, issue)
 				var done units.Time
 				if sh.ri != nil {
 					done = sh.ri.ReadInto(issue, local, sh.readBuf[:])

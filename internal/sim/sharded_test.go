@@ -191,6 +191,20 @@ func TestShardedProvenanceInvariant(t *testing.T) {
 	}
 }
 
+// TestShardedRejectsSpanCapture: the Chrome trace is whole-machine, so a
+// recorder capturing spans is rejected above one shard.
+func TestShardedRejectsSpanCapture(t *testing.T) {
+	rec := attr.NewRecorder(1, 7)
+	rec.CaptureSpans(0)
+	opts := ShardedOptions{Options: Options{Requests: 3000, Warmup: 300, Seed: 7, Attr: rec}, Shards: 2}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("sharded run accepted a capturing recorder")
+		}
+	}()
+	RunSharded(SchemeDeWrite, shardedProfile(t), config.Default(), opts)
+}
+
 // TestShardedEpochGranularity: a custom epoch length changes only the
 // barrier cadence, never the merged counters at shard count 1, and drives
 // the reported epoch count.

@@ -16,7 +16,6 @@ import (
 	"dewrite/internal/fault"
 	"dewrite/internal/nvm"
 	"dewrite/internal/stats"
-	"dewrite/internal/telemetry"
 	"dewrite/internal/timeline"
 	"dewrite/internal/trace"
 	"dewrite/internal/units"
@@ -53,27 +52,6 @@ func DeviceOf(mem Memory) *nvm.Device {
 	return nil
 }
 
-// tracerSetter is implemented by schemes that can attach a telemetry sink
-// (core.Controller, baseline.SecureNVM, baseline.Shredder).
-type tracerSetter interface {
-	SetTracer(*telemetry.Tracer)
-}
-
-// sampler is implemented by schemes that emit periodic counter samples.
-type sampler interface {
-	EmitSamples(*telemetry.Tracer, units.Time)
-}
-
-// AttachTracer wires the telemetry sink into mem's internal components, if
-// mem supports it. It reports whether the scheme accepted the tracer.
-func AttachTracer(mem Memory, trc *telemetry.Tracer) bool {
-	if ts, ok := mem.(tracerSetter); ok {
-		ts.SetTracer(trc)
-		return true
-	}
-	return false
-}
-
 // attrSetter is implemented by schemes that can attach an attribution
 // recorder (core.Controller, baseline.SecureNVM, baseline.Shredder).
 type attrSetter interface {
@@ -88,20 +66,6 @@ func AttachAttr(mem Memory, rec *attr.Recorder) bool {
 		return true
 	}
 	return false
-}
-
-// emitSamples records one round of counter series from the scheme at now.
-func emitSamples(mem Memory, trc *telemetry.Tracer, now units.Time, requests uint64) {
-	if !trc.Enabled() {
-		return
-	}
-	trc.Sample("sim.requests", now, float64(requests))
-	if s, ok := mem.(sampler); ok {
-		s.EmitSamples(trc, now)
-	}
-	if dev := DeviceOf(mem); dev != nil {
-		dev.EmitSamples(trc, now)
-	}
 }
 
 // Scheme identifies a memory scheme for construction and reporting.
@@ -210,17 +174,10 @@ type Options struct {
 	// Hierarchy optionally interposes a CPU cache hierarchy so that only
 	// misses and write-backs reach the memory scheme.
 	Hierarchy *cache.Hierarchy
-	// Tracer, when non-nil, receives request spans, component spans and
-	// periodic counter samples. Tracing only observes the simulated clock —
-	// a run's Result is identical with and without it.
-	Tracer *telemetry.Tracer
-	// SampleEvery is the request period of the counter time series; 0 picks
-	// Requests/256 (at least 1). Ignored without a Tracer.
-	SampleEvery int
 	// Timeline, when non-nil, collects the epoch time series: the collector
 	// is ticked once per request and the closed epochs land in
-	// Result.Timeline. Like the Tracer it is purely observational — a run's
-	// other measurements are identical with and without it. Collectors are
+	// Result.Timeline. It is purely observational — a run's other
+	// measurements are identical with and without it. Collectors are
 	// per-run; do not share one across runs.
 	Timeline *timeline.Collector
 	// Prepared, when non-nil, replays a pre-generated request stream instead
@@ -234,9 +191,10 @@ type Options struct {
 	// request context around every memory request reaching the scheme
 	// (deterministic every-Nth sampling decides which contexts record
 	// phases) and the scheme's device records every physical line write's
-	// cause into the recorder's ledger. Purely observational, like Tracer
-	// and Timeline; recorders are per-run. The closed recorder's report
-	// lands in Result.Attribution.
+	// cause into the recorder's ledger. With span capture on, the sampled
+	// requests and their phases also become Chrome-trace spans. Purely
+	// observational, like Timeline; recorders are per-run. The closed
+	// recorder's report lands in Result.Attribution.
 	Attr *attr.Recorder
 	// CrashAt, when non-zero, cuts power after that many requests (1-based,
 	// must be ≤ Requests) without flushing metadata caches, recovers, and
@@ -286,18 +244,6 @@ func Prepare(prof workload.Profile, opts Options) *Prepared {
 		p.Requests[i] = gen.Next()
 	}
 	p.GenFinal = gen.Stats()
-	return p
-}
-
-// samplePeriod resolves the counter-sampling period for a run of n requests.
-func (o Options) samplePeriod(n int) int {
-	if o.SampleEvery > 0 {
-		return o.SampleEvery
-	}
-	p := n / 256
-	if p < 1 {
-		p = 1
-	}
 	return p
 }
 
@@ -384,18 +330,10 @@ func Run(app string, schemeName string, mem Memory, prof workload.Profile, opts 
 	}
 	machine := cpu.NewMachine(prof.Threads)
 
-	trc := opts.Tracer
-	if trc.Enabled() {
-		AttachTracer(mem, trc)
-	}
 	rec := opts.Attr
 	if rec.Enabled() {
 		AttachAttr(mem, rec)
-		if trc.Enabled() {
-			rec.SetTracer(trc)
-		}
 	}
-	samplePeriod := opts.samplePeriod(opts.Requests)
 
 	// The timeline source combines the scheme's own epoch sampler (when it
 	// has one) with the harness-level zero-write count, which the schemes
@@ -455,9 +393,6 @@ func Run(app string, schemeName string, mem Memory, prof workload.Profile, opts 
 		rep.CrashedAt = opts.CrashAt
 		res.Crash = rep
 		mem = nm
-		if trc.Enabled() {
-			AttachTracer(mem, trc)
-		}
 		if rec.Enabled() {
 			// The same recorder survives the power cycle, so the attribution
 			// ledger stays cumulative while the device's counters restart.
@@ -506,11 +441,10 @@ func Run(app string, schemeName string, mem Memory, prof workload.Profile, opts 
 				if tl.Enabled() && baseline.IsZeroLine(req.Data) {
 					zeroWrites++
 				}
-				rec.Begin(attr.KindWrite, req.Addr, issue)
+				rec.Begin(attr.KindWrite, th, req.Addr, issue)
 				done := mem.Write(issue, req.Addr, req.Data)
 				rec.End(done)
 				machine.RetireWrite(th, done)
-				trc.Span(telemetry.CatWrite, telemetry.TrackRequestBase+int32(th), "", issue, done, req.Addr)
 				if done > lastDone {
 					lastDone = done
 				}
@@ -520,11 +454,10 @@ func Run(app string, schemeName string, mem Memory, prof workload.Profile, opts 
 				}
 			} else {
 				issue := machine.IssueRead(th)
-				rec.Begin(attr.KindRead, req.Addr, issue)
+				rec.Begin(attr.KindRead, th, req.Addr, issue)
 				done := read(issue, req.Addr)
 				rec.End(done)
 				machine.RetireRead(th, done)
-				trc.Span(telemetry.CatRead, telemetry.TrackRequestBase+int32(th), "", issue, done, req.Addr)
 				if done > lastDone {
 					lastDone = done
 				}
@@ -532,9 +465,6 @@ func Run(app string, schemeName string, mem Memory, prof workload.Profile, opts 
 					readLat.Observe(done.Sub(issue))
 					res.MemReads++
 				}
-			}
-			if trc.Enabled() && (i+1)%samplePeriod == 0 {
-				emitSamples(mem, trc, lastDone, uint64(i+1))
 			}
 			tl.Tick(lastDone, uint64(i+1), tlSrc)
 			if opts.CrashAt != 0 && uint64(i+1) == opts.CrashAt {
@@ -552,11 +482,10 @@ func Run(app string, schemeName string, mem Memory, prof workload.Profile, opts 
 		machine.Delay(th, acc.Latency)
 		if acc.MemFill {
 			issue := machine.Now(th)
-			rec.Begin(attr.KindRead, req.Addr, issue)
+			rec.Begin(attr.KindRead, th, req.Addr, issue)
 			done := read(issue, req.Addr)
 			rec.End(done)
 			machine.CompleteRead(th, done)
-			trc.Span(telemetry.CatRead, telemetry.TrackRequestBase+int32(th), "", issue, done, req.Addr)
 			if done > lastDone {
 				lastDone = done
 			}
@@ -574,11 +503,10 @@ func Run(app string, schemeName string, mem Memory, prof workload.Profile, opts 
 				zeroWrites++
 			}
 			issue := machine.IssueWrite(th)
-			rec.Begin(attr.KindWrite, wb, issue)
+			rec.Begin(attr.KindWrite, th, wb, issue)
 			done := mem.Write(issue, wb, data)
 			rec.End(done)
 			machine.RetireWrite(th, done)
-			trc.Span(telemetry.CatWrite, telemetry.TrackRequestBase+int32(th), "writeback", issue, done, wb)
 			if done > lastDone {
 				lastDone = done
 			}
@@ -586,9 +514,6 @@ func Run(app string, schemeName string, mem Memory, prof workload.Profile, opts 
 				writeLat.Observe(done.Sub(issue))
 				res.MemWrites++
 			}
-		}
-		if trc.Enabled() && (i+1)%samplePeriod == 0 {
-			emitSamples(mem, trc, lastDone, uint64(i+1))
 		}
 		tl.Tick(lastDone, uint64(i+1), tlSrc)
 		if opts.CrashAt != 0 && uint64(i+1) == opts.CrashAt {

@@ -2,9 +2,10 @@
 // time-series collector that samples component state at fixed boundaries
 // (every N requests or every D of simulated time) so a run's evolution —
 // wear accumulating, queues draining, dup-ratio locality shifting — is
-// observable, not just its end-of-run scalars.
+// observable, not just its end-of-run scalars. It is the simulator's only
+// time series.
 //
-// The collector follows the same contracts as the telemetry tracer:
+// The collector follows the same contracts as the attribution recorder:
 //
 //   - nil-safe: a nil *Collector is the disabled collector, every method is
 //     a single predictable branch, so hot paths carry it unconditionally;
