@@ -77,27 +77,28 @@ func writeRequest(w io.Writer, op byte, key string, val []byte, deadlineMs uint1
 	return err
 }
 
-// readRequest parses one request frame from r.
-func readRequest(r io.Reader) (op byte, key string, val []byte, deadlineMs uint16, err error) {
+// readRequest parses one request frame from r. key and val share one
+// freshly allocated frame buffer.
+func readRequest(r io.Reader) (op byte, key, val []byte, deadlineMs uint16, err error) {
 	var hdr [9]byte
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
-		return 0, "", nil, 0, err
+		return 0, nil, nil, 0, err
 	}
 	op = hdr[0]
 	keyLen := int(binary.BigEndian.Uint16(hdr[1:3]))
 	valLen := int(binary.BigEndian.Uint32(hdr[3:7]))
 	deadlineMs = binary.BigEndian.Uint16(hdr[7:9])
 	if keyLen > MaxKeyLen {
-		return 0, "", nil, 0, fmt.Errorf("key length %d exceeds %d", keyLen, MaxKeyLen)
+		return 0, nil, nil, 0, fmt.Errorf("key length %d exceeds %d", keyLen, MaxKeyLen)
 	}
 	if valLen > ValueCap {
-		return 0, "", nil, 0, fmt.Errorf("value length %d exceeds %d", valLen, ValueCap)
+		return 0, nil, nil, 0, fmt.Errorf("value length %d exceeds %d", valLen, ValueCap)
 	}
 	buf := make([]byte, keyLen+valLen)
 	if _, err = io.ReadFull(r, buf); err != nil {
-		return 0, "", nil, 0, err
+		return 0, nil, nil, 0, err
 	}
-	return op, string(buf[:keyLen]), buf[keyLen:], deadlineMs, nil
+	return op, buf[:keyLen], buf[keyLen:], deadlineMs, nil
 }
 
 // writeResponse frames one response onto w.

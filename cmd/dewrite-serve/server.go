@@ -182,7 +182,11 @@ type shardWorker struct {
 	crossDup                 uint64
 	served                   uint64 // since last advance
 	total                    uint64 // lifetime requests dequeued (chaos stall ordinal)
-	readBuf                  [config.LineSize]byte
+
+	// Line buffers the owner reuses for every request. hashes.CRC32 lets
+	// its argument escape, so a per-request stack line would be moved to
+	// the heap on every PUT.
+	lineBuf, readBuf [config.LineSize]byte
 
 	// drainMode is the shard's watermark state: set when the mailbox
 	// reaches the high watermark, cleared at the low watermark. Written by
@@ -292,9 +296,10 @@ func (s *Server) logEvent(level slog.Level, msg string, args ...any) {
 }
 
 // shardOf routes a key: shards own key-hash classes, the serving analog of
-// the simulator's address striping.
-func (s *Server) shardOf(key string) int {
-	return int(hashes.CRC32([]byte(key)) % uint32(len(s.shards)))
+// the simulator's address striping. key is the request's frame buffer, which
+// outlives the call, so the escaping CRC-32 argument costs no allocation.
+func (s *Server) shardOf(key []byte) int {
+	return int(hashes.CRC32(key) % uint32(len(s.shards)))
 }
 
 // runOwner is a shard's single-threaded service loop. The time an owner
@@ -380,13 +385,17 @@ func (w *shardWorker) handle(s *Server, req shardReq) shardResp {
 			w.next++
 			w.slots[req.key] = slot
 		}
-		var line [config.LineSize]byte
+		// Cleared before each fill: the tail past the value must read as
+		// zero, as a fresh line would, or stale bytes from an earlier PUT
+		// would change the line and its dedup outcome.
+		line := w.lineBuf[:]
+		clear(line)
 		binary.BigEndian.PutUint16(line[:2], uint16(len(req.val)))
 		copy(line[2:], req.val)
-		if s.dir.HeldElsewhere(hashes.CRC32(line[:])&s.fingerMask, w.id) {
+		if s.dir.HeldElsewhere(hashes.CRC32(line)&s.fingerMask, w.id) {
 			w.crossDup++
 		}
-		w.now = w.ctrl.Write(w.now, slot, line[:])
+		w.now = w.ctrl.Write(w.now, slot, line)
 		w.puts++
 		return shardResp{status: StatusOK}
 	case OpGet:
@@ -629,7 +638,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		case OpPut, OpGet:
 			shardID = s.shardOf(key)
 			w := s.shards[shardID]
-			if shed = s.admit(w, shardReq{op: op, key: key, val: val, reply: reply, deadline: deadline}); shed >= 0 {
+			if shed = s.admit(w, shardReq{op: op, key: string(key), val: val, reply: reply, deadline: deadline}); shed >= 0 {
 				resp = shardResp{status: StatusBusy}
 			} else {
 				resp = <-reply

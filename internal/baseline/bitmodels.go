@@ -2,9 +2,11 @@ package baseline
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dewrite/internal/cme"
 	"dewrite/internal/config"
+	"dewrite/internal/nvm"
 )
 
 // BitModel is a bit-level write-reduction technique evaluated in Figure 13.
@@ -17,23 +19,6 @@ type BitModel interface {
 	Name() string
 	// Write applies one line write and returns the number of flipped cells.
 	Write(loc uint64, newPlain []byte) int
-}
-
-// hamming returns the number of differing bits between equal-length slices.
-func hamming(a, b []byte) int {
-	n := 0
-	for i := range a {
-		n += popcount(a[i] ^ b[i])
-	}
-	return n
-}
-
-func popcount(b byte) int {
-	n := 0
-	for ; b != 0; b &= b - 1 {
-		n++
-	}
-	return n
 }
 
 func checkModelLine(data []byte) {
@@ -74,7 +59,7 @@ func (d *DCW) Write(loc uint64, newPlain []byte) int {
 	if old == nil {
 		old = make([]byte, config.LineSize)
 	}
-	flips := hamming(old, ct)
+	flips := nvm.BitDistance(old, ct)
 	d.cells[loc] = ct
 	return flips
 }
@@ -130,8 +115,8 @@ func (f *FNW) Write(loc uint64, newPlain []byte) int {
 	flips := 0
 	for w := 0; w < FNWWordsPerLine; w++ {
 		next := uint32(ct[4*w]) | uint32(ct[4*w+1])<<8 | uint32(ct[4*w+2])<<16 | uint32(ct[4*w+3])<<24
-		plainCost := popcount32(line.words[w]^next) + flagCost(line.flags[w], false)
-		invCost := popcount32(line.words[w]^^next) + flagCost(line.flags[w], true)
+		plainCost := bits.OnesCount32(line.words[w]^next) + flagCost(line.flags[w], false)
+		invCost := bits.OnesCount32(line.words[w]^^next) + flagCost(line.flags[w], true)
 		if invCost < plainCost {
 			line.words[w] = ^next
 			line.flags[w] = true
@@ -150,14 +135,6 @@ func flagCost(old, new bool) int {
 		return 1
 	}
 	return 0
-}
-
-func popcount32(v uint32) int {
-	n := 0
-	for ; v != 0; v &= v - 1 {
-		n++
-	}
-	return n
 }
 
 // DEUCEEpoch is the number of writes between full re-encryptions.
@@ -253,7 +230,7 @@ func (d *DEUCE) Write(loc uint64, newPlain []byte) int {
 		}
 	}
 
-	flips := hamming(line.cells, next)
+	flips := nvm.BitDistance(line.cells, next)
 	copy(line.cells, next)
 	copy(line.plain, newPlain)
 	return flips
@@ -350,7 +327,7 @@ func (d *SECRET) Write(loc uint64, newPlain []byte) int {
 		}
 	}
 
-	flips := hamming(line.cells, next)
+	flips := nvm.BitDistance(line.cells, next)
 	// Zero-flag bit flips: one cell per word whose flag changed.
 	for w := 0; w < DEUCEWordsPerLine; w++ {
 		was := wordZero(line.plain, w)

@@ -2,6 +2,8 @@ package cme
 
 import (
 	"bytes"
+	"encoding/hex"
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -100,7 +102,7 @@ func TestDiffusionUnderCounterBump(t *testing.T) {
 	e.EncryptLine(ct2, plain, 0x40, 2)
 	flips := 0
 	for i := range ct1 {
-		flips += popcount(ct1[i] ^ ct2[i])
+		flips += bits.OnesCount8(ct1[i] ^ ct2[i])
 	}
 	frac := float64(flips) / float64(config.LineBits)
 	if frac < 0.45 || frac > 0.55 {
@@ -168,6 +170,122 @@ func TestNewEngineRejectsBadKey(t *testing.T) {
 	}
 }
 
+// TestInvalidKeySize checks that the engine is AES-128 only: crypto/aes
+// would accept 24- and 32-byte keys, so the engine refuses them itself.
+func TestInvalidKeySize(t *testing.T) {
+	for _, n := range []int{0, 15, 17, 24, 32} {
+		if _, err := NewEngine(make([]byte, n)); err == nil {
+			t.Errorf("NewEngine with %d-byte key: no error", n)
+		}
+	}
+}
+
+// TestPadGoldenVector pins the pad bytes for one (key, addr, counter). The
+// seed layout it fixes (addr LE 8 B, then counter LE 7 B, then the block
+// index) determines every ciphertext the simulator stores, so a change here
+// changes the bit-flip counts behind Figure 13 and every report built on
+// device contents. The counter's top byte is set and must not matter: the
+// seed holds only its low 56 bits.
+func TestPadGoldenVector(t *testing.T) {
+	const (
+		addr    = 0x0123456789abcdef
+		counter = 0xa5fedcba98765432
+		want    = "caf8ef55fe221de0631e325a0099472ac2b5415228727f4076d79eae632ba833" +
+			"6ef51775c815d80467e9154b764f8f8da81bfc16643afad460cff24002ca1a87" +
+			"1edeaf66b0aab439d492032372ddb8d5cc076452a306d7f4624bcbabc8662d8d" +
+			"68ca63b815c39db88e7ba88f1a82655d50a4e0689c4e55d0e495b898a9266058" +
+			"91c1715a5f371c15bd11ddbd10052ccf8bb2083b0a088de867b8d4588bfa5f31" +
+			"6a93671b631b7b539e4c6c37f3b1fbc6f12deacdc59bf454165eb2dba092fbf2" +
+			"28ee63b118a538c1642605538cab47d9056da14d1b541c9fa8858b789b71cc36" +
+			"263b2d8531a7595e39daa4e8f15342567174762ee4d7b2ab15c7ca025358bf60"
+	)
+	e := testEngine(t)
+	pad := make([]byte, config.LineSize)
+	for _, ctr := range []uint64{counter, counter & (1<<56 - 1)} {
+		e.Pad(pad, addr, ctr)
+		if got := hex.EncodeToString(pad); got != want {
+			t.Fatalf("counter %#x: pad changed:\n got %s\nwant %s", ctr, got, want)
+		}
+	}
+	// Counter-mode ciphertext is plaintext XOR that pad.
+	plain := make([]byte, config.LineSize)
+	for i := range plain {
+		plain[i] = byte(i)
+	}
+	ct := make([]byte, config.LineSize)
+	e.EncryptLine(ct, plain, addr, counter)
+	for i := range ct {
+		if ct[i] != plain[i]^pad[i] {
+			t.Fatalf("ciphertext byte %d is not plaintext XOR pad", i)
+		}
+	}
+}
+
+// checkDirectFIPS197 pins direct (metadata) encryption to AES-128 block by
+// block: the FIPS-197 vector fills every block of a line, which must encrypt
+// to the vector's ciphertext and decrypt back in place.
+func checkDirectFIPS197(t *testing.T, key, plain, want string) {
+	t.Helper()
+	k, _ := hex.DecodeString(key)
+	block, _ := hex.DecodeString(plain)
+	e := MustNewEngine(k)
+	line := bytes.Repeat(block, config.AESBlocksPerLine)
+	ct := make([]byte, config.LineSize)
+	e.DirectEncryptLine(ct, line)
+	for b := 0; b < config.LineSize; b += 16 {
+		if got := hex.EncodeToString(ct[b : b+16]); got != want {
+			t.Fatalf("block %d = %s, want %s", b/16, got, want)
+		}
+	}
+	e.DirectDecryptLine(ct, ct)
+	if !bytes.Equal(ct, line) {
+		t.Fatal("in-place direct decryption did not invert encryption")
+	}
+}
+
+// FIPS-197 Appendix B vector.
+func TestFIPS197Vector(t *testing.T) {
+	checkDirectFIPS197(t, "2b7e151628aed2a6abf7158809cf4f3c",
+		"3243f6a8885a308d313198a2e0370734", "3925841d02dc09fbdc118597196a0b32")
+}
+
+// FIPS-197 Appendix C.1 vector.
+func TestFIPS197AppendixC(t *testing.T) {
+	checkDirectFIPS197(t, "000102030405060708090a0b0c0d0e0f",
+		"00112233445566778899aabbccddeeff", "69c4e0d86a7b0430d8cdb78070b4c55a")
+}
+
+// TestLineAllocations pins the line paths at zero allocations on caller
+// stack buffers. The block cipher is an interface call, so any buffer the
+// engine hands it escapes; a regression that passes a caller's line (or a
+// pad it declared locally) through moves that buffer to the heap on every
+// call, and these pins fail.
+func TestLineAllocations(t *testing.T) {
+	e := testEngine(t)
+	checks := []struct {
+		name string
+		fn   func()
+	}{
+		{"EncryptLine", func() {
+			var src, dst [config.LineSize]byte
+			e.EncryptLine(dst[:], src[:], 7, 3)
+		}},
+		{"DecryptLine", func() {
+			var src, dst [config.LineSize]byte
+			e.DecryptLine(dst[:], src[:], 7, 3)
+		}},
+		{"Pad", func() {
+			var pad [config.LineSize]byte
+			e.Pad(pad[:], 7, 3)
+		}},
+	}
+	for _, c := range checks {
+		if avg := testing.AllocsPerRun(200, c.fn); avg != 0 {
+			t.Errorf("%s: %.1f allocs/op, want 0", c.name, avg)
+		}
+	}
+}
+
 func TestCounterStore(t *testing.T) {
 	s := NewCounterStore()
 	if s.Get(10) != 0 {
@@ -200,14 +318,6 @@ func TestCounterMonotoneProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func popcount(b byte) int {
-	n := 0
-	for ; b != 0; b &= b - 1 {
-		n++
-	}
-	return n
 }
 
 func BenchmarkEncryptLine(b *testing.B) {

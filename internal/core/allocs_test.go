@@ -25,13 +25,17 @@ func TestControllerAllocationsSteadyState(t *testing.T) {
 	gen.SetRecycle(true)
 
 	var now units.Time
-	var buf [config.LineSize]byte
 	step := func() {
+		// The line lives on this frame's stack: a controller path that let
+		// its data or destination escape would move it to the heap on every
+		// request.
+		var line [config.LineSize]byte
 		req := gen.Next()
 		if req.Op == trace.Write {
-			now = ctrl.Write(now, req.Addr, req.Data)
+			copy(line[:], req.Data)
+			now = ctrl.Write(now, req.Addr, line[:])
 		} else {
-			now = ctrl.ReadInto(now, req.Addr, buf[:])
+			now = ctrl.ReadInto(now, req.Addr, line[:])
 		}
 	}
 	for i := 0; i < 20000; i++ {

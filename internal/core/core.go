@@ -195,7 +195,8 @@ type Controller struct {
 	// Per-controller scratch lines keep the request hot path allocation-free.
 	// The controller is single-threaded (see the type comment), so one set
 	// suffices: lineScratch holds raw device lines, plainScratch decrypted
-	// candidates, ctScratch outgoing ciphertext.
+	// candidates, ctScratch outgoing ciphertext (and, before that, the copy
+	// of the incoming line that is fingerprinted).
 	lineScratch  [config.LineSize]byte
 	plainScratch [config.LineSize]byte
 	ctScratch    [config.LineSize]byte
@@ -535,7 +536,10 @@ func (c *Controller) Write(now units.Time, logical uint64, data []byte) units.Ti
 	c.dev.AddEnergy(c.cfg.Energy.CRC32Line)
 	c.rec.Phase(attr.PhaseHash, now, detect)
 	c.rec.Op(attr.OpCRC)
-	h := hashes.CRC32(data) & c.hashMask
+	// The stdlib CRC-32 lets its argument escape; fingerprinting a copy in
+	// controller-owned scratch keeps a caller's stack line off the heap.
+	copy(c.ctScratch[:], data)
+	h := hashes.CRC32(c.ctScratch[:]) & c.hashMask
 
 	// Hash-table probe through the metadata cache, with the PNA rule on a
 	// miss: only a predicted-duplicate justifies the in-NVM probe.

@@ -1,58 +1,13 @@
-// Package hashes implements the fingerprint functions DeWrite compares:
-// the light-weight CRC-32 the dedup logic uses, and the cryptographic SHA-1
-// and MD5 digests traditional deduplication uses. All three are implemented
-// from scratch (and cross-checked against the standard library in tests) so
-// the simulator's collision behaviour is real, not assumed.
+// Package hashes holds DeWrite's dedup fingerprint: the light-weight CRC-32
+// the paper's detection front end computes (15 ns in hardware, Table I).
+// The fingerprint is persisted in snapshots and routes dewrite-serve keys to
+// shards, so it is pinned to the IEEE polynomial.
 package hashes
 
-// CRC-32 (IEEE 802.3 polynomial, reflected) with slicing-by-8 table lookup,
-// the construction used by hardware CRC units.
+import "hash/crc32"
 
-const crcPoly = 0xedb88320
-
-// crcTables[k][b] is the CRC contribution of byte b processed k bytes early.
-var crcTables = buildCRCTables()
-
-func buildCRCTables() *[8][256]uint32 {
-	var t [8][256]uint32
-	for b := 0; b < 256; b++ {
-		crc := uint32(b)
-		for i := 0; i < 8; i++ {
-			if crc&1 != 0 {
-				crc = (crc >> 1) ^ crcPoly
-			} else {
-				crc >>= 1
-			}
-		}
-		t[0][b] = crc
-	}
-	for k := 1; k < 8; k++ {
-		for b := 0; b < 256; b++ {
-			prev := t[k-1][b]
-			t[k][b] = (prev >> 8) ^ t[0][prev&0xff]
-		}
-	}
-	return &t
-}
-
-// CRC32 returns the IEEE CRC-32 of data.
-func CRC32(data []byte) uint32 {
-	crc := ^uint32(0)
-	// Slicing-by-8 main loop.
-	for len(data) >= 8 {
-		crc ^= uint32(data[0]) | uint32(data[1])<<8 | uint32(data[2])<<16 | uint32(data[3])<<24
-		crc = crcTables[7][crc&0xff] ^
-			crcTables[6][(crc>>8)&0xff] ^
-			crcTables[5][(crc>>16)&0xff] ^
-			crcTables[4][crc>>24] ^
-			crcTables[3][data[4]] ^
-			crcTables[2][data[5]] ^
-			crcTables[1][data[6]] ^
-			crcTables[0][data[7]]
-		data = data[8:]
-	}
-	for _, b := range data {
-		crc = (crc >> 8) ^ crcTables[0][(crc^uint32(b))&0xff]
-	}
-	return ^crc
-}
+// CRC32 returns the IEEE CRC-32 of data, computed by the standard library
+// (CLMUL-accelerated on amd64). The stdlib dispatches through a function
+// variable, so data escapes: pass a buffer the caller owns for longer than
+// the call, not a fresh stack array, or each call allocates.
+func CRC32(data []byte) uint32 { return crc32.ChecksumIEEE(data) }

@@ -14,9 +14,8 @@
 package integrity
 
 import (
+	"crypto/sha1"
 	"fmt"
-
-	"dewrite/internal/hashes"
 )
 
 // DigestSize is the truncated node/leaf digest size in bytes (64-bit MACs,
@@ -83,7 +82,7 @@ func (t *Tree) LeafDigest(addr, counter uint64, ciphertext []byte) Digest {
 	buf = appendU64(buf, addr)
 	buf = appendU64(buf, counter)
 	buf = append(buf, ciphertext...)
-	return truncate(hashes.SHA1(buf))
+	return truncate(sha1.Sum(buf))
 }
 
 // nodeDigest computes the parent digest over the children of node i at the
@@ -101,7 +100,7 @@ func (t *Tree) nodeDigest(childLevel int, parentIdx uint64) Digest {
 	for i := start; i < end; i++ {
 		buf = append(buf, children[i][:]...)
 	}
-	return truncate(hashes.SHA1(buf))
+	return truncate(sha1.Sum(buf))
 }
 
 // Update installs a new leaf digest and refreshes the path to the root. It

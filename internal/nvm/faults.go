@@ -141,7 +141,7 @@ func (d *Device) writeChecked(now units.Time, lineAddr uint64, data []byte, caus
 		// An ECP entry patches the stuck bits; the data is stored correctly.
 		fs.ecpUsed[phys]++
 		fs.ecpCorrections++
-		d.pokeRaw(phys, data)
+		copy(d.storedLine(phys), data)
 		d.recDegrade(phys, pulsed, done)
 		return done, true
 	}

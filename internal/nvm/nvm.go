@@ -11,7 +11,9 @@
 package nvm
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"dewrite/internal/attr"
 	"dewrite/internal/config"
@@ -304,21 +306,10 @@ func (d *Device) writeArray(now units.Time, phys uint64, data []byte, mutate boo
 		return done
 	}
 
-	old := d.store[phys]
-	flips := 0
-	if old == nil {
-		for _, b := range data {
-			flips += popcount(b)
-		}
-	} else {
-		for i := range data {
-			flips += popcount(old[i] ^ data[i])
-		}
-	}
-	d.bitsFlipped.Add(uint64(flips))
+	line := d.storedLine(phys)
+	d.bitsFlipped.Add(uint64(BitDistance(line, data)))
 	d.bitsWritten.Add(config.LineBits)
-
-	d.pokeRaw(phys, data)
+	copy(line, data)
 	return done
 }
 
@@ -337,16 +328,17 @@ func (d *Device) Peek(lineAddr uint64) []byte {
 // warmup and tests only.
 func (d *Device) Poke(lineAddr uint64, data []byte) {
 	d.checkAddr(lineAddr)
-	d.pokeRaw(d.resolve(lineAddr), data)
+	copy(d.storedLine(d.resolve(lineAddr)), data)
 }
 
-func (d *Device) pokeRaw(phys uint64, data []byte) {
+// storedLine returns the backing store's line at phys, zeroed on first touch.
+func (d *Device) storedLine(phys uint64) []byte {
 	line, ok := d.store[phys]
 	if !ok {
 		line = make([]byte, config.LineSize)
 		d.store[phys] = line
 	}
-	copy(line, data)
+	return line
 }
 
 // BankBusyUntil reports when the bank holding lineAddr frees up — the
@@ -492,10 +484,17 @@ func (d *Device) LifetimeYears(endurance float64, elapsed units.Duration) float6
 	return seconds / (365.25 * 24 * 3600)
 }
 
-func popcount(b byte) int {
-	n := 0
-	for ; b != 0; b &= b - 1 {
-		n++
+// BitDistance returns the number of bit positions at which a and b differ:
+// the cells a write of b over a programs. It counts eight bytes at a time.
+// b must be at least as long as a.
+func BitDistance(a, b []byte) int {
+	b = b[:len(a)]
+	n, i := 0, 0
+	for ; i+8 <= len(a); i += 8 {
+		n += bits.OnesCount64(binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:]))
+	}
+	for ; i < len(a); i++ {
+		n += bits.OnesCount8(a[i] ^ b[i])
 	}
 	return n
 }

@@ -125,6 +125,100 @@ func TestWearTracking(t *testing.T) {
 	}
 }
 
+// byteFlips counts differing bits one byte at a time with Kernighan's loop:
+// the independent oracle the word-wise BitDistance must match.
+func byteFlips(a, b []byte) int {
+	n := 0
+	for i := range a {
+		for x := a[i] ^ b[i]; x != 0; x &= x - 1 {
+			n++
+		}
+	}
+	return n
+}
+
+func TestBitDistanceMatchesByteOracle(t *testing.T) {
+	src := rng.New(11)
+	for n := 0; n <= 2*config.LineSize; n++ {
+		a, b := make([]byte, n), make([]byte, n)
+		src.Fill(a)
+		src.Fill(b)
+		if got, want := BitDistance(a, b), byteFlips(a, b); got != want {
+			t.Fatalf("len %d: BitDistance = %d, oracle %d", n, got, want)
+		}
+		if got := BitDistance(a, a); got != 0 {
+			t.Fatalf("len %d: distance to itself = %d", n, got)
+		}
+	}
+}
+
+// TestBitsFlippedMatchesByteOracle checks the device's flip accounting over
+// first writes (against the zero line), identical rewrites (no flips) and
+// random old/new pairs.
+func TestBitsFlippedMatchesByteOracle(t *testing.T) {
+	d := testDevice()
+	src := rng.New(12)
+	zero := make([]byte, config.LineSize)
+	stored := map[uint64][]byte{}
+	var want uint64
+	write := func(addr uint64, line []byte) {
+		old, ok := stored[addr]
+		if !ok {
+			old = zero
+		}
+		want += uint64(byteFlips(old, line))
+		d.Write(0, addr, line)
+		stored[addr] = append([]byte(nil), line...)
+		if got := d.Stats().BitsFlipped; got != want {
+			t.Fatalf("line %d: BitsFlipped = %d, oracle %d", addr, got, want)
+		}
+	}
+	line := make([]byte, config.LineSize)
+	for addr := uint64(0); addr < 64; addr++ {
+		src.Fill(line)
+		write(addr, line) // first write
+	}
+	for addr := uint64(0); addr < 64; addr++ {
+		before := d.Stats().BitsFlipped
+		write(addr, stored[addr]) // identical rewrite
+		if d.Stats().BitsFlipped != before {
+			t.Fatalf("line %d: identical rewrite flipped bits", addr)
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		addr := src.Uint64() % 64
+		if src.Uint64()%2 == 0 {
+			src.Fill(line)
+		} else {
+			// A sparse change: a few bits of the stored line.
+			copy(line, stored[addr])
+			line[src.Uint64()%config.LineSize] ^= byte(src.Uint64())
+		}
+		write(addr, line)
+	}
+}
+
+// TestWriteAllocations pins the device write and read paths at zero
+// allocations once a line has been touched, on caller stack buffers.
+func TestWriteAllocations(t *testing.T) {
+	d := testDevice()
+	var now units.Time
+	var i uint64
+	step := func() {
+		var line [config.LineSize]byte
+		line[i%config.LineSize] = byte(i)
+		now = d.Write(now, i%64, line[:])
+		now = d.ReadBypassInto(now, i%64, line[:])
+		i++
+	}
+	for k := 0; k < 64; k++ {
+		step()
+	}
+	if avg := testing.AllocsPerRun(500, step); avg != 0 {
+		t.Errorf("steady-state write+read: %.2f allocs/op, want 0", avg)
+	}
+}
+
 func TestPokeDoesNotWear(t *testing.T) {
 	d := testDevice()
 	d.Poke(2, make([]byte, config.LineSize))
