@@ -49,8 +49,8 @@ func main() {
 	fmt.Println("\nBit-level endurance on mcf (cells flipped per write):")
 	prof, _ := workload.ByName("mcf")
 	gen := workload.NewGenerator(prof, 3)
-	dcw := baseline.NewDCW()
-	dcwDW := baseline.NewDCW()
+	dcw := baseline.NewDCW(prof.WorkingSetLines)
+	dcwDW := baseline.NewDCW(prof.WorkingSetLines)
 	resident := map[string]int{}
 	byAddr := map[uint64]string{}
 	var flips, flipsDW, writes uint64

@@ -157,7 +157,7 @@ func TestIsZeroLine(t *testing.T) {
 }
 
 func TestDCWFlipsAboutHalfOnRewrite(t *testing.T) {
-	d := NewDCW()
+	d := NewDCW(8)
 	src := rng.New(8)
 	line := fillLine(src)
 	d.Write(0, line)
@@ -171,7 +171,7 @@ func TestDCWFlipsAboutHalfOnRewrite(t *testing.T) {
 }
 
 func TestFNWBoundsFlipsBelowDCW(t *testing.T) {
-	dcw, fnw := NewDCW(), NewFNW()
+	dcw, fnw := NewDCW(8), NewFNW(8)
 	src := rng.New(9)
 	line := fillLine(src)
 	dcw.Write(0, line)
@@ -198,7 +198,7 @@ func TestFNWBoundsFlipsBelowDCW(t *testing.T) {
 }
 
 func TestFNWNeverExceedsHalfPlusFlagsPerWord(t *testing.T) {
-	f := NewFNW()
+	f := NewFNW(8)
 	src := rng.New(10)
 	line := fillLine(src)
 	for i := 0; i < 50; i++ {
@@ -213,7 +213,7 @@ func TestFNWNeverExceedsHalfPlusFlagsPerWord(t *testing.T) {
 }
 
 func TestDEUCEPartialRewriteCheaperThanDCW(t *testing.T) {
-	deuce, dcw := NewDEUCE(), NewDCW()
+	deuce, dcw := NewDEUCE(8), NewDCW(8)
 	src := rng.New(11)
 	line := fillLine(src)
 	deuce.Write(0, line)
@@ -237,7 +237,7 @@ func TestDEUCEPartialRewriteCheaperThanDCW(t *testing.T) {
 }
 
 func TestDEUCEUntouchedWordsFlipNothingWithinEpoch(t *testing.T) {
-	d := NewDEUCE()
+	d := NewDEUCE(8)
 	line := make([]byte, config.LineSize)
 	d.Write(0, line) // write 1
 	// Write 2: modify exactly one word. Untouched words must contribute 0.
@@ -250,7 +250,7 @@ func TestDEUCEUntouchedWordsFlipNothingWithinEpoch(t *testing.T) {
 }
 
 func TestDEUCEEpochBoundaryFullReencrypt(t *testing.T) {
-	d := NewDEUCE()
+	d := NewDEUCE(8)
 	line := make([]byte, config.LineSize)
 	var flipsPerWrite []int
 	for i := 0; i < DEUCEEpoch; i++ {
@@ -269,7 +269,7 @@ func TestDEUCEEpochBoundaryFullReencrypt(t *testing.T) {
 }
 
 func TestBitModelNames(t *testing.T) {
-	for _, m := range []BitModel{NewDCW(), NewFNW(), NewDEUCE()} {
+	for _, m := range []BitModel{NewDCW(8), NewFNW(8), NewDEUCE(8)} {
 		if m.Name() == "" {
 			t.Fatal("empty model name")
 		}
@@ -277,7 +277,7 @@ func TestBitModelNames(t *testing.T) {
 }
 
 func TestBitModelsRejectShortLines(t *testing.T) {
-	for _, m := range []BitModel{NewDCW(), NewFNW(), NewDEUCE()} {
+	for _, m := range []BitModel{NewDCW(8), NewFNW(8), NewDEUCE(8)} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -290,7 +290,7 @@ func TestBitModelsRejectShortLines(t *testing.T) {
 }
 
 func TestSECRETBeatsDEUCEOnZeroHeavyData(t *testing.T) {
-	secret, deuce := NewSECRET(), NewDEUCE()
+	secret, deuce := NewSECRET(8), NewDEUCE(8)
 	src := rng.New(21)
 	// Lines whose updates frequently write zero words (sparse matrices,
 	// shredded buffers): SECRET elides them, DEUCE re-encrypts them.
@@ -317,7 +317,7 @@ func TestSECRETBeatsDEUCEOnZeroHeavyData(t *testing.T) {
 }
 
 func TestSECRETZeroLineNearFree(t *testing.T) {
-	s := NewSECRET()
+	s := NewSECRET(8)
 	zero := make([]byte, config.LineSize)
 	s.Write(0, zero) // first write sets the flags
 	var flips int
@@ -335,5 +335,5 @@ func TestSECRETRejectsShortLines(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewSECRET().Write(0, make([]byte, 3))
+	NewSECRET(8).Write(0, make([]byte, 3))
 }

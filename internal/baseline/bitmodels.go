@@ -38,11 +38,12 @@ type DCW struct {
 	cells map[uint64][]byte
 }
 
-// NewDCW returns a DCW model with its own encryption state.
-func NewDCW() *DCW {
+// NewDCW returns a DCW model of line addresses below lines, with its own
+// encryption state.
+func NewDCW(lines uint64) *DCW {
 	return &DCW{
 		enc:   cme.MustNewEngine(baselineKey),
-		ctrs:  cme.NewCounterStore(),
+		ctrs:  cme.NewCounterStore(lines),
 		cells: make(map[uint64][]byte),
 	}
 }
@@ -86,11 +87,12 @@ type fnwLine struct {
 // FNWWordsPerLine is the number of inversion words per 256 B line.
 const FNWWordsPerLine = config.LineBits / FNWWordBits
 
-// NewFNW returns an FNW model with its own encryption state.
-func NewFNW() *FNW {
+// NewFNW returns an FNW model of line addresses below lines, with its own
+// encryption state.
+func NewFNW(lines uint64) *FNW {
 	return &FNW{
 		enc:   cme.MustNewEngine(baselineKey),
-		ctrs:  cme.NewCounterStore(),
+		ctrs:  cme.NewCounterStore(lines),
 		cells: make(map[uint64]*fnwLine),
 	}
 }
@@ -165,11 +167,12 @@ type deuceLine struct {
 	modified []bool // since epoch start, per word
 }
 
-// NewDEUCE returns a DEUCE model with its own encryption state.
-func NewDEUCE() *DEUCE {
+// NewDEUCE returns a DEUCE model of line addresses below lines, with its own
+// encryption state.
+func NewDEUCE(lines uint64) *DEUCE {
 	return &DEUCE{
 		enc:   cme.MustNewEngine(baselineKey),
-		ctrs:  cme.NewCounterStore(),
+		ctrs:  cme.NewCounterStore(lines),
 		lines: make(map[uint64]*deuceLine),
 	}
 }
@@ -255,11 +258,12 @@ type secretLine struct {
 	zeroFlag []bool // word currently elided as zero
 }
 
-// NewSECRET returns a SECRET model with its own encryption state.
-func NewSECRET() *SECRET {
+// NewSECRET returns a SECRET model of line addresses below lines, with its own
+// encryption state.
+func NewSECRET(lines uint64) *SECRET {
 	return &SECRET{
 		enc:   cme.MustNewEngine(baselineKey),
-		ctrs:  cme.NewCounterStore(),
+		ctrs:  cme.NewCounterStore(lines),
 		lines: make(map[uint64]*secretLine),
 	}
 }

@@ -11,8 +11,8 @@ import (
 // sees ~half the cells flip for a one-byte plaintext change, while DEUCE's
 // partial re-encryption contains the damage for sparse updates.
 func Example() {
-	dcw := baseline.NewDCW()
-	deuce := baseline.NewDEUCE()
+	dcw := baseline.NewDCW(8)
+	deuce := baseline.NewDEUCE(8)
 
 	line := make([]byte, config.LineSize)
 	dcw.Write(7, line)

@@ -97,7 +97,7 @@ func NewSecureNVM(dataLines uint64, cfg config.Config) *SecureNVM {
 		cfg:       cfg,
 		dev:       nvm.New(geom, cfg.Timing, cfg.Energy),
 		enc:       cme.MustNewEngine(baselineKey),
-		ctrs:      cme.NewCounterStore(),
+		ctrs:      cme.NewCounterStore(dataLines),
 		ctrCache:  metacache.New("counter", cacheBytes, cfg.MetaCache.BlockBytes, cfg.MetaCache.Ways),
 		dataLines: dataLines,
 		ctrBase:   dataLines,

@@ -2,6 +2,7 @@ package cme
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"math/bits"
 	"testing"
@@ -287,7 +288,7 @@ func TestLineAllocations(t *testing.T) {
 }
 
 func TestCounterStore(t *testing.T) {
-	s := NewCounterStore()
+	s := NewCounterStore(64)
 	if s.Get(10) != 0 {
 		t.Fatal("fresh counter not zero")
 	}
@@ -305,8 +306,60 @@ func TestCounterStore(t *testing.T) {
 	}
 }
 
+// TestCounterStoreSaveLoad pins the counter section's format (count, then
+// address/counter pairs in address order) and the loader's checks: an
+// address must lie below the caller's line count before it sizes the dense
+// table, and SaveTo never writes a zero counter or an address twice.
+func TestCounterStoreSaveLoad(t *testing.T) {
+	s := NewCounterStore(64)
+	s.Bump(40)
+	s.Bump(3)
+	s.Bump(3)
+	s.Set(9, 7)
+	s.Set(9, 0) // cleared: not saved
+	var buf bytes.Buffer
+	if err := s.SaveTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := section(2, 3, 2, 40, 1)
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("saved % x, want % x", buf.Bytes(), want)
+	}
+	got, err := LoadCounterStore(bytes.NewReader(want), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != 2 || got.Get(3) != 2 || got.Get(40) != 1 || got.Get(9) != 0 {
+		t.Fatalf("loaded Len=%d counters %d/%d/%d", got.Len(), got.Get(3), got.Get(40), got.Get(9))
+	}
+	if a := got.Addrs(); len(a) != 2 || a[0] != 3 || a[1] != 40 {
+		t.Fatalf("Addrs = %v", a)
+	}
+
+	for name, in := range map[string][]byte{
+		"address at the line count": section(1, 64, 1),
+		"address 2^64-1":            section(1, 1<<64-1, 1),
+		"count beyond lines":        section(65),
+		"zero counter":              section(1, 5, 0),
+		"address twice":             section(2, 5, 1, 5, 2),
+	} {
+		if _, err := LoadCounterStore(bytes.NewReader(in), 64); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// section encodes 64-bit little-endian words.
+func section(words ...uint64) []byte {
+	var out []byte
+	for _, w := range words {
+		out = binary.LittleEndian.AppendUint64(out, w)
+	}
+	return out
+}
+
 func TestCounterMonotoneProperty(t *testing.T) {
-	s := NewCounterStore()
+	s := NewCounterStore(1 << 16)
 	f := func(addr uint16, bumps uint8) bool {
 		a := uint64(addr)
 		before := s.Get(a)

@@ -12,7 +12,7 @@ import (
 // twice (counter bump) produces unrelated ciphertexts, yet both decrypt.
 func Example() {
 	engine := cme.MustNewEngine([]byte("0123456789abcdef"))
-	ctrs := cme.NewCounterStore()
+	ctrs := cme.NewCounterStore(64)
 
 	plain := make([]byte, config.LineSize)
 	copy(plain, "secret payload")

@@ -49,10 +49,14 @@ func (c *Controller) SaveState(now units.Time, w io.Writer) error {
 }
 
 // Restore builds a controller from a checkpoint written by SaveState. The
-// options must describe the same logical capacity and key; mode, persistence
-// scheme and machine configuration may differ (a restore onto different
-// hardware parameters is legitimate).
+// options must describe the same logical capacity (DataLines is required:
+// the checkpoint's own header is never trusted to size the tables) and key;
+// mode, persistence scheme and machine configuration may differ (a restore
+// onto different hardware parameters is legitimate).
 func Restore(r io.Reader, opts Options) (*Controller, error) {
+	if opts.DataLines == 0 {
+		return nil, fmt.Errorf("core: restore needs Options.DataLines")
+	}
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(checkpointMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
@@ -69,30 +73,18 @@ func Restore(r io.Reader, opts Options) (*Controller, error) {
 	for i := 0; i < 8; i++ {
 		savedLines |= uint64(b8[i]) << (8 * i)
 	}
-	// Bound before any sizing decision: a corrupt header must not drive
-	// controller construction (New allocates layout- and tree-sized state).
-	if savedLines == 0 || savedLines > 1<<32 {
-		return nil, fmt.Errorf("core: corrupt checkpoint header (%d data lines)", savedLines)
-	}
-	if opts.DataLines == 0 {
-		opts.DataLines = savedLines
-	}
-	if opts.DataLines != savedLines {
+	if savedLines != opts.DataLines {
 		return nil, fmt.Errorf("core: checkpoint has %d data lines, options say %d",
 			savedLines, opts.DataLines)
 	}
 
-	ctrs, err := cme.LoadCounterStore(br)
+	ctrs, err := cme.LoadCounterStore(br, opts.DataLines)
 	if err != nil {
 		return nil, fmt.Errorf("core: loading counters: %w", err)
 	}
-	tables, err := dedup.ReadTables(br)
+	tables, err := dedup.ReadTables(br, opts.DataLines)
 	if err != nil {
 		return nil, fmt.Errorf("core: loading dedup tables: %w", err)
-	}
-	if tables.Lines() != savedLines {
-		return nil, fmt.Errorf("core: dedup tables cover %d lines, checkpoint says %d",
-			tables.Lines(), savedLines)
 	}
 
 	c := New(opts)

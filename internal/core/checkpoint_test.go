@@ -2,12 +2,17 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
 	"dewrite/internal/config"
+	"dewrite/internal/fault"
 	"dewrite/internal/rng"
+	"dewrite/internal/trace"
 	"dewrite/internal/units"
+	"dewrite/internal/workload"
 )
 
 // runMixed drives a mixed duplicate/unique workload and returns the shadow
@@ -46,7 +51,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 	cfg := config.Default()
 	cfg.NVM = config.SmallNVM(1 * units.MB)
-	restored, err := Restore(bytes.NewReader(buf.Bytes()), Options{Config: cfg})
+	restored, err := Restore(bytes.NewReader(buf.Bytes()), Options{DataLines: 2048, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +88,7 @@ func TestCheckpointedControllerKeepsDeduplicating(t *testing.T) {
 	// probe (a legitimate post-boot miss); this test targets hash-table
 	// survival itself.
 	cfg.Dedup.PNAEnabled = false
-	restored, err := Restore(bytes.NewReader(buf.Bytes()), Options{Config: cfg})
+	restored, err := Restore(bytes.NewReader(buf.Bytes()), Options{DataLines: 2048, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +129,48 @@ func TestCheckpointRejectsMismatchedCapacity(t *testing.T) {
 }
 
 func TestRestoreRejectsGarbage(t *testing.T) {
-	if _, err := Restore(strings.NewReader("not a checkpoint"), Options{}); err == nil {
+	if _, err := Restore(strings.NewReader("not a checkpoint"), Options{DataLines: 2048}); err == nil {
 		t.Fatal("expected error")
+	}
+}
+
+// TestRestoreRequiresDataLines: the checkpoint header's line count is input,
+// and the restored tables are sized by line address, so Restore takes the
+// capacity from the caller and never adopts the header's.
+func TestRestoreRequiresDataLines(t *testing.T) {
+	c := smallController(ModeDeWrite)
+	_, now := runMixed(t, c, 67, 100)
+	var buf bytes.Buffer
+	if err := c.SaveState(now, &buf); err != nil {
+		t.Fatal(err)
+	}
+	cfg := config.Default()
+	cfg.NVM = config.SmallNVM(1 * units.MB)
+	if _, err := Restore(bytes.NewReader(buf.Bytes()), Options{Config: cfg}); err == nil ||
+		!strings.Contains(err.Error(), "DataLines") {
+		t.Fatalf("restore without DataLines: err = %v", err)
+	}
+}
+
+// TestRestoreRejectsCounterBeyondDataLines: a counter section naming an
+// address at or past DataLines is rejected before the counter table grows
+// to it.
+func TestRestoreRejectsCounterBeyondDataLines(t *testing.T) {
+	valid, opts := fuzzCheckpoint(t)
+	for _, addr := range []uint64{opts.DataLines, 1 << 40, 1<<64 - 1} {
+		blob := withCounterAddr(valid, addr)
+		var err error
+		allocated := allocatedBytes(func() { _, err = Restore(bytes.NewReader(blob), opts) })
+		if err == nil || !strings.Contains(err.Error(), "counter address") {
+			t.Fatalf("counter at %#x: err = %v", addr, err)
+		}
+		if allocated >= 1<<20 {
+			t.Fatalf("counter at %#x: rejection allocated %d bytes", addr, allocated)
+		}
+	}
+	if _, err := Restore(bytes.NewReader(withCounterAddr(valid, opts.DataLines-1)), opts); err != nil &&
+		strings.Contains(err.Error(), "counter address") {
+		t.Fatalf("counter at the last data line rejected: %v", err)
 	}
 }
 
@@ -154,12 +199,12 @@ func TestRestoreTruncatedMidSection(t *testing.T) {
 	}
 	cuts[len(valid)-1] = true
 	for cut := range cuts {
-		if _, err := Restore(bytes.NewReader(valid[:cut]), Options{Config: cfg}); err == nil {
+		if _, err := Restore(bytes.NewReader(valid[:cut]), Options{DataLines: 2048, Config: cfg}); err == nil {
 			t.Fatalf("restore of %d/%d-byte prefix succeeded", cut, len(valid))
 		}
 	}
 	// The untruncated checkpoint still loads (the sweep harness is sound).
-	if _, err := Restore(bytes.NewReader(valid), Options{Config: cfg}); err != nil {
+	if _, err := Restore(bytes.NewReader(valid), Options{DataLines: 2048, Config: cfg}); err != nil {
 		t.Fatalf("full checkpoint rejected: %v", err)
 	}
 }
@@ -181,7 +226,7 @@ func TestRestoreVersionSkew(t *testing.T) {
 
 	for _, magic := range []string{"DWCP2\n", "DWCP0\n", "DWSV1\n", "dwcp1\n"} {
 		skewed := append([]byte(magic), valid[len(magic):]...)
-		if _, err := Restore(bytes.NewReader(skewed), Options{Config: cfg}); err == nil {
+		if _, err := Restore(bytes.NewReader(skewed), Options{DataLines: 2048, Config: cfg}); err == nil {
 			t.Fatalf("restore accepted magic %q", magic)
 		} else if !strings.Contains(err.Error(), "magic") {
 			t.Fatalf("magic skew %q error does not name the magic: %v", magic, err)
@@ -193,7 +238,7 @@ func TestRestoreVersionSkew(t *testing.T) {
 		`{"schema":"dewrite/snapshot/v1","generation":3,"files":[{"name":"shard-0","size":64,"crc32":7}]}`,
 		"DWSV1\n\x00\x00\x00\x02{}",
 	} {
-		if _, err := Restore(strings.NewReader(blob), Options{Config: cfg}); err == nil {
+		if _, err := Restore(strings.NewReader(blob), Options{DataLines: 2048, Config: cfg}); err == nil {
 			t.Fatalf("restore accepted foreign format %q", blob[:12])
 		}
 	}
@@ -212,5 +257,51 @@ func TestCheckpointDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("checkpoint is not deterministic")
+	}
+}
+
+// TestSaveStateGolden pins the checkpoint bytes (DWCP1 around the counter
+// section, DWDT1 tables and DWNV1 or, with faults armed, DWNV2 device state)
+// of a seeded vips run, with and without faults: any change to the formats
+// or to the simulated state they record moves the digests.
+func TestSaveStateGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		faults fault.Config
+		want   string
+	}{
+		{"clean", fault.Config{},
+			"9faf983e7383538b521e905ee6d16328cfd6d3fa8b238b5f287864a6f9cd9558"},
+		{"faults", fault.Config{Seed: 7, Endurance: 40, ReadBER: 1e-3},
+			"8ab62355d10c90803c4a77e9e196ca5117fc0afb49b922c6dc2d4d33450d7035"},
+	} {
+		prof, _ := workload.ByName("vips")
+		prof.WorkingSetLines = 1024
+		c := New(Options{DataLines: prof.WorkingSetLines, Config: config.Default(), Faults: tc.faults})
+		gen := workload.NewGenerator(prof, 42)
+		var now units.Time
+		var line [config.LineSize]byte
+		for i := 0; i < 30000; i++ {
+			req := gen.Next()
+			if req.Op == trace.Write {
+				now = c.Write(now, req.Addr, req.Data)
+			} else {
+				now = c.ReadInto(now, req.Addr, line[:])
+			}
+		}
+		if tc.faults.Enabled() {
+			// The run must reach every fault structure the format carries.
+			fs := c.Device().FaultStats()
+			if fs.ECPCorrections == 0 || fs.Remaps == 0 || fs.StuckLines == 0 || c.Tables().RetiredCount() == 0 {
+				t.Fatalf("%s: fault layer not exercised: %+v, %d retired", tc.name, fs, c.Tables().RetiredCount())
+			}
+		}
+		h := sha256.New()
+		if err := c.SaveState(now, h); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+			t.Errorf("%s: checkpoint sha256 %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }

@@ -276,7 +276,7 @@ func New(opts Options) *Controller {
 		tables:    dedup.NewTables(opts.DataLines, cfg.Dedup.MaxReference),
 		layout:    layout,
 		enc:       cme.MustNewEngine(key),
-		ctrs:      cme.NewCounterStore(),
+		ctrs:      cme.NewCounterStore(opts.DataLines),
 		pred:      predict.New(cfg.Dedup.HistoryBits),
 		hashCache: metacache.New("hash", mc.HashBytes, mc.BlockBytes, mc.Ways),
 		addrCache: metacache.New("addrmap", mc.AddrMapBytes, mc.BlockBytes, mc.Ways),

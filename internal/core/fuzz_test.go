@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"dewrite/internal/config"
@@ -13,22 +14,7 @@ import (
 // an unvalidated length prefix — and anything it accepts must satisfy the
 // dedup-table invariants.
 func FuzzRestore(f *testing.F) {
-	const lines = 64
-	opts := Options{DataLines: lines, Config: config.Default()}
-	c := New(opts)
-	var now units.Time
-	var data [config.LineSize]byte
-	for i := uint64(0); i < 16; i++ {
-		for j := range data {
-			data[j] = byte(i * 3)
-		}
-		now = c.Write(now, i%lines, data[:])
-	}
-	var buf bytes.Buffer
-	if err := c.SaveState(now, &buf); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
+	valid, opts := fuzzCheckpoint(f)
 
 	f.Add(valid)
 	for _, cut := range []int{1, 6, 14, len(valid) / 2, len(valid) - 1} {
@@ -52,6 +38,10 @@ func FuzzRestore(f *testing.F) {
 	if len(valid) > 6 {
 		f.Add(append([]byte("DWCP2\n"), valid[6:]...))
 	}
+	// Counter sections naming an address at or far past DataLines: the
+	// counter table is dense, so accepting one would size it by the address.
+	f.Add(withCounterAddr(valid, opts.DataLines))
+	f.Add(withCounterAddr(valid, 1<<40))
 
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		got, err := Restore(bytes.NewReader(blob), opts)
@@ -70,4 +60,35 @@ func FuzzRestore(f *testing.F) {
 			t.Fatalf("re-saved checkpoint rejected: %v", err)
 		}
 	})
+}
+
+// fuzzCheckpoint returns a valid checkpoint of a 64-line controller after a
+// few writes, and the options that restore it.
+func fuzzCheckpoint(tb testing.TB) ([]byte, Options) {
+	tb.Helper()
+	const lines = 64
+	opts := Options{DataLines: lines, Config: config.Default()}
+	c := New(opts)
+	var now units.Time
+	var data [config.LineSize]byte
+	for i := uint64(0); i < 16; i++ {
+		for j := range data {
+			data[j] = byte(i * 3)
+		}
+		now = c.Write(now, i%lines, data[:])
+	}
+	var buf bytes.Buffer
+	if err := c.SaveState(now, &buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes(), opts
+}
+
+// withCounterAddr returns a copy of a checkpoint whose first saved counter
+// names addr. The counter section follows the magic and the 8-byte line
+// count: an 8-byte count, then address/counter pairs.
+func withCounterAddr(valid []byte, addr uint64) []byte {
+	out := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint64(out[len(checkpointMagic)+16:], addr)
+	return out
 }

@@ -89,8 +89,8 @@ func (m *Machine) IssueWrite(t int) units.Time {
 	th.instructions++
 	var stall units.Duration
 	if len(th.pending) >= WriteWindow {
-		oldest := th.pending[0]
-		th.pending = th.pending[1:]
+		var oldest units.Time
+		oldest, th.pending = popFront(th.pending)
 		if oldest > th.now {
 			stall = oldest.Sub(th.now)
 			th.memStall += stall
@@ -99,6 +99,15 @@ func (m *Machine) IssueWrite(t int) units.Time {
 	}
 	m.writeStall.Observe(stall)
 	return th.now
+}
+
+// popFront removes the head of a FIFO by shifting the rest down in place.
+// Reslicing past the head instead would strand capacity at the front, so
+// the next append would reallocate every few requests.
+func popFront(q []units.Time) (units.Time, []units.Time) {
+	head := q[0]
+	n := copy(q, q[1:])
+	return head, q[:n]
 }
 
 // RetireWrite records the persist time of the write issued by IssueWrite,
@@ -116,8 +125,8 @@ func (m *Machine) IssueRead(t int) units.Time {
 	th.instructions++
 	var stall units.Duration
 	if len(th.pendingReads) >= ReadWindow {
-		oldest := th.pendingReads[0]
-		th.pendingReads = th.pendingReads[1:]
+		var oldest units.Time
+		oldest, th.pendingReads = popFront(th.pendingReads)
 		if oldest > th.now {
 			stall = oldest.Sub(th.now)
 			th.memStall += stall

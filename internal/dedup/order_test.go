@@ -6,10 +6,9 @@ import (
 )
 
 // TestMappingsSortedAndStable locks the iteration-order contract crash
-// recovery depends on (and dewrite-vet's determinism analyzer enforces the
-// shape of): Mappings ranges over the map-backed real table, so its result
-// must be sorted by logical address and byte-identical across calls — Go's
-// per-run map order must never leak into recovery streams.
+// recovery depends on: Mappings must return the mappings sorted by logical
+// address and identical across calls, whatever order the lines were written
+// in.
 func TestMappingsSortedAndStable(t *testing.T) {
 	const lines = 64
 	tb := NewTables(lines, 4)

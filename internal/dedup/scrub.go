@@ -3,6 +3,8 @@ package dedup
 import (
 	"fmt"
 	"sort"
+
+	"dewrite/internal/dense"
 )
 
 // Recovery scrub and graceful-degradation support: rebuilding consistent
@@ -26,11 +28,12 @@ type LocationMeta struct {
 // Mappings returns every current logical → location mapping, sorted by
 // logical address — the deterministic iteration order crash recovery needs.
 func (t *Tables) Mappings() []RecoveredMapping {
-	out := make([]RecoveredMapping, 0, len(t.real))
-	for l, a := range t.real {
-		out = append(out, RecoveredMapping{Logical: l, Location: a})
+	var out []RecoveredMapping
+	for i := range t.real {
+		if a, ok := t.mapping(uint64(i)); ok {
+			out = append(out, RecoveredMapping{Logical: uint64(i), Location: a})
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Logical < out[j].Logical })
 	return out
 }
 
@@ -55,18 +58,15 @@ func Rebuild(lines uint64, maxRef uint, mappings []RecoveredMapping, meta map[ui
 		if !ok {
 			return nil, nil, fmt.Errorf("dedup: recovered mapping %#x → %#x references unverified location", m.Logical, m.Location)
 		}
-		l := t.loc[m.Location]
-		if l == nil {
-			l = locPool.Get().(*location)
-			*l = location{hash: lm.Hash, isZero: lm.IsZero}
-			t.loc[m.Location] = l
-			t.indexHash(lm.Hash, m.Location)
-		}
-		if l.refs >= maxRef {
+		switch l := t.liveAt(m.Location); {
+		case l == nil:
+			t.claim(m.Location, location{hash: lm.Hash, refs: 1, isZero: lm.IsZero})
+		case l.refs >= maxRef:
 			dropped = append(dropped, m.Logical)
 			continue
+		default:
+			l.refs++
 		}
-		l.refs++
 		t.setMapping(m.Logical, m.Location)
 	}
 	if err := t.CheckInvariants(); err != nil {
@@ -80,20 +80,23 @@ func Rebuild(lines uint64, maxRef uint, mappings []RecoveredMapping, meta map[ui
 // Retiring a live location is a bug (its data would be orphaned).
 func (t *Tables) Retire(loc uint64) {
 	t.checkAddr(loc)
-	if t.loc[loc] != nil {
+	if t.liveAt(loc) != nil {
 		panic(fmt.Sprintf("dedup: retiring live location %#x", loc))
 	}
-	if t.retired == nil {
-		t.retired = make(map[uint64]bool)
+	t.loc = dense.Grow(t.loc, loc, t.lines)
+	if !t.loc[loc].retired {
+		t.loc[loc].retired = true
+		t.retired++
 	}
-	t.retired[loc] = true
 }
 
 // IsRetired reports whether the location has been removed from allocation.
-func (t *Tables) IsRetired(loc uint64) bool { return t.retired[loc] }
+func (t *Tables) IsRetired(loc uint64) bool {
+	return loc < uint64(len(t.loc)) && t.loc[loc].retired
+}
 
 // RetiredCount returns the number of retired locations.
-func (t *Tables) RetiredCount() int { return len(t.retired) }
+func (t *Tables) RetiredCount() int { return int(t.retired) }
 
 // RelocateStuck re-places logical's just-written unique data after the
 // device failed the write at its current location: the mapping is released,
@@ -104,11 +107,11 @@ func (t *Tables) RetiredCount() int { return len(t.retired) }
 // after PlaceUnique.
 func (t *Tables) RelocateStuck(logical uint64) (chosen uint64, ok bool) {
 	t.checkAddr(logical)
-	locAddr, mapped := t.real[logical]
+	locAddr, mapped := t.mapping(logical)
 	if !mapped {
 		panic(fmt.Sprintf("dedup: relocating unmapped logical %#x", logical))
 	}
-	l := t.loc[locAddr]
+	l := t.liveAt(locAddr)
 	if l == nil || l.refs != 1 {
 		panic(fmt.Sprintf("dedup: relocating shared or free location %#x", locAddr))
 	}
@@ -117,7 +120,7 @@ func (t *Tables) RelocateStuck(logical uint64) (chosen uint64, ok bool) {
 	t.Retire(locAddr)
 	t.relocations.Inc()
 
-	if t.loc[logical] == nil && !t.retired[logical] {
+	if t.allocatable(logical) {
 		chosen = logical
 	} else {
 		chosen, ok = t.tryAllocate()
@@ -126,10 +129,7 @@ func (t *Tables) RelocateStuck(logical uint64) (chosen uint64, ok bool) {
 		}
 		t.displaced.Inc()
 	}
-	nl := locPool.Get().(*location)
-	*nl = location{hash: h, refs: 1, isZero: isZero}
-	t.loc[chosen] = nl
-	t.indexHash(h, chosen)
+	t.claim(chosen, location{hash: h, refs: 1, isZero: isZero})
 	t.setMapping(logical, chosen)
 	return chosen, true
 }

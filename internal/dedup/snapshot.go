@@ -5,7 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+
+	"dewrite/internal/dense"
 )
 
 // Snapshotting: the tables can be serialized and restored, the software
@@ -42,36 +43,30 @@ func (t *Tables) WriteTo(w io.Writer) (int64, error) {
 		return n, err
 	}
 
-	// Mappings, sorted for determinism.
-	logicals := make([]uint64, 0, len(t.real))
-	for l := range t.real {
-		logicals = append(logicals, l)
-	}
-	sort.Slice(logicals, func(i, j int) bool { return logicals[i] < logicals[j] })
-	if err := writeU64(uint64(len(logicals))); err != nil {
+	// Mappings, in logical address order.
+	mappings := t.Mappings()
+	if err := writeU64(uint64(len(mappings))); err != nil {
 		return n, err
 	}
-	for _, l := range logicals {
-		if err := writeU64(l); err != nil {
+	for _, m := range mappings {
+		if err := writeU64(m.Logical); err != nil {
 			return n, err
 		}
-		if err := writeU64(t.real[l]); err != nil {
+		if err := writeU64(m.Location); err != nil {
 			return n, err
 		}
 	}
 
-	// Live locations (hash, refs, zero flag), sorted.
-	locs := make([]uint64, 0, len(t.loc))
-	for a := range t.loc {
-		locs = append(locs, a)
-	}
-	sort.Slice(locs, func(i, j int) bool { return locs[i] < locs[j] })
-	if err := writeU64(uint64(len(locs))); err != nil {
+	// Live locations (hash, refs, zero flag), in address order.
+	if err := writeU64(t.live); err != nil {
 		return n, err
 	}
-	for _, a := range locs {
-		l := t.loc[a]
-		if err := writeU64(a); err != nil {
+	for i := range t.loc {
+		l := &t.loc[i]
+		if l.refs == 0 {
+			continue
+		}
+		if err := writeU64(uint64(i)); err != nil {
 			return n, err
 		}
 		if err := writeU64(uint64(l.hash)); err != nil {
@@ -93,9 +88,10 @@ func (t *Tables) WriteTo(w io.Writer) (int64, error) {
 	// re-claimed via own-slot preference) that allocate() filters lazily;
 	// the snapshot stores only the genuinely free, de-duplicated tail.
 	var freed []uint64
-	seen := make(map[uint64]bool)
+	var seen []bool
 	for _, a := range t.freed {
-		if t.loc[a] == nil && !seen[a] {
+		seen = dense.Grow(seen, a, t.lines)
+		if t.liveAt(a) == nil && !seen[a] {
 			freed = append(freed, a)
 			seen[a] = true
 		}
@@ -111,10 +107,13 @@ func (t *Tables) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
-// ReadTables deserializes a snapshot written by WriteTo. The hash index is
-// rebuilt from the live locations (the recovery walk), and the result
-// satisfies CheckInvariants.
-func ReadTables(r io.Reader) (*Tables, error) {
+// ReadTables deserializes a snapshot written by WriteTo for tables of the
+// given number of data lines. The hash index is rebuilt from the live
+// locations (the recovery walk), and the result satisfies CheckInvariants.
+// The snapshot must cover exactly lines lines: every address it holds sizes
+// a dense table, so a header or an address beyond the caller's count is
+// rejected before anything grows.
+func ReadTables(r io.Reader, lines uint64) (*Tables, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(snapshotMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
@@ -131,9 +130,12 @@ func ReadTables(r io.Reader) (*Tables, error) {
 		return binary.LittleEndian.Uint64(b8[:]), nil
 	}
 
-	lines, err := readU64()
+	saved, err := readU64()
 	if err != nil {
 		return nil, err
+	}
+	if saved != lines {
+		return nil, fmt.Errorf("dedup: snapshot covers %d lines, want %d", saved, lines)
 	}
 	maxRef, err := readU64()
 	if err != nil {
@@ -166,6 +168,9 @@ func ReadTables(r io.Reader) (*Tables, error) {
 		if logical >= lines || locAddr >= lines {
 			return nil, fmt.Errorf("dedup: snapshot mapping %#x->%#x out of range", logical, locAddr)
 		}
+		if _, dup := t.mapping(logical); dup {
+			return nil, fmt.Errorf("dedup: snapshot maps logical %#x twice", logical)
+		}
 		t.setMapping(logical, locAddr)
 	}
 
@@ -196,12 +201,13 @@ func ReadTables(r io.Reader) (*Tables, error) {
 		if addr >= lines {
 			return nil, fmt.Errorf("dedup: snapshot location %#x out of range", addr)
 		}
-		if h > 1<<32-1 || refs > lines || z > 1 {
+		if h > 1<<32-1 || refs == 0 || refs > lines || z > 1 {
 			return nil, fmt.Errorf("dedup: corrupt snapshot location %#x (hash=%#x refs=%d zero=%d)", addr, h, refs, z)
 		}
-		l := &location{hash: uint32(h), refs: uint(refs), isZero: z == 1}
-		t.loc[addr] = l
-		t.indexHash(l.hash, addr)
+		if t.liveAt(addr) != nil {
+			return nil, fmt.Errorf("dedup: snapshot lists location %#x twice", addr)
+		}
+		t.claim(addr, location{hash: uint32(h), refs: uint(refs), isZero: z == 1})
 	}
 
 	nFree, err := readU64()

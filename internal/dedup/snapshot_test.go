@@ -2,6 +2,7 @@ package dedup
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -46,7 +47,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if _, err := orig.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadTables(&buf)
+	got, err := ReadTables(&buf, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestRestoredTablesKeepWorking(t *testing.T) {
 	orig := populated(t, 11, 64)
 	var buf bytes.Buffer
 	orig.WriteTo(&buf)
-	got, err := ReadTables(&buf)
+	got, err := ReadTables(&buf, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 		"truncated": snapshotMagicFor(t),
 	}
 	for name, in := range cases {
-		if _, err := ReadTables(strings.NewReader(in)); err == nil {
+		if _, err := ReadTables(strings.NewReader(in), 32); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
@@ -144,7 +145,59 @@ func TestSnapshotRejectsCorruptCounts(t *testing.T) {
 	raw := buf.Bytes()
 	// Corrupt the mapping count (bytes 6+24 .. 6+32 hold it) to a huge value.
 	copy(raw[len("DWDT1\n")+24:], []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
-	if _, err := ReadTables(bytes.NewReader(raw)); err == nil {
+	if _, err := ReadTables(bytes.NewReader(raw), 32); err == nil {
 		t.Fatal("expected error on corrupt count")
 	}
+}
+
+// TestReadTablesRejectsOversizedSnapshot: the tables are dense, so every
+// address a snapshot holds sizes an allocation. A snapshot declaring more
+// lines than the caller's must be rejected before anything grows.
+func TestReadTablesRejectsOversizedSnapshot(t *testing.T) {
+	var err error
+	allocated := allocatedBytes(func() {
+		_, err = ReadTables(bytes.NewReader(hugeSnapshot), fuzzLines)
+	})
+	if err == nil {
+		t.Fatal("snapshot declaring 2^32 lines accepted")
+	}
+	if allocated >= 1<<20 {
+		t.Fatalf("rejecting a %d-byte snapshot allocated %d bytes", len(hugeSnapshot), allocated)
+	}
+	// The same snapshot against tables of another size names both counts.
+	if _, err := ReadTables(bytes.NewReader(hugeSnapshot), 1<<20); err == nil ||
+		!strings.Contains(err.Error(), "4294967296 lines, want 1048576") {
+		t.Fatalf("line-count mismatch error = %v", err)
+	}
+}
+
+// TestReadTablesRejectsDuplicateLocation: a snapshot listing one live
+// location twice used to load, leaving its fingerprint chain with two
+// entries for one location; the first rewrite of that location then left a
+// stale entry behind.
+func TestReadTablesRejectsDuplicateLocation(t *testing.T) {
+	_, err := ReadTables(bytes.NewReader(duplicateLocationSnapshot), fuzzLines)
+	if err == nil || !strings.Contains(err.Error(), "location 0x0 twice") {
+		t.Fatalf("duplicate location: err = %v", err)
+	}
+	// Without the repeat the same snapshot loads.
+	single := snapshotBytes(fuzzLines, 8, 1, 1, 0, 0, 1, 0, 0xabc, 1, 0, 0)
+	if _, err := ReadTables(bytes.NewReader(single), fuzzLines); err != nil {
+		t.Fatalf("single location rejected: %v", err)
+	}
+	// A mapping listed twice is rejected the same way.
+	twice := snapshotBytes(fuzzLines, 8, 1, 2, 0, 0, 0, 0, 1, 0, 0xabc, 1, 0, 0)
+	if _, err := ReadTables(bytes.NewReader(twice), fuzzLines); err == nil ||
+		!strings.Contains(err.Error(), "logical 0x0 twice") {
+		t.Fatalf("duplicate mapping: err = %v", err)
+	}
+}
+
+// allocatedBytes returns the heap bytes f allocates.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

@@ -18,19 +18,13 @@ package dedup
 
 import (
 	"fmt"
-	"sync"
 
 	"dewrite/internal/attr"
+	"dewrite/internal/dense"
 	"dewrite/internal/stats"
 	"dewrite/internal/timeline"
 	"dewrite/internal/units"
 )
-
-// locPool recycles location records between PlaceUnique and release so the
-// steady-state unique-write path (every free is eventually a new placement)
-// allocates nothing. A pointer fits in an interface word, so Get/Put never
-// allocate themselves.
-var locPool = sync.Pool{New: func() interface{} { return new(location) }}
 
 // Tables holds the deduplication metadata for a device with a fixed number
 // of data lines. Not safe for concurrent use.
@@ -38,16 +32,22 @@ type Tables struct {
 	lines  uint64
 	maxRef uint
 
-	real map[uint64]uint64    // logical → location, absent means never written
-	loc  map[uint64]*location // location → live state, absent means free
-	hash map[uint32][]uint64  // fingerprint → live locations with that fingerprint
+	// The address mapping table (real) and the per-location state (loc:
+	// the inverted hash entry, reference count and FSM flags) are indexed
+	// by line address, as in the paper's NVM layout. Both grow on first
+	// touch (dense.Grow); an entry past the end reads as its zero value.
+	real []uint64   // logical → location+1; 0 means never written
+	loc  []location // location → state; refs == 0 means free
+	live uint64     // locations with refs > 0
+
+	hash map[uint32][]uint64 // fingerprint → live locations with that fingerprint
+	// spareChains holds the backing arrays of emptied hash chains, reused
+	// for new fingerprints so the steady-state write path allocates nothing.
+	spareChains [][]uint64
 
 	freed     []uint64 // freed locations available for reuse (LIFO)
 	freshScan uint64   // cursor over never-allocated locations
-
-	// retired holds locations permanently removed from allocation (their
-	// device lines are stuck); nil until the first retirement.
-	retired map[uint64]bool
+	retired   uint64   // locations permanently removed from allocation
 
 	// mappedAway counts logical lines whose data lives at a foreign
 	// location, maintained incrementally so per-epoch sampling does not
@@ -77,6 +77,9 @@ type location struct {
 	hash   uint32
 	refs   uint
 	isZero bool
+	// retired marks a free location removed from allocation because its
+	// device line is stuck; a retired location is never live.
+	retired bool
 }
 
 // NewTables returns empty metadata for a device with the given number of
@@ -92,8 +95,6 @@ func NewTables(lines uint64, maxRef uint) *Tables {
 	return &Tables{
 		lines:  lines,
 		maxRef: maxRef,
-		real:   make(map[uint64]uint64),
-		loc:    make(map[uint64]*location),
 		hash:   make(map[uint32][]uint64),
 	}
 }
@@ -112,8 +113,28 @@ func (t *Tables) checkAddr(a uint64) {
 // reads of it are architecturally undefined and the simulator returns zero).
 func (t *Tables) LocationOf(logical uint64) (uint64, bool) {
 	t.checkAddr(logical)
-	l, ok := t.real[logical]
-	return l, ok
+	return t.mapping(logical)
+}
+
+// mapping returns logical's location; ok is false if it was never written.
+func (t *Tables) mapping(logical uint64) (loc uint64, ok bool) {
+	if logical < uint64(len(t.real)) && t.real[logical] != 0 {
+		return t.real[logical] - 1, true
+	}
+	return 0, false
+}
+
+// liveAt returns the state of location a, or nil when a is free.
+func (t *Tables) liveAt(a uint64) *location {
+	if a < uint64(len(t.loc)) && t.loc[a].refs > 0 {
+		return &t.loc[a]
+	}
+	return nil
+}
+
+// allocatable reports whether location a is free and not retired.
+func (t *Tables) allocatable(a uint64) bool {
+	return a >= uint64(len(t.loc)) || t.loc[a].refs == 0 && !t.loc[a].retired
 }
 
 // IsDeduplicated reports whether logical's data lives at a location shared
@@ -122,21 +143,23 @@ func (t *Tables) LocationOf(logical uint64) (uint64, bool) {
 // their slot but carry refs == 1.
 func (t *Tables) IsDeduplicated(logical uint64) bool {
 	t.checkAddr(logical)
-	l, ok := t.real[logical]
-	return ok && t.loc[l] != nil && t.loc[l].refs > 1
+	if loc, ok := t.mapping(logical); ok {
+		return t.Refs(loc) > 1
+	}
+	return false
 }
 
 // IsLive reports whether the storage location holds current data.
 func (t *Tables) IsLive(loc uint64) bool {
 	t.checkAddr(loc)
-	return t.loc[loc] != nil
+	return t.liveAt(loc) != nil
 }
 
 // HashOf returns the fingerprint of the live data at loc. The second result
 // is false if the location is free.
 func (t *Tables) HashOf(loc uint64) (uint32, bool) {
 	t.checkAddr(loc)
-	if l := t.loc[loc]; l != nil {
+	if l := t.liveAt(loc); l != nil {
 		return l.hash, true
 	}
 	return 0, false
@@ -145,7 +168,7 @@ func (t *Tables) HashOf(loc uint64) (uint32, bool) {
 // Refs returns the reference count of the live data at loc (0 if free).
 func (t *Tables) Refs(loc uint64) uint {
 	t.checkAddr(loc)
-	if l := t.loc[loc]; l != nil {
+	if l := t.liveAt(loc); l != nil {
 		return l.refs
 	}
 	return 0
@@ -167,7 +190,14 @@ func (t *Tables) SetPublish(fn func(h uint32, delta int)) { t.publish = fn }
 // every insertion into the fingerprint index goes through it so the publish
 // hook sees a complete stream.
 func (t *Tables) indexHash(h uint32, locAddr uint64) {
-	t.hash[h] = append(t.hash[h], locAddr)
+	list, ok := t.hash[h]
+	if !ok && len(t.spareChains) > 0 {
+		// An emptied chain's array starts empty, so candidate order is the
+		// same as with a fresh one.
+		list = t.spareChains[len(t.spareChains)-1]
+		t.spareChains = t.spareChains[:len(t.spareChains)-1]
+	}
+	t.hash[h] = append(list, locAddr)
 	if t.publish != nil {
 		t.publish(h, 1)
 	}
@@ -186,7 +216,7 @@ func (t *Tables) Candidates(hash uint32) []uint64 {
 // the limit is "highly referenced" and new duplicates of it are written as
 // unique data instead).
 func (t *Tables) Acceptable(loc uint64) bool {
-	l := t.loc[loc]
+	l := t.liveAt(loc)
 	return l != nil && l.refs < t.maxRef
 }
 
@@ -201,7 +231,7 @@ func (t *Tables) NoteCollision() { t.collisions.Inc() }
 // logical's current data, i.e. the write is a line-level silent store and
 // nothing needs to change.
 func (t *Tables) IsSelfDuplicate(logical, target uint64) bool {
-	l, ok := t.real[logical]
+	l, ok := t.mapping(logical)
 	return ok && l == target
 }
 
@@ -213,7 +243,7 @@ func (t *Tables) IsSelfDuplicate(logical, target uint64) bool {
 func (t *Tables) MapDuplicate(logical, target uint64) (freed uint64, didFree bool) {
 	t.checkAddr(logical)
 	t.checkAddr(target)
-	l := t.loc[target]
+	l := t.liveAt(target)
 	if l == nil {
 		panic(fmt.Sprintf("dedup: MapDuplicate to free location %#x", target))
 	}
@@ -239,7 +269,8 @@ func (t *Tables) MapDuplicate(logical, target uint64) (freed uint64, didFree boo
 // setMapping points logical at loc, keeping the mapped-away census current.
 // The caller must have released any previous mapping first.
 func (t *Tables) setMapping(logical, loc uint64) {
-	t.real[logical] = loc
+	t.real = dense.Grow(t.real, logical, t.lines)
+	t.real[logical] = loc + 1
 	if logical != loc {
 		t.mappedAway++
 	}
@@ -250,14 +281,14 @@ func (t *Tables) setMapping(logical, loc uint64) {
 // without the verify read (the dedup logic knows a line is zero when it
 // inserts it, and the incoming line's zero-ness is a combinational check).
 func (t *Tables) IsZeroLocation(loc uint64) bool {
-	l := t.loc[loc]
+	l := t.liveAt(loc)
 	return l != nil && l.isZero
 }
 
 // SetZeroFlag marks the live data at loc as the all-zero line. The caller
 // (the controller) sets it right after placing a zero line.
 func (t *Tables) SetZeroFlag(loc uint64) {
-	if l := t.loc[loc]; l != nil {
+	if l := t.liveAt(loc); l != nil {
 		l.isZero = true
 	}
 }
@@ -284,7 +315,7 @@ func (t *Tables) TryPlaceUnique(logical uint64, hash uint32) (chosen uint64, fre
 	t.checkAddr(logical)
 	freed, didFree = t.release(logical)
 
-	if t.loc[logical] == nil && !t.retired[logical] {
+	if t.allocatable(logical) {
 		chosen = logical
 	} else {
 		if chosen, ok = t.tryAllocate(); !ok {
@@ -296,13 +327,19 @@ func (t *Tables) TryPlaceUnique(logical uint64, hash uint32) (chosen uint64, fre
 		didFree = false
 	}
 
-	l := locPool.Get().(*location)
-	*l = location{hash: hash, refs: 1}
-	t.loc[chosen] = l
-	t.indexHash(hash, chosen)
+	t.claim(chosen, location{hash: hash, refs: 1})
 	t.setMapping(logical, chosen)
 	t.uniques.Inc()
 	return chosen, freed, didFree, true
+}
+
+// claim makes free location a live with state l (l.refs > 0) and indexes it
+// under its fingerprint.
+func (t *Tables) claim(a uint64, l location) {
+	t.loc = dense.Grow(t.loc, a, t.lines)
+	t.loc[a] = l
+	t.live++
+	t.indexHash(l.hash, a)
 }
 
 // release detaches logical from its current data, decrementing the reference
@@ -310,19 +347,16 @@ func (t *Tables) TryPlaceUnique(logical uint64, hash uint32) (chosen uint64, fre
 // reaches zero (which also cleans the stale fingerprint, the inverted-hash-
 // table operation of Section III-B2). Lines never written release nothing.
 func (t *Tables) release(logical uint64) (freed uint64, didFree bool) {
-	locAddr, ok := t.real[logical]
+	locAddr, ok := t.mapping(logical)
 	if !ok {
 		return 0, false // never written
 	}
-	l := t.loc[locAddr]
+	l := t.liveAt(locAddr)
 	if l == nil {
 		panic(fmt.Sprintf("dedup: logical %#x mapped to free location %#x", logical, locAddr))
 	}
-	if l.refs == 0 {
-		panic(fmt.Sprintf("dedup: zero refcount on live location %#x", locAddr))
-	}
 	l.refs--
-	delete(t.real, logical)
+	t.real[logical] = 0
 	if locAddr != logical {
 		t.mappedAway--
 	}
@@ -331,8 +365,8 @@ func (t *Tables) release(logical uint64) (freed uint64, didFree bool) {
 	}
 	// Last reference gone: clean the stale hash and free the location.
 	t.removeHash(l.hash, locAddr)
-	delete(t.loc, locAddr)
-	locPool.Put(l)
+	*l = location{}
+	t.live--
 	t.freed = append(t.freed, locAddr)
 	t.frees.Inc()
 	return locAddr, true
@@ -346,6 +380,7 @@ func (t *Tables) removeHash(h uint32, locAddr uint64) {
 			list = list[:len(list)-1]
 			if len(list) == 0 {
 				delete(t.hash, h)
+				t.spareChains = append(t.spareChains, list)
 			} else {
 				t.hash[h] = list
 			}
@@ -367,13 +402,13 @@ func (t *Tables) tryAllocate() (uint64, bool) {
 	for len(t.freed) > 0 {
 		a := t.freed[len(t.freed)-1]
 		t.freed = t.freed[:len(t.freed)-1]
-		if t.loc[a] == nil && !t.retired[a] {
+		if t.allocatable(a) {
 			return a, true
 		}
 		// Stale entry: re-claimed via own-slot preference, or since retired.
 	}
 	for ; t.freshScan < t.lines; t.freshScan++ {
-		if t.loc[t.freshScan] == nil && !t.retired[t.freshScan] {
+		if t.allocatable(t.freshScan) {
 			a := t.freshScan
 			t.freshScan++
 			return a, true
@@ -383,7 +418,7 @@ func (t *Tables) tryAllocate() (uint64, bool) {
 	// skipping. Only reachable when retirements have fragmented the pool,
 	// so the scan cost never shows up in healthy runs.
 	for a := uint64(0); a < t.lines; a++ {
-		if t.loc[a] == nil && !t.retired[a] {
+		if t.allocatable(a) {
 			return a, true
 		}
 	}
@@ -393,8 +428,10 @@ func (t *Tables) tryAllocate() (uint64, bool) {
 // ObserveRefs samples the current reference count of every live location
 // into the reference histogram (Figure 7).
 func (t *Tables) ObserveRefs() {
-	for _, l := range t.loc {
-		t.refHist.Observe(uint64(l.refs))
+	for i := range t.loc {
+		if l := &t.loc[i]; l.refs > 0 {
+			t.refHist.Observe(uint64(l.refs))
+		}
 	}
 }
 
@@ -426,10 +463,10 @@ func (t *Tables) Snapshot() Stats {
 		Saturated:   t.saturated.Value(),
 		Displaced:   t.displaced.Value(),
 		Frees:       t.frees.Value(),
-		LiveLines:   uint64(len(t.loc)),
+		LiveLines:   t.live,
 		MappedAway:  t.mappedAway,
 		Relocations: t.relocations.Value(),
-		Retired:     uint64(len(t.retired)),
+		Retired:     t.retired,
 	}
 }
 
@@ -437,7 +474,7 @@ func (t *Tables) Snapshot() Stats {
 // and logical lines mapped away from their own slot. O(1), so per-epoch
 // sampling stays off the write path's cost profile.
 func (t *Tables) SampleEpoch(e *timeline.Epoch, _ units.Time) {
-	e.DedupLive = uint64(len(t.loc))
+	e.DedupLive = t.live
 	e.DedupMapped = t.mappedAway
 }
 
@@ -446,14 +483,18 @@ func (t *Tables) SampleEpoch(e *timeline.Epoch, _ units.Time) {
 // operation sequences; it is O(lines + live) and not meant for inner loops.
 func (t *Tables) CheckInvariants() error {
 	// Census of mappings per location, recounting the mapped-away gauge.
-	refCount := make(map[uint64]uint)
+	refCount := make([]uint, len(t.loc))
 	var mapped uint64
-	for logical, locAddr := range t.real {
-		if t.loc[locAddr] == nil {
+	for logical := range t.real {
+		locAddr, ok := t.mapping(uint64(logical))
+		if !ok {
+			continue
+		}
+		if t.liveAt(locAddr) == nil {
 			return fmt.Errorf("logical %#x maps to free location %#x", logical, locAddr)
 		}
 		refCount[locAddr]++
-		if logical != locAddr {
+		if uint64(logical) != locAddr {
 			mapped++
 		}
 	}
@@ -461,16 +502,23 @@ func (t *Tables) CheckInvariants() error {
 		return fmt.Errorf("mappedAway=%d but recount finds %d", t.mappedAway, mapped)
 	}
 	// Reference counts match the mapping census.
-	for locAddr, l := range t.loc {
+	var live uint64
+	for i := range t.loc {
+		locAddr, l := uint64(i), &t.loc[i]
 		if l.refs == 0 {
-			return fmt.Errorf("live location %#x has zero refs", locAddr)
+			continue
 		}
+		live++
 		if refCount[locAddr] != l.refs {
 			return fmt.Errorf("location %#x refs=%d but %d logical lines map to it",
 				locAddr, l.refs, refCount[locAddr])
 		}
 		if l.refs > t.maxRef {
 			return fmt.Errorf("location %#x refs=%d exceeds max %d", locAddr, l.refs, t.maxRef)
+		}
+		// Retired locations are out of the pool and must never be live.
+		if l.retired {
+			return fmt.Errorf("retired location %#x is live", locAddr)
 		}
 		// Its hash entry must list it.
 		found := false
@@ -484,16 +532,17 @@ func (t *Tables) CheckInvariants() error {
 			return fmt.Errorf("live location %#x missing from hash chain %#x", locAddr, l.hash)
 		}
 	}
-	// Retired locations are out of the pool and must never be live.
-	for locAddr := range t.retired {
-		if t.loc[locAddr] != nil {
-			return fmt.Errorf("retired location %#x is live", locAddr)
-		}
+	if live != t.live {
+		return fmt.Errorf("live=%d but recount finds %d", t.live, live)
 	}
-	// Hash chains only list live locations with that hash.
+	// Hash chains only list live locations with that hash, and list each
+	// once: every live location is in its chain, so entries beyond the live
+	// count are repeats.
+	var entries uint64
 	for h, list := range t.hash {
+		entries += uint64(len(list))
 		for _, a := range list {
-			l := t.loc[a]
+			l := t.liveAt(a)
 			if l == nil {
 				return fmt.Errorf("hash chain %#x lists free location %#x", h, a)
 			}
@@ -501,6 +550,9 @@ func (t *Tables) CheckInvariants() error {
 				return fmt.Errorf("hash chain %#x lists location %#x with hash %#x", h, a, l.hash)
 			}
 		}
+	}
+	if entries != t.live {
+		return fmt.Errorf("hash chains hold %d entries for %d live locations", entries, t.live)
 	}
 	return nil
 }

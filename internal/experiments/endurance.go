@@ -77,10 +77,10 @@ func Figure13(s *Suite) []*stats.Table {
 		// nModels techniques × 3 variants, each with independent cipher state.
 		models := [3][nModels]baseline.BitModel{}
 		for v := 0; v < 3; v++ {
-			models[v][0] = baseline.NewDCW()
-			models[v][1] = baseline.NewFNW()
-			models[v][2] = baseline.NewDEUCE()
-			models[v][3] = baseline.NewSECRET()
+			models[v][0] = baseline.NewDCW(prof.WorkingSetLines)
+			models[v][1] = baseline.NewFNW(prof.WorkingSetLines)
+			models[v][2] = baseline.NewDEUCE(prof.WorkingSetLines)
+			models[v][3] = baseline.NewSECRET(prof.WorkingSetLines)
 		}
 		m := &results[pi]
 

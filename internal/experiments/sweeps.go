@@ -143,13 +143,17 @@ func prefetchCols(prefetches []int) []string {
 func hitRate(s *Suite, prof workload.Profile, cfg config.Config, part int) float64 {
 	ctrl := core.New(core.Options{DataLines: prof.WorkingSetLines, Config: cfg})
 	gen := workload.NewGenerator(prof, s.Opts.Seed)
+	// The controller keeps no payload past its call, so the generator may
+	// recycle its line buffers, and reads land in one reused buffer.
+	gen.SetRecycle(true)
 	var now units.Time
+	var line [config.LineSize]byte
 	for i := 0; i < s.Opts.Requests; i++ {
 		req := gen.Next()
 		if req.Op == trace.Write {
 			now = ctrl.Write(now, req.Addr, req.Data)
 		} else {
-			_, now = ctrl.Read(now, req.Addr)
+			now = ctrl.ReadInto(now, req.Addr, line[:])
 		}
 	}
 	return ctrl.MetaCaches()[part].HitRate()

@@ -129,7 +129,7 @@ func (d *Device) writeChecked(now units.Time, lineAddr uint64, data []byte, caus
 		d.recDegrade(phys, pulsed, done)
 		return done, false
 	}
-	if fs.inj == nil || !fs.inj.WornOut(phys, d.wear[phys]+1) {
+	if fs.inj == nil || !fs.inj.WornOut(phys, d.WearOf(phys)+1) {
 		return d.writeArray(now, phys, data, true, cause), true
 	}
 	// The write drove cells past their lifetime: some bits stick, and the

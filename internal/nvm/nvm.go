@@ -1,6 +1,6 @@
 // Package nvm models the PCM main-memory device: a set of independent banks
-// with asymmetric read/write latencies, a sparse backing store holding real
-// line contents, per-line wear counters, and per-operation energy accounting.
+// with asymmetric read/write latencies, a backing store holding real line
+// contents, per-line wear counters, and per-operation energy accounting.
 //
 // The timing model is the first-order one the paper's analysis relies on:
 // each bank services requests FCFS, so a request issued at time t to a bank
@@ -17,6 +17,7 @@ import (
 
 	"dewrite/internal/attr"
 	"dewrite/internal/config"
+	"dewrite/internal/dense"
 	"dewrite/internal/stats"
 	"dewrite/internal/timeline"
 	"dewrite/internal/units"
@@ -34,11 +35,13 @@ type Device struct {
 	banks    []bankState
 	channels []units.Time // busy-until per channel bus (empty = disabled)
 	busLat   units.Duration
-	store    map[uint64][]byte
-	wear     map[uint64]uint64
-	rec      *attr.Recorder // nil when attribution is off
-	led      *attr.Ledger   // rec's ledger, cached (nil when attribution is off)
-	faults   *faultState    // nil when the fault layer is not armed
+	// Line contents and wear, indexed by physical line address and grown
+	// on first touch up to physLines(): nil contents read as the zero line.
+	store  []*[config.LineSize]byte
+	wear   []uint64
+	rec    *attr.Recorder // nil when attribution is off
+	led    *attr.Ledger   // rec's ledger, cached (nil when attribution is off)
+	faults *faultState    // nil when the fault layer is not armed
 
 	// Incrementally maintained views of d.wear, so per-epoch sampling never
 	// scans the full wear map: cumulative writes per bank, and a wear-value →
@@ -77,8 +80,6 @@ func New(geom config.NVMGeometry, timing config.Timing, energy config.Energy) *D
 		busLat:    timing.NVMBus,
 		energy:    energy,
 		banks:     make([]bankState, geom.Banks()),
-		store:     make(map[uint64][]byte),
-		wear:      make(map[uint64]uint64),
 		bankWear:  make([]uint64, geom.Banks()),
 	}
 	if geom.Channels > 0 {
@@ -118,6 +119,23 @@ func (d *Device) row(lineAddr uint64) uint64 {
 
 // Lines returns the number of addressable lines.
 func (d *Device) Lines() uint64 { return d.geom.Lines() }
+
+// physLines bounds physical line addresses: the addressable lines plus the
+// spare region, which only the fault layer provisions.
+func (d *Device) physLines() uint64 {
+	if d.faults != nil {
+		return d.geom.Lines() + d.faults.spareLines
+	}
+	return d.geom.Lines()
+}
+
+// line returns the stored contents at phys, nil if it was never written.
+func (d *Device) line(phys uint64) *[config.LineSize]byte {
+	if phys < uint64(len(d.store)) {
+		return d.store[phys]
+	}
+	return nil
+}
 
 // Bank returns the bank index servicing lineAddr. Rows (RowLines consecutive
 // lines) are interleaved across banks, so lines within one row share a bank
@@ -208,8 +226,8 @@ func (d *Device) readInto(now units.Time, lineAddr uint64, open bool, dst []byte
 		if len(dst) != config.LineSize {
 			panic(fmt.Sprintf("nvm: read into %d bytes, want %d", len(dst), config.LineSize))
 		}
-		if line, ok := d.store[lineAddr]; ok {
-			copy(dst, line)
+		if line := d.line(lineAddr); line != nil {
+			copy(dst, line[:])
 		} else {
 			clear(dst)
 		}
@@ -289,6 +307,7 @@ func (d *Device) writeArray(now units.Time, phys uint64, data []byte, mutate boo
 	d.writeWait.Observe(start.Sub(units.Min(now, busDone)))
 	d.energyPJ += d.energy.NVMWriteLine
 	d.led.RecordWrite(cause, bank, d.energy.NVMWriteLine)
+	d.wear = dense.Grow(d.wear, phys, d.physLines())
 	d.wear[phys]++
 	d.bankWear[bank]++
 	if d.histReady && (d.wearBound == 0 || phys < d.wearBound) {
@@ -318,8 +337,8 @@ func (d *Device) writeArray(now units.Time, phys uint64, data []byte, mutate boo
 func (d *Device) Peek(lineAddr uint64) []byte {
 	d.checkAddr(lineAddr)
 	out := make([]byte, config.LineSize)
-	if line, ok := d.store[d.resolve(lineAddr)]; ok {
-		copy(out, line)
+	if line := d.line(d.resolve(lineAddr)); line != nil {
+		copy(out, line[:])
 	}
 	return out
 }
@@ -333,12 +352,11 @@ func (d *Device) Poke(lineAddr uint64, data []byte) {
 
 // storedLine returns the backing store's line at phys, zeroed on first touch.
 func (d *Device) storedLine(phys uint64) []byte {
-	line, ok := d.store[phys]
-	if !ok {
-		line = make([]byte, config.LineSize)
-		d.store[phys] = line
+	d.store = dense.Grow(d.store, phys, d.physLines())
+	if d.store[phys] == nil {
+		d.store[phys] = new([config.LineSize]byte)
 	}
-	return line
+	return d.store[phys][:]
 }
 
 // BankBusyUntil reports when the bank holding lineAddr frees up — the
@@ -423,7 +441,7 @@ func (d *Device) SampleEpoch(e *timeline.Epoch, now units.Time, dataLines uint64
 		d.wearBound = dataLines
 		d.wearHist = make(map[uint64]uint64)
 		for addr, n := range d.wear {
-			if dataLines == 0 || addr < dataLines {
+			if n > 0 && (dataLines == 0 || uint64(addr) < dataLines) {
 				d.wearHist[n]++
 			}
 		}
@@ -456,6 +474,9 @@ type Wear struct {
 func (d *Device) WearStats() Wear {
 	var w Wear
 	for _, n := range d.wear {
+		if n == 0 {
+			continue
+		}
 		w.TotalWrites += n
 		w.TouchedLines++
 		if n > w.MaxPerLine {
@@ -469,7 +490,12 @@ func (d *Device) WearStats() Wear {
 }
 
 // WearOf returns the write count of one line.
-func (d *Device) WearOf(lineAddr uint64) uint64 { return d.wear[lineAddr] }
+func (d *Device) WearOf(lineAddr uint64) uint64 {
+	if lineAddr < uint64(len(d.wear)) {
+		return d.wear[lineAddr]
+	}
+	return 0
+}
 
 // LifetimeYears estimates device lifetime under the observed write rate,
 // assuming the given cell endurance (e.g. 1e8 writes for PCM) and perfect

@@ -418,10 +418,14 @@ func TestClosePagePolicyNeverHits(t *testing.T) {
 }
 
 // sampleBrute recomputes what SampleEpoch's incremental views must report,
-// straight from the authoritative wear map.
+// straight from the authoritative wear table.
 func sampleBrute(d *Device, dataLines uint64) (bw []uint64, vals []uint64) {
 	bw = make([]uint64, len(d.banks))
-	for addr, n := range d.wear {
+	for i, n := range d.wear {
+		if n == 0 {
+			continue // never written
+		}
+		addr := uint64(i)
 		bw[d.Bank(addr)] += n
 		if dataLines == 0 || addr < dataLines {
 			vals = append(vals, n)

@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"dewrite/internal/config"
+	"dewrite/internal/dense"
 )
 
 // Device contents can be saved and restored — the persistence property that
@@ -79,22 +80,26 @@ func (d *Device) SaveContents(w io.Writer) error {
 			}
 		}
 	}
-	addrs := make([]uint64, 0, len(d.store))
-	for a := range d.store {
-		addrs = append(addrs, a)
+	var written uint64
+	for _, line := range d.store {
+		if line != nil {
+			written++
+		}
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	if err := writeU64(uint64(len(addrs))); err != nil {
+	if err := writeU64(written); err != nil {
 		return err
 	}
-	for _, a := range addrs {
-		if err := writeU64(a); err != nil {
+	for a, line := range d.store {
+		if line == nil {
+			continue
+		}
+		if err := writeU64(uint64(a)); err != nil {
 			return err
 		}
-		if err := writeU64(d.wear[a]); err != nil {
+		if err := writeU64(d.WearOf(uint64(a))); err != nil {
 			return err
 		}
-		if _, err := bw.Write(d.store[a]); err != nil {
+		if _, err := bw.Write(line[:]); err != nil {
 			return err
 		}
 	}
@@ -178,8 +183,7 @@ func (d *Device) LoadContents(r io.Reader) error {
 	if count > addrBound {
 		return fmt.Errorf("nvm: saved state claims %d lines over %d", count, addrBound)
 	}
-	d.store = make(map[uint64][]byte, min64(count, 1<<16))
-	d.wear = make(map[uint64]uint64, min64(count, 1<<16))
+	d.store, d.wear = nil, nil
 	// The incremental wear views track d.wear, which is being replaced:
 	// rebuild per-bank totals below and let SampleEpoch reseed the histogram.
 	clear(d.bankWear)
@@ -196,12 +200,14 @@ func (d *Device) LoadContents(r io.Reader) error {
 		if addr >= addrBound {
 			return fmt.Errorf("nvm: saved line %#x out of range", addr)
 		}
-		line := make([]byte, config.LineSize)
-		if _, err := io.ReadFull(br, line); err != nil {
+		line := new([config.LineSize]byte)
+		if _, err := io.ReadFull(br, line[:]); err != nil {
 			return fmt.Errorf("nvm: line %#x contents: %w", addr, err)
 		}
+		d.store = dense.Grow(d.store, addr, addrBound)
 		d.store[addr] = line
 		if wear > 0 {
+			d.wear = dense.Grow(d.wear, addr, addrBound)
 			d.wear[addr] = wear
 			d.bankWear[d.Bank(addr)] += wear
 		}

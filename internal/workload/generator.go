@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"dewrite/internal/config"
+	"dewrite/internal/dense"
 	"dewrite/internal/rng"
 	"dewrite/internal/trace"
 )
@@ -26,10 +27,13 @@ type Generator struct {
 	prof Profile
 	src  *rng.Source
 
-	shadow  map[uint64]*lineBuf // live plaintext per written logical line
-	written []uint64            // write-ordered addresses (recency-weighted picks)
-	zeroRes uint64              // how many lines currently hold the zero line
-	recycle bool                // return replaced shadow buffers to linePool
+	// shadow holds the live plaintext per written logical line, indexed by
+	// address and grown on first touch up to WorkingSetLines; nil means
+	// never written.
+	shadow  []*lineBuf
+	written []uint64 // write-ordered addresses (recency-weighted picks)
+	zeroRes uint64   // how many lines currently hold the zero line
+	recycle bool     // return replaced shadow buffers to linePool
 
 	dupState bool
 	p11, p00 float64 // Markov stay probabilities for dup / non-dup states
@@ -57,9 +61,8 @@ func NewGenerator(p Profile, seed uint64) *Generator {
 		p.Threads = 1
 	}
 	g := &Generator{
-		prof:   p,
-		src:    rng.New(seed),
-		shadow: make(map[uint64]*lineBuf),
+		prof: p,
+		src:  rng.New(seed),
 	}
 	// Isolated glitches: single writes that deviate from the current
 	// duplication state without ending the run (e.g. one unique line in the
@@ -296,8 +299,16 @@ func (g *Generator) nextWrite(thread int, gap uint64) trace.Request {
 // store could rewrite (zero targets are left to the explicit zero path so
 // the zero fraction stays calibrated).
 func (g *Generator) canSilentStore(addr uint64) bool {
-	old := g.shadow[addr]
+	old := g.line(addr)
 	return old != nil && !isZero(old[:])
+}
+
+// line returns addr's live content, nil if it was never written.
+func (g *Generator) line(addr uint64) *lineBuf {
+	if addr < uint64(len(g.shadow)) {
+		return g.shadow[addr]
+	}
+	return nil
 }
 
 // shouldWriteZero decides whether a duplicate write should be the zero line,
@@ -347,7 +358,7 @@ func (g *Generator) pickWritten(theta float64) uint64 {
 // words — the sparse-update pattern DEUCE exploits), or a fully random line
 // on first touch.
 func (g *Generator) freshContent(addr uint64) *lineBuf {
-	old := g.shadow[addr]
+	old := g.line(addr)
 	data := g.newLine()
 	if old == nil || g.prof.RewriteWords >= config.LineSize/2 {
 		g.src.Fill(data[:])
@@ -376,6 +387,7 @@ func (g *Generator) freshContent(addr uint64) *lineBuf {
 // buffer (whose owning request has necessarily been consumed already) goes
 // back to the pool.
 func (g *Generator) installShadow(addr uint64, data *lineBuf) {
+	g.shadow = dense.Grow(g.shadow, addr, g.prof.WorkingSetLines)
 	old := g.shadow[addr]
 	if old != nil && isZero(old[:]) {
 		g.zeroRes--
