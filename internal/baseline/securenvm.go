@@ -101,16 +101,8 @@ func NewSecureNVM(dataLines uint64, cfg config.Config) *SecureNVM {
 		ctrCache:  metacache.New("counter", cacheBytes, cfg.MetaCache.BlockBytes, cfg.MetaCache.Ways),
 		dataLines: dataLines,
 		ctrBase:   dataLines,
-		pfCtr:     prefetchLines(cfg.MetaCache.PrefetchEnts, CounterEntriesPerLine),
+		pfCtr:     metacache.PrefetchLines(cfg.MetaCache.PrefetchEnts, CounterEntriesPerLine),
 	}
-}
-
-func prefetchLines(entries, perLine int) int {
-	n := entries / perLine
-	if n < 1 {
-		n = 1
-	}
-	return n
 }
 
 // SetAttr attaches (or, with nil, detaches) the attribution recorder,
@@ -161,17 +153,13 @@ func (s *SecureNVM) counterAccess(now units.Time, logical uint64, write bool) un
 	done = done.Add(s.cfg.Timing.AESLine)
 	s.aesMetaOps.Inc()
 	s.dev.AddEnergy(s.cfg.Energy.AESBlock * config.AESBlocksPerLine)
-	for i := 0; i < s.pfCtr; i++ {
-		pf := line + uint64(i)
-		if pf >= s.ctrBase+(s.dataLines+CounterEntriesPerLine-1)/CounterEntriesPerLine {
-			break
-		}
+	limit := s.ctrBase + (s.dataLines+CounterEntriesPerLine-1)/CounterEntriesPerLine
+	s.ctrCache.Fill(line, write, s.pfCtr, limit, func(i int, block uint64, ev metacache.Eviction, evicted bool) {
 		if i > 0 {
 			// Prefetches stream behind the demand read, off its critical path.
-			s.dev.ReadInto(done, pf, nil)
+			s.dev.ReadInto(done, block, nil)
 			s.metaNVMReads.Inc()
 		}
-		ev, evicted := s.ctrCache.Insert(pf, write && i == 0)
 		if evicted && ev.Dirty {
 			s.dev.WriteTagged(done, ev.Block, zeroLine[:], attr.CauseMetadata)
 			s.metaNVMWrites.Inc()
@@ -181,7 +169,7 @@ func (s *SecureNVM) counterAccess(now units.Time, logical uint64, write bool) un
 				s.persistCounterLine(ev.Block)
 			}
 		}
-	}
+	})
 	filled := done.Add(s.cfg.Timing.MetaCache)
 	s.ctrCache.Attr(s.rec, false, now, filled)
 	return filled

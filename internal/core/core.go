@@ -219,6 +219,11 @@ type Controller struct {
 	poisonedReads stats.Counter // reads answered with a detected-corruption error
 	writeLat      stats.Latency
 	readLat       stats.Latency
+
+	// meta records the partitions' demand probes; nil unless RecordMeta.
+	// It sits last so that the fields above, the scratch lines among them,
+	// keep their offsets and cache-line alignment.
+	meta *MetaTrace
 }
 
 // pMapping is one persisted address-mapping entry: the location and the
@@ -269,24 +274,21 @@ func New(opts Options) *Controller {
 	geom.CapacityBytes = totalLines * config.LineSize
 	mc := cfg.MetaCache
 	c := &Controller{
-		cfg:       cfg,
-		mode:      opts.Mode,
-		persist:   opts.Persist,
-		dev:       nvm.New(geom, cfg.Timing, cfg.Energy),
-		tables:    dedup.NewTables(opts.DataLines, cfg.Dedup.MaxReference),
-		layout:    layout,
-		enc:       cme.MustNewEngine(key),
-		ctrs:      cme.NewCounterStore(opts.DataLines),
-		pred:      predict.New(cfg.Dedup.HistoryBits),
-		hashCache: metacache.New("hash", mc.HashBytes, mc.BlockBytes, mc.Ways),
-		addrCache: metacache.New("addrmap", mc.AddrMapBytes, mc.BlockBytes, mc.Ways),
-		invCache:  metacache.New("invhash", mc.InvHashBytes, mc.BlockBytes, mc.Ways),
-		fsmCache:  metacache.New("fsm", mc.FSMBytes, mc.BlockBytes, mc.Ways),
-		pfAddr:    prefetchLines(mc.PrefetchEnts, dedup.AddrMapEntriesPerLine),
-		pfInv:     prefetchLines(mc.PrefetchEnts, dedup.InvHashEntriesPerLine),
-		pfFSM:     prefetchLines(mc.PrefetchEnts, dedup.FSMEntriesPerLine),
-		hashMask:  hashMaskFor(cfg.Dedup.HashSizeBits),
+		cfg:      cfg,
+		mode:     opts.Mode,
+		persist:  opts.Persist,
+		dev:      nvm.New(geom, cfg.Timing, cfg.Energy),
+		tables:   dedup.NewTables(opts.DataLines, cfg.Dedup.MaxReference),
+		layout:   layout,
+		enc:      cme.MustNewEngine(key),
+		ctrs:     cme.NewCounterStore(opts.DataLines),
+		pred:     predict.New(cfg.Dedup.HistoryBits),
+		hashMask: hashMaskFor(cfg.Dedup.HashSizeBits),
 	}
+	c.hashCache, _ = newPartition(mc, 0)
+	c.addrCache, c.pfAddr = newPartition(mc, 1)
+	c.invCache, c.pfInv = newPartition(mc, 2)
+	c.fsmCache, c.pfFSM = newPartition(mc, 3)
 	if opts.Integrity {
 		c.tree = tree
 		c.treeBase = layout.TotalLines
@@ -375,16 +377,6 @@ func hashMaskFor(bits int) uint32 {
 	return (1 << uint(bits)) - 1
 }
 
-// prefetchLines converts a prefetch granularity in table entries to whole
-// metadata lines, at least one.
-func prefetchLines(entries, perLine int) int {
-	n := entries / perLine
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // SetAttr attaches (or, with nil, detaches) the attribution recorder,
 // cascading it to the device, the dedup tables and the crypto engine.
 // Attribution only observes timestamps the controller already computed and
@@ -444,7 +436,11 @@ func (c *Controller) checkLine(data []byte) {
 // AES decryption cannot overlap the array access), prefetches the following
 // prefetch-1 lines, and inserts them; dirty evictions are written back to
 // NVM off the critical path but still occupy banks and count as writes.
+// While a MetaTrace records, the access is appended to it first.
 func (c *Controller) metaAccess(now units.Time, cache *metacache.Cache, line uint64, write bool, prefetch int) units.Time {
+	if c.meta != nil {
+		c.recordMeta(cache, line, write)
+	}
 	if cache.Lookup(line, write) {
 		done := now.Add(c.cfg.Timing.MetaCache)
 		cache.Attr(c.rec, true, now, done)
@@ -458,26 +454,18 @@ func (c *Controller) metaAccess(now units.Time, cache *metacache.Cache, line uin
 	c.aesMetaOps.Inc()
 	c.dev.AddEnergy(c.cfg.Energy.AESBlock * config.AESBlocksPerLine)
 
-	if prefetch < 1 {
-		prefetch = 1
-	}
-	for i := 0; i < prefetch; i++ {
-		pfLine := line + uint64(i)
-		if pfLine >= c.layout.TotalLines {
-			break
-		}
+	cache.Fill(line, write, prefetch, c.layout.TotalLines, func(i int, block uint64, ev metacache.Eviction, evicted bool) {
 		if i > 0 {
 			// Prefetched neighbours stream in behind the demand line: they
 			// occupy the bank (and are row hits) but do not extend the
 			// demand access's critical path.
-			c.dev.ReadBypassInto(done, pfLine, nil)
+			c.dev.ReadBypassInto(done, block, nil)
 			c.metaNVMReads.Inc()
 		}
-		ev, evicted := cache.Insert(pfLine, write && i == 0)
 		if evicted && ev.Dirty {
 			c.writebackMeta(done, ev.Block)
 		}
-	}
+	})
 	filled := done.Add(c.cfg.Timing.MetaCache)
 	cache.Attr(c.rec, false, now, filled)
 	return filled

@@ -323,8 +323,10 @@ func AblationCacheScale(s *Suite) []*stats.Table {
 		"app", "cache scale", "direct", "parallel", "DeWrite", "direct gap %")
 	apps := s.ablationApps()
 	divides := []int{1, 16, 64, 256}
-	// Every (app, divide) cell runs three un-memoized simulations under its
-	// own shrunken cache config; fan the cells out and add rows in order.
+	// At 1/1 the config is the suite's, so those rows are the memoized grid
+	// runs. Every other (app, divide) cell runs three un-memoized
+	// simulations over the app's prepared stream under its own shrunken
+	// cache config; fan the cells out and add rows in order.
 	type cellResult struct {
 		direct, parallel, dewrite sim.Result
 	}
@@ -332,6 +334,12 @@ func AblationCacheScale(s *Suite) []*stats.Table {
 	Fan(len(results), func(j int) {
 		prof := apps[j/len(divides)]
 		divide := divides[j%len(divides)]
+		if divide == 1 {
+			results[j].direct = s.Run(sim.SchemeDirect, prof)
+			results[j].parallel = s.Run(sim.SchemeParallel, prof)
+			results[j].dewrite = s.Run(sim.SchemeDeWrite, prof)
+			return
+		}
 		cfg := s.Config()
 		mc := &cfg.MetaCache
 		mc.HashBytes = maxInt(mc.HashBytes/divide, mc.Ways*mc.BlockBytes*4)
@@ -339,7 +347,8 @@ func AblationCacheScale(s *Suite) []*stats.Table {
 		mc.InvHashBytes = maxInt(mc.InvHashBytes/divide, mc.Ways*mc.BlockBytes*4)
 		mc.FSMBytes = maxInt(mc.FSMBytes/divide, mc.Ways*mc.BlockBytes*4)
 
-		opts := sim.Options{Requests: s.Opts.Requests, Warmup: s.Opts.Warmup, Seed: s.Opts.Seed}
+		opts := s.simOptions()
+		opts.Prepared = s.Prepared(prof)
 		results[j].direct, _ = sim.RunScheme(sim.SchemeDirect, prof, cfg, opts)
 		results[j].parallel, _ = sim.RunScheme(sim.SchemeParallel, prof, cfg, opts)
 		results[j].dewrite, _ = sim.RunScheme(sim.SchemeDeWrite, prof, cfg, opts)

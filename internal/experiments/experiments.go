@@ -22,8 +22,6 @@ import (
 	"dewrite/internal/core"
 	"dewrite/internal/sim"
 	"dewrite/internal/stats"
-	"dewrite/internal/trace"
-	"dewrite/internal/units"
 	"dewrite/internal/workload"
 )
 
@@ -241,18 +239,8 @@ func (s *Suite) Prepared(prof workload.Profile) *sim.Prepared {
 func (s *Suite) CoreReport(prof workload.Profile) core.Report {
 	e := memoCell(&s.mu, s.reports, profileKey(prof))
 	e.once.Do(func() {
-		prep := s.Prepared(prof)
 		ctrl := core.New(core.Options{DataLines: prof.WorkingSetLines, Config: s.cfg})
-		var now units.Time
-		var buf [config.LineSize]byte
-		for i := range prep.Requests {
-			req := &prep.Requests[i]
-			if req.Op == trace.Write {
-				now = ctrl.Write(now, req.Addr, req.Data)
-			} else {
-				now = ctrl.ReadInto(now, req.Addr, buf[:])
-			}
-		}
+		replayThrough(ctrl, s.Prepared(prof))
 		e.v = ctrl.Report()
 	})
 	return e.v

@@ -8,8 +8,6 @@ import (
 	"dewrite/internal/dedup"
 	"dewrite/internal/sim"
 	"dewrite/internal/stats"
-	"dewrite/internal/trace"
-	"dewrite/internal/units"
 	"dewrite/internal/workload"
 )
 
@@ -40,6 +38,7 @@ func Figure18(s *Suite) []*stats.Table {
 func Figure21(s *Suite) []*stats.Table {
 	sizesKB := []int{64, 128, 256, 512, 1024, 2048}
 	prefetches := []int{16, 64, 256, 1024}
+	fsmSizes := []int{4, 16, 64, 128}
 
 	profiles := s.Opts.Profiles()
 	if !s.Opts.Quick && len(profiles) > 6 {
@@ -53,56 +52,65 @@ func Figure21(s *Suite) []*stats.Table {
 		}
 		profiles = sel
 	}
+	np := len(profiles)
 
-	// The sweep is the suite's single heaviest experiment: every cell below
-	// is an independent full-length controller replay, so the whole grid is
-	// flattened into (cell × profile) jobs and fanned across the engine's
-	// cooperative budget. Each job writes its own slot; the means and the
-	// table rows are then assembled in the original sweep order, so the
-	// output is byte-identical to the sequential nesting.
+	// Figure 21(a): a hash-cache miss steers the PNA decision, and with it
+	// the request stream, so every hash-table size is a full controller
+	// replay. The one at the suite's own configuration also records the
+	// probes the other three partitions receive. Jobs are flattened into
+	// (size × profile) slots and fanned across the engine's cooperative
+	// budget, so the output is byte-identical at any worker count.
+	hashRates := make([]float64, len(sizesKB)*np)
+	traces := make([]*core.MetaTrace, np)
+	Fan(len(hashRates), func(j int) {
+		prof := profiles[j%np]
+		cfg := s.Config()
+		cfg.MetaCache.HashBytes = sizesKB[j/np] * 1024
+		ctrl := core.New(core.Options{DataLines: prof.WorkingSetLines, Config: cfg})
+		if cfg.MetaCache == s.Config().MetaCache {
+			traces[j%np] = ctrl.RecordMeta()
+		}
+		replayThrough(ctrl, s.Prepared(prof))
+		hashRates[j] = ctrl.MetaCaches()[0].HitRate()
+	})
+
+	// Figures 21(b)-(d): these partitions never change which metadata lines
+	// the controller touches, so each cell replays only a cache of its
+	// geometry over the recorded probes (core.MetaTrace).
 	type cell struct {
-		cfg  config.Config
+		mc   config.MetaCacheConfig
 		part int
 	}
 	var cells []cell
-	for _, kb := range sizesKB { // Figure 21(a): hash table
-		cfg := s.Config()
-		cfg.MetaCache.HashBytes = kb * 1024
-		cells = append(cells, cell{cfg, 0})
-	}
 	for _, kb := range sizesKB { // Figure 21(b)+(c): addr map and inverted hash
 		for _, pf := range prefetches {
-			cfg := s.Config()
-			cfg.MetaCache.AddrMapBytes = kb * 1024
-			cfg.MetaCache.InvHashBytes = kb * 1024
-			cfg.MetaCache.PrefetchEnts = pf
-			cells = append(cells, cell{cfg, 1}, cell{cfg, 2})
+			mc := s.Config().MetaCache
+			mc.AddrMapBytes = kb * 1024
+			mc.InvHashBytes = kb * 1024
+			mc.PrefetchEnts = pf
+			cells = append(cells, cell{mc, 1}, cell{mc, 2})
 		}
 	}
-	fsmSizes := []int{4, 16, 64, 128}
 	for _, kb := range fsmSizes { // Figure 21(d): FSM
-		cfg := s.Config()
-		cfg.MetaCache.FSMBytes = kb * 1024
-		cells = append(cells, cell{cfg, 3})
+		mc := s.Config().MetaCache
+		mc.FSMBytes = kb * 1024
+		cells = append(cells, cell{mc, 3})
 	}
-
-	np := len(profiles)
 	rates := make([]float64, len(cells)*np)
 	Fan(len(rates), func(j int) {
 		c := cells[j/np]
-		rates[j] = hitRate(s, profiles[j%np], c.cfg, c.part)
+		rates[j] = traces[j%np].Replay(c.part, c.mc).HitRate()
 	})
-	cellMean := func(i int) float64 {
+	cellMean := func(rates []float64, i int) float64 {
 		return mean(rates[i*np : (i+1)*np])
 	}
 
-	next := 0
 	hash := stats.NewTable("Figure 21(a): hash-table cache hit rate (%)", "size KB", "hit %")
-	for _, kb := range sizesKB {
-		hash.AddRow(kb, cellMean(next)*100)
-		next++
+	for i, kb := range sizesKB {
+		hash.AddRow(kb, cellMean(hashRates, i)*100)
 	}
 
+	next := 0
 	addr := stats.NewTable("Figure 21(b): address-mapping cache hit rate (%)",
 		append([]string{"size KB"}, prefetchCols(prefetches)...)...)
 	inv := stats.NewTable("Figure 21(c): inverted-hash cache hit rate (%)",
@@ -111,9 +119,9 @@ func Figure21(s *Suite) []*stats.Table {
 		rowA := []interface{}{kb}
 		rowI := []interface{}{kb}
 		for range prefetches {
-			rowA = append(rowA, cellMean(next)*100)
+			rowA = append(rowA, cellMean(rates, next)*100)
 			next++
-			rowI = append(rowI, cellMean(next)*100)
+			rowI = append(rowI, cellMean(rates, next)*100)
 			next++
 		}
 		addr.AddRow(rowA...)
@@ -122,7 +130,7 @@ func Figure21(s *Suite) []*stats.Table {
 
 	fsm := stats.NewTable("Figure 21(d): FSM cache hit rate (%)", "size KB", "hit %")
 	for _, kb := range fsmSizes {
-		fsm.AddRow(kb, cellMean(next)*100)
+		fsm.AddRow(kb, cellMean(rates, next)*100)
 		next++
 	}
 	return []*stats.Table{hash, addr, inv, fsm}
@@ -134,29 +142,6 @@ func prefetchCols(prefetches []int) []string {
 		cols = append(cols, fmt.Sprintf("prefetch %d", pf))
 	}
 	return cols
-}
-
-// hitRate runs DeWrite on one profile under cfg and returns the hit rate
-// of the selected metadata-cache partition (0 hash, 1 addr, 2 inv, 3 fsm).
-// Each call is hermetic — fresh controller, fresh seeded generator — so
-// calls for different (cfg, part, profile) cells can run concurrently.
-func hitRate(s *Suite, prof workload.Profile, cfg config.Config, part int) float64 {
-	ctrl := core.New(core.Options{DataLines: prof.WorkingSetLines, Config: cfg})
-	gen := workload.NewGenerator(prof, s.Opts.Seed)
-	// The controller keeps no payload past its call, so the generator may
-	// recycle its line buffers, and reads land in one reused buffer.
-	gen.SetRecycle(true)
-	var now units.Time
-	var line [config.LineSize]byte
-	for i := 0; i < s.Opts.Requests; i++ {
-		req := gen.Next()
-		if req.Op == trace.Write {
-			now = ctrl.Write(now, req.Addr, req.Data)
-		} else {
-			now = ctrl.ReadInto(now, req.Addr, line[:])
-		}
-	}
-	return ctrl.MetaCaches()[part].HitRate()
 }
 
 // TableMeta reproduces the Section IV-E1 storage-overhead analysis: the size

@@ -1,8 +1,12 @@
 package memctrl
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 
+	"dewrite/internal/fault"
 	"dewrite/internal/rng"
 	"dewrite/internal/units"
 )
@@ -234,6 +238,62 @@ func TestWriteDrainBelowWatermarkBehavesLikeReadFirst(t *testing.T) {
 	for i := range rf {
 		if rf[i].Done != wd[i].Done {
 			t.Fatalf("request %d diverged below watermark: %v vs %v", i, rf[i].Done, wd[i].Done)
+		}
+	}
+}
+
+// TestSimulateStatsGolden pins SimulateStats for seeded random request sets:
+// the sha256 of every completion plus the wear-out census, per policy, with
+// faults off and armed. The arrivals outpace the banks, so each bank keeps a
+// deep pending queue and the schedulers pick from the middle of it; any
+// change to which request a bank services next moves the digests.
+func TestSimulateStatsGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		faults fault.Config
+		want   [4]string // FCFS, FR-FCFS, ReadFirst, WriteDrain
+	}{
+		{"clean", fault.Config{}, [4]string{
+			"ad00516b7fc3035d7d3bcc76168f847dc32e9bf5b1321c5bbbd16686a02a9d36",
+			"2d3d5ba82a0a3a52f815db0cccf954f7d37a470f563b53c10b6110050a53c146",
+			"b05c1bc01689d33bc9beacc712ada17e7137c3d9b91be749ed43b8fef029ac26",
+			"54f1f229250c8193bbeaa3858cf899e6b33cd6462369c739a6873bb8c5d5866c",
+		}},
+		{"faults", fault.Config{Seed: 11, Endurance: 6}, [4]string{
+			"fed276f8b67b4d92ed2cb65227f46e79d7b06983ce3b6c72e7ef26dd6f479453",
+			"edbed394c14a216f51be8984ee27c9bb9ddfb79392228e2d715118dcab449c85",
+			"0548a066718701897aaa7b28972c78c78300d15b5c78ddd35805440f9aee4e48",
+			"326ea173e3d9db3f14896d99e052acfe762a15ae78504df93aeaf5bf5660036c",
+		}},
+	} {
+		src := rng.New(29)
+		reqs := make([]Request, 4000)
+		for i := range reqs {
+			op := Read
+			if src.Bool(0.5) {
+				op = Write
+			}
+			reqs[i] = Request{
+				Arrive: units.Time(src.Uint64n(4000*15)) * units.Time(units.Nanosecond),
+				Op:     op,
+				Addr:   src.Uint64n(512),
+			}
+		}
+		cfg := DefaultConfig()
+		cfg.Faults = tc.faults
+		for i, policy := range []Policy{FCFS, FRFCFS, ReadFirst, WriteDrain} {
+			cs, census := SimulateStats(reqs, cfg, policy)
+			if tc.faults.Enabled() && (census.ECPCorrections == 0 || census.Remaps == 0 || census.StuckLines == 0) {
+				t.Fatalf("%s/%v: wear-out ladder not exercised: %+v", tc.name, policy, census)
+			}
+			h := sha256.New()
+			for _, c := range cs {
+				fmt.Fprintf(h, "%d %d %d %d %d %t\n", c.Arrive, c.Op, c.Addr, c.Start, c.Done, c.Hit)
+			}
+			fmt.Fprintf(h, "%+v\n", census)
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.want[i] {
+				t.Errorf("%s/%v: sha256 %s, want %s", tc.name, policy, got, tc.want[i])
+			}
 		}
 	}
 }

@@ -146,6 +146,57 @@ func (c *Cache) Insert(block uint64, dirty bool) (Eviction, bool) {
 	return ev, true
 }
 
+// PrefetchLines converts a prefetch granularity in table entries to whole
+// metadata lines of perLine entries, at least one.
+func PrefetchLines(entries, perLine int) int {
+	n := entries / perLine
+	if n < 1 {
+		n = 1
+	}
+	return n
+}
+
+// Fill services a demand miss on block: it inserts the block, dirty only on
+// a write, then the prefetch-1 blocks after it, clean, stopping at the first
+// block at or above limit. A prefetch below 1 fills the demand block alone.
+// When installed is non-nil it is called after each insert with the insert's
+// index (0 is the demand block), the block and the eviction it caused, so the
+// caller can issue the prefetch read and the dirty writeback in order.
+func (c *Cache) Fill(block uint64, write bool, prefetch int, limit uint64, installed func(i int, block uint64, ev Eviction, evicted bool)) {
+	if prefetch < 1 {
+		prefetch = 1
+	}
+	for i := 0; i < prefetch; i++ {
+		b := block + uint64(i)
+		if b >= limit {
+			return
+		}
+		ev, evicted := c.Insert(b, write && i == 0)
+		if installed != nil {
+			installed(i, b, ev, evicted)
+		}
+	}
+}
+
+// Probe is one recorded demand access to a cache: the block and whether the
+// access wrote it.
+type Probe struct {
+	Block uint64
+	Write bool
+}
+
+// Replay drives recorded probes through the cache the way the controllers
+// drive it: a Lookup per probe and, on a miss, a Fill of prefetch blocks
+// below limit. The statistics it leaves equal those of the recorded run when
+// the cache's hits and misses did not change which probes followed.
+func (c *Cache) Replay(probes []Probe, prefetch int, limit uint64) {
+	for _, p := range probes {
+		if !c.Lookup(p.Block, p.Write) {
+			c.Fill(p.Block, p.Write, prefetch, limit, nil)
+		}
+	}
+}
+
 // FlushAll marks every cached block clean and returns the blocks that were
 // dirty, modelling a full metadata writeback (e.g. at power-down).
 func (c *Cache) FlushAll() []uint64 {
@@ -181,10 +232,10 @@ func (c *Cache) Stats() Stats {
 }
 
 // HitRate returns hits / (hits + misses), 0 when unused.
-func (c *Cache) HitRate() float64 {
-	total := c.hits.Value() + c.misses.Value()
-	return stats.Ratio(c.hits.Value(), total)
-}
+func (s Stats) HitRate() float64 { return stats.Ratio(s.Hits, s.Hits+s.Misses) }
+
+// HitRate returns the cache's hits / (hits + misses), 0 when unused.
+func (c *Cache) HitRate() float64 { return c.Stats().HitRate() }
 
 // Attr attributes one access to this partition, covering [start, end], to
 // the open sampled request: a hit is a lookup, a miss is the NVM fill of a

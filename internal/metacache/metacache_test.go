@@ -1,6 +1,7 @@
 package metacache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -180,5 +181,165 @@ func TestWorkingSetSmallerThanCacheAlwaysHits(t *testing.T) {
 	st := c.Stats()
 	if st.Misses != 16 {
 		t.Fatalf("misses = %d, want 16 (cold only)", st.Misses)
+	}
+}
+
+func TestPrefetchLines(t *testing.T) {
+	for _, tc := range []struct{ entries, perLine, want int }{
+		{256, 64, 4}, {1024, 64, 16}, {16, 64, 1}, {0, 64, 1}, {2048, 2048, 1},
+	} {
+		if got := PrefetchLines(tc.entries, tc.perLine); got != tc.want {
+			t.Errorf("PrefetchLines(%d, %d) = %d, want %d", tc.entries, tc.perLine, got, tc.want)
+		}
+	}
+}
+
+func TestFillStopsAtLimit(t *testing.T) {
+	c := New("f", 64*256, 256, 4)
+	var got []uint64
+	c.Fill(10, false, 8, 13, func(_ int, block uint64, _ Eviction, _ bool) {
+		got = append(got, block)
+	})
+	if len(got) != 3 || got[0] != 10 || got[2] != 12 {
+		t.Fatalf("installed %v, want [10 11 12]", got)
+	}
+	if c.Contains(13) || c.Stats().Inserts != 3 {
+		t.Fatalf("fill crossed the limit: contains 13 = %v, stats %+v", c.Contains(13), c.Stats())
+	}
+	// A demand block at or past the limit installs nothing.
+	c.Fill(13, true, 4, 13, nil)
+	if c.Contains(13) || c.Stats().Inserts != 3 {
+		t.Fatal("demand block at the limit was installed")
+	}
+}
+
+func TestFillPrefetchBelowOneInstallsDemandOnly(t *testing.T) {
+	for _, pf := range []int{1, 0, -3} {
+		c := New("f", 64*256, 256, 4)
+		c.Fill(5, true, pf, 100, nil)
+		if !c.Contains(5) || c.Contains(6) || c.Stats().Inserts != 1 {
+			t.Errorf("prefetch %d: contains 5/6 = %v/%v, stats %+v", pf, c.Contains(5), c.Contains(6), c.Stats())
+		}
+	}
+}
+
+func TestFillDirtiesOnlyDemandOnWrite(t *testing.T) {
+	c := New("f", 64*256, 256, 4)
+	c.Fill(0, true, 4, 100, nil)
+	if d := c.DirtyBlocks(); len(d) != 1 || d[0] != 0 {
+		t.Fatalf("write fill left dirty %v, want [0]", d)
+	}
+	c = New("f", 64*256, 256, 4)
+	c.Fill(0, false, 4, 100, nil)
+	if d := c.DirtyBlocks(); len(d) != 0 {
+		t.Fatalf("read fill left dirty %v, want none", d)
+	}
+	if c.Stats().Inserts != 4 {
+		t.Fatalf("inserts = %d, want 4", c.Stats().Inserts)
+	}
+}
+
+func TestFillCallbackSeesInsertsInOrder(t *testing.T) {
+	// 2 sets × 2 ways, full: set 0 holds 0 (dirty) and 2, set 1 holds 1
+	// (dirty) and 3, each set's older block first in LRU order.
+	c := small()
+	c.Insert(0, true)
+	c.Insert(1, true)
+	c.Insert(2, false)
+	c.Insert(3, false)
+	type call struct {
+		i       int
+		block   uint64
+		ev      Eviction
+		evicted bool
+	}
+	var got []call
+	c.Fill(4, false, 3, 100, func(i int, block uint64, ev Eviction, evicted bool) {
+		got = append(got, call{i, block, ev, evicted})
+	})
+	want := []call{
+		{0, 4, Eviction{Block: 0, Dirty: true}, true},
+		{1, 5, Eviction{Block: 1, Dirty: true}, true},
+		{2, 6, Eviction{Block: 2}, true},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("callback calls = %+v, want %+v", got, want)
+	}
+	for k := range want {
+		if got[k] != want[k] {
+			t.Errorf("call %d = %+v, want %+v", k, got[k], want[k])
+		}
+	}
+	if c.Stats().Writebacks != 2 {
+		t.Fatalf("writebacks = %d, want 2", c.Stats().Writebacks)
+	}
+}
+
+// TestReplayMatchesHandDriven drives one random probe list through Replay
+// and, on a twin cache, through Lookup and Insert by hand, the way the
+// controllers filled misses before Fill existed.
+func TestReplayMatchesHandDriven(t *testing.T) {
+	const prefetch, limit = 4, 190
+	src := rng.New(11)
+	probes := make([]Probe, 5000)
+	for i := range probes {
+		probes[i] = Probe{Block: src.Uint64n(200), Write: src.Bool(0.3)}
+	}
+	replayed := New("r", 16*256, 256, 4)
+	replayed.Replay(probes, prefetch, limit)
+
+	hand := New("h", 16*256, 256, 4)
+	for _, p := range probes {
+		if hand.Lookup(p.Block, p.Write) {
+			continue
+		}
+		for i := 0; i < prefetch; i++ {
+			b := p.Block + uint64(i)
+			if b >= limit {
+				break
+			}
+			hand.Insert(b, p.Write && i == 0)
+		}
+	}
+	if got, want := replayed.Stats(), hand.Stats(); got != want {
+		t.Fatalf("Replay stats %+v, hand-driven %+v", got, want)
+	}
+	if got, want := replayed.DirtyBlocks(), hand.DirtyBlocks(); !slices.Equal(got, want) {
+		t.Fatalf("Replay left dirty blocks %v, hand-driven %v", got, want)
+	}
+	if st := replayed.Stats(); st.Hits == 0 || st.Writebacks == 0 {
+		t.Fatalf("probe list too easy: %+v", st)
+	}
+}
+
+// TestLookupFillReplayAllocations pins the probe path allocation-free:
+// Lookup, Fill with and without a callback (a closure built at the call
+// site, as the controllers build theirs), and Replay.
+func TestLookupFillReplayAllocations(t *testing.T) {
+	c := New("a", 16*256, 256, 4)
+	probes := make([]Probe, 256)
+	for i := range probes {
+		probes[i] = Probe{Block: uint64(i * 7 % 100), Write: i%3 == 0}
+	}
+	var b, sum uint64
+	for _, tc := range []struct {
+		name string
+		step func()
+	}{
+		{"Lookup", func() { c.Lookup(b%100, b%2 == 0); b++ }},
+		{"Fill", func() { c.Fill(b%100, true, 4, 90, nil); b++ }},
+		{"Fill+callback", func() {
+			c.Fill(b%100, true, 4, 90, func(i int, block uint64, ev Eviction, evicted bool) {
+				if evicted && ev.Dirty {
+					sum += block + uint64(i)
+				}
+			})
+			b++
+		}},
+		{"Replay", func() { c.Replay(probes, 4, 90) }},
+	} {
+		if avg := testing.AllocsPerRun(200, tc.step); avg != 0 {
+			t.Errorf("%s: %.2f allocs/op, want 0", tc.name, avg)
+		}
 	}
 }
