@@ -99,7 +99,7 @@ func scan(r io.Reader, every uint64, withAttr bool) (scanResult, error) {
 		res.BytesScanned += uint64(n)
 
 		key := string(line)
-		zero := isZero(line)
+		zero := config.IsZeroLine(line)
 		if seen[key] {
 			res.Duplicates++
 		} else {
@@ -144,15 +144,6 @@ func scan(r io.Reader, every uint64, withAttr bool) (scanResult, error) {
 		res.Attribution = led.Causes()
 	}
 	return res, nil
-}
-
-func isZero(b []byte) bool {
-	for _, v := range b {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 func pct(a, b uint64) float64 {

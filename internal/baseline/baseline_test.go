@@ -124,7 +124,7 @@ func TestShredderEliminatesZeroLines(t *testing.T) {
 		t.Fatalf("WriteReduction = %v", wr)
 	}
 	got, _ := sh.Read(now, 1)
-	if !IsZeroLine(got) {
+	if !config.IsZeroLine(got) {
 		t.Fatal("shredded line did not read zero")
 	}
 }
@@ -142,17 +142,6 @@ func TestShredderOverwriteClearsShred(t *testing.T) {
 	got, _ := sh.Read(now, 5)
 	if !bytes.Equal(got, line) {
 		t.Fatal("overwrite of shredded line lost data")
-	}
-}
-
-func TestIsZeroLine(t *testing.T) {
-	z := make([]byte, config.LineSize)
-	if !IsZeroLine(z) {
-		t.Fatal("zero line not detected")
-	}
-	z[255] = 1
-	if IsZeroLine(z) {
-		t.Fatal("non-zero line detected as zero")
 	}
 }
 

@@ -47,20 +47,10 @@ func (sh *Shredder) SampleEpoch(e *timeline.Epoch, now units.Time) {
 	e.ZeroWrites = sh.eliminated.Value()
 }
 
-// IsZeroLine reports whether every byte of data is zero.
-func IsZeroLine(data []byte) bool {
-	for _, b := range data {
-		if b != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Write eliminates all-zero lines; everything else takes the SecureNVM path.
 func (sh *Shredder) Write(now units.Time, logical uint64, data []byte) units.Time {
 	sh.writes.Inc()
-	if IsZeroLine(data) {
+	if config.IsZeroLine(data) {
 		sh.eliminated.Inc()
 		sh.shredded[logical] = true
 		// The shred mark defines the line's value again, superseding any

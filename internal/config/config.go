@@ -7,11 +7,32 @@
 // cache partitioned per Section IV-E2.
 package config
 
-import "dewrite/internal/units"
+import (
+	"encoding/binary"
+
+	"dewrite/internal/units"
+)
 
 // LineSize is the deduplication granularity and the size of both memory
 // lines and CPU cache lines (Section III-B1: 256 B, as in IBM z systems).
 const LineSize = 256
+
+// IsZeroLine reports whether every byte of data is zero: the combinational
+// check behind the zero-line fast path. It compares eight bytes at a time.
+func IsZeroLine(data []byte) bool {
+	i := 0
+	for ; i+8 <= len(data); i += 8 {
+		if binary.LittleEndian.Uint64(data[i:]) != 0 {
+			return false
+		}
+	}
+	for ; i < len(data); i++ {
+		if data[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
 
 // LineBits is the number of bits in one line.
 const LineBits = LineSize * 8

@@ -115,3 +115,21 @@ func TestDefaultBundle(t *testing.T) {
 		t.Fatalf("AESBlock energy = %v pJ, want 5900", c.Energy.AESBlock)
 	}
 }
+
+// TestIsZeroLine sets each byte of a line in turn, plus a length that is
+// not a multiple of the eight-byte stride, so both loops are covered.
+func TestIsZeroLine(t *testing.T) {
+	for _, n := range []int{0, 3, LineSize, LineSize + 5} {
+		z := make([]byte, n)
+		if !IsZeroLine(z) {
+			t.Fatalf("len %d: zero line not detected", n)
+		}
+		for i := range z {
+			z[i] = 1
+			if IsZeroLine(z) {
+				t.Fatalf("len %d: byte %d set, line detected as zero", n, i)
+			}
+			z[i] = 0
+		}
+	}
+}

@@ -563,7 +563,7 @@ func (c *Controller) Write(now units.Time, logical uint64, data []byte) units.Ti
 	duplicate := false
 	sawSaturated := false
 	var target uint64
-	incomingZero := isZeroLine(data)
+	incomingZero := config.IsZeroLine(data)
 	if probed {
 		for _, cand := range candidates {
 			// The hash-table entry carries the reference count, so a
@@ -699,7 +699,7 @@ func (c *Controller) writeUnique(now, detect units.Time, logical uint64, data []
 		c.poisoned[logical] = true
 		return detect
 	}
-	if isZeroLine(data) {
+	if config.IsZeroLine(data) {
 		c.tables.SetZeroFlag(chosen)
 	}
 	counter := c.ctrs.Bump(chosen)
@@ -752,7 +752,7 @@ func (c *Controller) writeUnique(now, detect units.Time, logical uint64, data []
 		if !placed {
 			break // allocation pool exhausted by retirements
 		}
-		if isZeroLine(data) {
+		if config.IsZeroLine(data) {
 			c.tables.SetZeroFlag(chosen)
 		}
 		counter = c.ctrs.Bump(chosen)
@@ -980,15 +980,4 @@ func (c *Controller) Report() Report {
 // WriteReduction returns the fraction of CPU writes eliminated by dedup.
 func (r Report) WriteReduction() float64 {
 	return stats.Ratio(r.DupEliminated, r.Writes)
-}
-
-// isZeroLine reports whether every byte of data is zero — the combinational
-// check the zero fast path uses.
-func isZeroLine(data []byte) bool {
-	for _, b := range data {
-		if b != 0 {
-			return false
-		}
-	}
-	return true
 }

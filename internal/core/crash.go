@@ -155,7 +155,7 @@ func (c *Controller) Crash() (*Controller, *fault.RecoveryReport, error) {
 		ct := nc.dev.Peek(loc)
 		nc.enc.DecryptLine(plain, ct, loc, pctr)
 		valid := hashes.CRC32(plain)&c.hashMask == meta.Hash &&
-			isZeroLine(plain) == meta.IsZero
+			config.IsZeroLine(plain) == meta.IsZero
 		if valid && c.tree != nil {
 			valid = c.tree.Verify(loc, c.tree.LeafDigest(loc, pctr, ct))
 		}

@@ -296,7 +296,8 @@ func AblationHierarchy(s *Suite) []*stats.Table {
 	}
 	for _, prof := range s.ablationApps() {
 		for _, withCaches := range []bool{false, true} {
-			opts := sim.Options{Requests: s.Opts.Requests, Warmup: s.Opts.Warmup, Seed: s.Opts.Seed}
+			opts := s.simOptions()
+			opts.Prepared = s.Prepared(prof)
 			optsBase := opts
 			if withCaches {
 				opts.Hierarchy = cache.NewHierarchy(scaled())
@@ -387,7 +388,8 @@ func AblationBus(s *Suite) []*stats.Table {
 		prof := apps[j/len(channelGrid)]
 		cfg := s.Config()
 		cfg.NVM.Channels = channelGrid[j%len(channelGrid)]
-		opts := sim.Options{Requests: s.Opts.Requests, Warmup: s.Opts.Warmup, Seed: s.Opts.Seed}
+		opts := s.simOptions()
+		opts.Prepared = s.Prepared(prof)
 		results[j].dw, _ = sim.RunScheme(sim.SchemeDeWrite, prof, cfg, opts)
 		results[j].base, _ = sim.RunScheme(sim.SchemeSecureNVM, prof, cfg, opts)
 	})
@@ -478,7 +480,9 @@ func AblationSeeds(s *Suite) []*stats.Table {
 	results := make([]cellResult, len(apps)*len(seeds))
 	Fan(len(results), func(j int) {
 		prof := apps[j/len(seeds)]
-		opts := sim.Options{Requests: s.Opts.Requests, Warmup: s.Opts.Warmup, Seed: seeds[j%len(seeds)]}
+		opts := s.simOptions()
+		opts.Seed = seeds[j%len(seeds)]
+		opts.Prepared = sim.Prepare(prof, opts)
 		dw, _ := sim.RunScheme(sim.SchemeDeWrite, prof, s.Config(), opts)
 		base, _ := sim.RunScheme(sim.SchemeSecureNVM, prof, s.Config(), opts)
 		results[j] = cellResult{
@@ -533,7 +537,8 @@ func AblationRowPolicy(s *Suite) []*stats.Table {
 		for _, closed := range []bool{false, true} {
 			cfg := s.Config()
 			cfg.NVM.ClosePage = closed
-			opts := sim.Options{Requests: s.Opts.Requests, Warmup: s.Opts.Warmup, Seed: s.Opts.Seed}
+			opts := s.simOptions()
+			opts.Prepared = s.Prepared(prof)
 			dw, _ := sim.RunScheme(sim.SchemeDeWrite, prof, cfg, opts)
 			base, _ := sim.RunScheme(sim.SchemeSecureNVM, prof, cfg, opts)
 			policy := "open-page"

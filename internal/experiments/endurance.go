@@ -94,7 +94,7 @@ func Figure13(s *Suite) []*stats.Table {
 				continue
 			}
 			m.writes++
-			isZero := baseline.IsZeroLine(req.Data)
+			isZero := config.IsZeroLine(req.Data)
 			isDup := resident.isResident(req.Data)
 			resident.install(req.Addr, req.Data)
 

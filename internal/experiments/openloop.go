@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"dewrite/internal/baseline"
+	"dewrite/internal/config"
 	"dewrite/internal/memctrl"
 	"dewrite/internal/stats"
 	"dewrite/internal/trace"
@@ -55,7 +55,7 @@ func AblationOpenLoop(s *Suite) []*stats.Table {
 			}
 			baseReqs = append(baseReqs, memctrl.Request{Arrive: now, Op: memctrl.Write, Addr: req.Addr})
 			isDup := resident.isResident(req.Data)
-			isZero := baseline.IsZeroLine(req.Data)
+			isZero := config.IsZeroLine(req.Data)
 			resident.install(req.Addr, req.Data)
 			switch {
 			case isDup && isZero:

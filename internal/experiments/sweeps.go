@@ -17,7 +17,8 @@ import (
 // traditional secure NVM within a few percent.
 func Figure18(s *Suite) []*stats.Table {
 	prof := workload.WorstCase()
-	opts := sim.Options{Requests: s.Opts.Requests, Warmup: s.Opts.Warmup, Seed: s.Opts.Seed}
+	opts := s.simOptions()
+	opts.Prepared = sim.Prepare(prof, opts)
 	dw, _ := sim.RunScheme(sim.SchemeDeWrite, prof, s.Config(), opts)
 	base, _ := sim.RunScheme(sim.SchemeSecureNVM, prof, s.Config(), opts)
 

@@ -2,9 +2,13 @@ package sim
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
+	"dewrite/internal/cache"
+	"dewrite/internal/config"
 	"dewrite/internal/workload"
 )
 
@@ -20,27 +24,102 @@ func reportJSON(t *testing.T, scheme Scheme, prof workload.Profile, opts Options
 	return buf.Bytes()
 }
 
+// smallHierarchy is a cache hierarchy small enough that a 1 Ki-line working
+// set spills dirty lines to memory.
+func smallHierarchy() *cache.Hierarchy {
+	levels := config.DefaultHierarchy()
+	for i := range levels {
+		levels[i].SizeBytes = max(levels[i].SizeBytes/256, levels[i].Ways*config.LineSize*4)
+	}
+	return cache.NewHierarchy(levels)
+}
+
+// streamChunk is workload.Stream's chunk size, where the cases below put
+// their chunk boundaries.
+const streamChunk = 16384
+
 // TestPreparedReplayMatchesGenerator is the determinism contract of prepared
 // traces: replaying a materialized stream must produce a RunReport that is
-// byte-identical to driving the generator live with the same seed.
+// byte-identical to driving the generator live with the same seed. The live
+// run streams its requests from a producer a chunk ahead, so the cases put
+// chunk and warmup boundaries where they could slip, and the 16-line working
+// set rewrites every line many times inside the in-flight window, over more
+// chunks than the window holds so that chunks and their held buffers are
+// recycled: a payload recycled too early would be overwritten before the
+// memory reads it.
 func TestPreparedReplayMatchesGenerator(t *testing.T) {
-	prof, _ := workload.ByName("mcf")
-	prof.WorkingSetLines = 1 << 10
-	opts := Options{Requests: 6000, Warmup: 1500, Seed: 42}
+	cases := []struct {
+		name             string
+		lines            uint64
+		requests, warmup int
+		hierarchy        bool
+	}{
+		{"mixed", 1 << 10, 6000, 1500, false},
+		{"rewritten-in-window", 16, 5*streamChunk + 1000, 2000, false},
+		{"below-one-chunk", 1 << 10, 700, 100, false},
+		{"one-chunk", 1 << 10, streamChunk, 512, false},
+		{"warmup-on-chunk-boundary", 1 << 10, streamChunk + 1, streamChunk, false},
+		{"warmup-at-last-request", 1 << 10, 5000, 4999, false},
+		{"hierarchy", 1 << 10, 6000, 1500, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			prof, _ := workload.ByName("mcf")
+			prof.WorkingSetLines = tc.lines
+			opts := Options{Requests: tc.requests, Warmup: tc.warmup, Seed: 42}
+			prep := Prepare(prof, opts)
+			for _, scheme := range []Scheme{
+				SchemeDeWrite, SchemeDirect, SchemeParallel, SchemeSecureNVM, SchemeShredder,
+			} {
+				liveOpts, replayOpts := opts, opts
+				replayOpts.Prepared = prep
+				if tc.hierarchy {
+					liveOpts.Hierarchy = smallHierarchy()
+					replayOpts.Hierarchy = smallHierarchy()
+				}
+				live := reportJSON(t, scheme, prof, liveOpts)
+				replayed := reportJSON(t, scheme, prof, replayOpts)
+				if !bytes.Equal(live, replayed) {
+					t.Errorf("%s: prepared replay diverged from live generator run", scheme)
+				}
+			}
+		})
+	}
+}
 
-	for _, scheme := range []Scheme{
-		SchemeDeWrite, SchemeDirect, SchemeParallel, SchemeSecureNVM, SchemeShredder,
-	} {
-		live := reportJSON(t, scheme, prof, opts)
-
-		replayOpts := opts
-		replayOpts.Prepared = Prepare(prof, opts)
-		replayed := reportJSON(t, scheme, prof, replayOpts)
-
-		if !bytes.Equal(live, replayed) {
-			t.Errorf("%s: prepared replay diverged from live generator run", scheme)
+// TestRunStreamJoinsProducer: sim.Run stops and joins the producer of its
+// request stream on every way out, including a run that panics mid-loop
+// (a crash point on a memory built without crash tracking) while the
+// producer is blocked on a full in-flight window.
+func TestRunStreamJoinsProducer(t *testing.T) {
+	prof := smallProfile()
+	base := runtime.NumGoroutine()
+	waitGoroutines := func(what string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, want %d", what, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
+
+	RunScheme(SchemeDeWrite, prof, testConfig(), Options{Requests: 20000, Warmup: 100, Seed: 3})
+	waitGoroutines("normal run")
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("crash point on an untracked memory did not panic")
+			}
+		}()
+		mem := NewMemory(SchemeDeWrite, prof.WorkingSetLines, testConfig())
+		// More requests than the window holds, so the producer is blocked
+		// on it when the crash point panics.
+		Run(prof.Name, "DeWrite", mem, prof, Options{Requests: 6 * streamChunk, Warmup: 100, Seed: 3, CrashAt: 1000})
+	}()
+	waitGoroutines("panicked run")
 }
 
 // TestPreparedSharedAcrossGoroutines runs the same prepared stream through

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"dewrite/internal/attr"
-	"dewrite/internal/baseline"
 	"dewrite/internal/config"
 	"dewrite/internal/core"
 	"dewrite/internal/cpu"
@@ -258,7 +257,7 @@ func RunSharded(s Scheme, prof workload.Profile, cfg config.Config, opts Sharded
 			local := router.Local(req.Addr)
 			if req.Op == trace.Write {
 				issue := sh.machine.IssueWrite(th)
-				if tl.Enabled() && baseline.IsZeroLine(req.Data) {
+				if tl.Enabled() && config.IsZeroLine(req.Data) {
 					sh.zeroWrites++
 				}
 				if dir != nil && measuring {
@@ -356,7 +355,7 @@ func RunSharded(s Scheme, prof workload.Profile, cfg config.Config, opts Sharded
 	}
 
 	res := Result{App: prof.Name, Scheme: s.String()}
-	res.Gen = genDelta(prep.GenFinal, prep.GenWarm)
+	res.Gen = genDelta(prep.GenWarm, prep.GenFinal)
 
 	var writeLat, readLat stats.Latency
 	var dev nvm.Stats

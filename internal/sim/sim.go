@@ -301,8 +301,10 @@ type Result struct {
 // built from this, not from the memory handed to Run.
 func (r Result) FinalMemory() Memory { return r.finalMem }
 
-// Run drives opts.Requests generator requests through mem and returns the
-// measurements.
+// Run drives opts.Requests requests through mem and returns the
+// measurements. Without opts.Prepared the requests come from a generator
+// running on its own goroutine (workload.Stream), so generation overlaps the
+// memory model; the result is the same as a replay of the prepared stream.
 func Run(app string, schemeName string, mem Memory, prof workload.Profile, opts Options) Result {
 	if opts.Requests <= 0 {
 		panic("sim: non-positive request count")
@@ -313,8 +315,11 @@ func Run(app string, schemeName string, mem Memory, prof workload.Profile, opts 
 	if opts.CrashAt > uint64(opts.Requests) {
 		panic("sim: CrashAt beyond Requests")
 	}
+	// Requests come from one source: the prepared slice, or a stream that
+	// generates them on another goroutine, refilling reqs chunk by chunk.
 	prep := opts.Prepared
-	var gen *workload.Generator
+	var reqs []trace.Request
+	var stream *workload.Stream
 	if prep != nil {
 		if len(prep.Requests) != opts.Requests {
 			panic("sim: prepared stream length does not match Requests")
@@ -322,11 +327,16 @@ func Run(app string, schemeName string, mem Memory, prof workload.Profile, opts 
 		if prep.Warmup != opts.Warmup {
 			panic("sim: prepared warmup does not match Warmup")
 		}
+		reqs = prep.Requests
 	} else {
-		gen = workload.NewGenerator(prof, opts.Seed)
-		// Without a hierarchy no payload outlives its request, so the
+		gen := workload.NewGenerator(prof, opts.Seed)
+		// Without a hierarchy no payload outlives its chunk, so the
 		// generator can recycle displaced line buffers.
 		gen.SetRecycle(opts.Hierarchy == nil)
+		stream = workload.NewStream(gen, opts.Requests, opts.Warmup)
+		// Deferred, so a run that panics (a crash point on an untracked
+		// memory) does not strand the producer.
+		defer stream.Close()
 	}
 	machine := cpu.NewMachine(prof.Threads)
 
@@ -358,7 +368,6 @@ func Run(app string, schemeName string, mem Memory, prof workload.Profile, opts 
 
 	// Measurement baselines captured at the warmup boundary.
 	var instr0, cycles0 uint64
-	var gen0 workload.Stats
 	var dev0 nvm.Stats
 
 	var writeLat, readLat stats.Latency
@@ -409,22 +418,16 @@ func Run(app string, schemeName string, mem Memory, prof workload.Profile, opts 
 		if i == opts.Warmup {
 			instr0 = machine.Instructions()
 			cycles0 = machine.Cycles()
-			if prep != nil {
-				gen0 = prep.GenWarm
-			} else {
-				gen0 = gen.Stats()
-			}
 			if dev := DeviceOf(mem); dev != nil {
 				dev0 = dev.Stats()
 			}
 		}
 		measuring := i >= opts.Warmup
-		var req trace.Request
-		if prep != nil {
-			req = prep.Requests[i]
-		} else {
-			req = gen.Next()
+		if len(reqs) == 0 {
+			reqs = stream.Next()
 		}
+		req := reqs[0]
+		reqs = reqs[1:]
 		th := req.Thread
 		machine.Execute(th, req.Gap)
 		if measuring {
@@ -438,7 +441,7 @@ func Run(app string, schemeName string, mem Memory, prof workload.Profile, opts 
 				// thread runs ahead, so later requests to that bank queue
 				// behind it — the paper's contention mechanism.
 				issue := machine.IssueWrite(th)
-				if tl.Enabled() && baseline.IsZeroLine(req.Data) {
+				if tl.Enabled() && config.IsZeroLine(req.Data) {
 					zeroWrites++
 				}
 				rec.Begin(attr.KindWrite, th, req.Addr, issue)
@@ -499,7 +502,7 @@ func Run(app string, schemeName string, mem Memory, prof workload.Profile, opts 
 			if data == nil {
 				data = zeroLine[:]
 			}
-			if tl.Enabled() && baseline.IsZeroLine(data) {
+			if tl.Enabled() && config.IsZeroLine(data) {
 				zeroWrites++
 			}
 			issue := machine.IssueWrite(th)
@@ -526,9 +529,9 @@ func Run(app string, schemeName string, mem Memory, prof workload.Profile, opts 
 	res.Attribution = rec.Report()
 
 	if prep != nil {
-		res.Gen = genDelta(prep.GenFinal, gen0)
+		res.Gen = genDelta(prep.GenWarm, prep.GenFinal)
 	} else {
-		res.Gen = genDelta(gen.Stats(), gen0)
+		res.Gen = genDelta(stream.Stats())
 	}
 	res.Instructions = machine.Instructions() - instr0
 	res.Cycles = machine.Cycles() - cycles0
@@ -559,13 +562,13 @@ func Run(app string, schemeName string, mem Memory, prof workload.Profile, opts 
 // never mutate request payloads, so one shared line suffices.
 var zeroLine [config.LineSize]byte
 
-// genDelta subtracts the warmup baseline from the generator counters.
-func genDelta(a, b workload.Stats) workload.Stats {
+// genDelta subtracts the warmup baseline from the final generator counters.
+func genDelta(warm, final workload.Stats) workload.Stats {
 	return workload.Stats{
-		Writes:     a.Writes - b.Writes,
-		Reads:      a.Reads - b.Reads,
-		Duplicates: a.Duplicates - b.Duplicates,
-		ZeroWrites: a.ZeroWrites - b.ZeroWrites,
+		Writes:     final.Writes - warm.Writes,
+		Reads:      final.Reads - warm.Reads,
+		Duplicates: final.Duplicates - warm.Duplicates,
+		ZeroWrites: final.ZeroWrites - warm.ZeroWrites,
 	}
 }
 

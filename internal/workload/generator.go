@@ -34,6 +34,11 @@ type Generator struct {
 	written []uint64 // write-ordered addresses (recency-weighted picks)
 	zeroRes uint64   // how many lines currently hold the zero line
 	recycle bool     // return replaced shadow buffers to linePool
+	// hold, when set, collects the buffers that recycle mode displaces
+	// instead of returning them to linePool at once: a Stream points it at
+	// the chunk being generated and recycles the list when the consumer
+	// releases that chunk.
+	hold *[]*lineBuf
 
 	dupState bool
 	p11, p00 float64 // Markov stay probabilities for dup / non-dup states
@@ -160,14 +165,16 @@ func clamp01(v float64) float64 {
 // Profile returns the generator's profile.
 func (g *Generator) Profile() Profile { return g.prof }
 
-// SetRecycle switches the generator into streaming mode: when a shadow line
-// is overwritten its old buffer goes back to the line pool for reuse, making
-// the steady-state write path allocation-free. Because a Request's Data
-// aliases the installed shadow buffer, recycling is only safe when every
-// request is fully consumed before the consumer needs its payload again —
-// with recycle on, a Request's Data is valid only until a later request
-// rewrites the same logical line. Consumers that retain payloads (trace
-// materialization, cache-hierarchy write-back shadowing) must leave it off.
+// SetRecycle switches the generator into recycle mode: when a shadow line is
+// overwritten its old buffer goes back to the line pool for reuse, making the
+// steady-state write path allocation-free. Because a Request's Data aliases
+// the installed shadow buffer, recycling is only safe when the consumer is
+// done with a payload before it needs a later one. Called directly, Next
+// recycles at once, so Data is valid only until a later request rewrites the
+// same logical line; driven by a Stream, a displaced buffer waits for the
+// chunk that displaced it, so Data stays valid until the next Stream.Next.
+// Consumers that retain payloads (trace materialization, cache-hierarchy
+// write-back shadowing) must leave it off.
 func (g *Generator) SetRecycle(on bool) { g.recycle = on }
 
 // newLine takes a buffer from the pool. Its contents are stale; every caller
@@ -261,10 +268,10 @@ func (g *Generator) nextWrite(thread int, gap uint64) trace.Request {
 		// calibrated (otherwise zero content snowballs through copies); if
 		// everything sampled is zero, the write degrades to unique content.
 		src := g.pickWritten(0.4)
-		for retry := 0; retry < 8 && isZero(g.shadow[src][:]); retry++ {
+		for retry := 0; retry < 8 && config.IsZeroLine(g.shadow[src][:]); retry++ {
 			src = g.pickWritten(0.4)
 		}
-		if isZero(g.shadow[src][:]) {
+		if config.IsZeroLine(g.shadow[src][:]) {
 			data = g.freshContent(addr)
 		} else {
 			data = g.newLine()
@@ -280,7 +287,7 @@ func (g *Generator) nextWrite(thread int, gap uint64) trace.Request {
 	if resident {
 		g.dups++
 	}
-	if isZero(data[:]) {
+	if config.IsZeroLine(data[:]) {
 		g.zeroWrites++
 	}
 	g.installShadow(addr, data)
@@ -300,7 +307,7 @@ func (g *Generator) nextWrite(thread int, gap uint64) trace.Request {
 // the zero fraction stays calibrated).
 func (g *Generator) canSilentStore(addr uint64) bool {
 	old := g.line(addr)
-	return old != nil && !isZero(old[:])
+	return old != nil && !config.IsZeroLine(old[:])
 }
 
 // line returns addr's live content, nil if it was never written.
@@ -384,31 +391,26 @@ func (g *Generator) freshContent(addr uint64) *lineBuf {
 
 // installShadow makes data the live content of addr. The buffer is shared
 // with the Request returned to the caller; in recycle mode the displaced
-// buffer (whose owning request has necessarily been consumed already) goes
-// back to the pool.
+// buffer goes back to the pool, or onto the hold list when a Stream's
+// consumer may still be reading the request that owns it.
 func (g *Generator) installShadow(addr uint64, data *lineBuf) {
 	g.shadow = dense.Grow(g.shadow, addr, g.prof.WorkingSetLines)
 	old := g.shadow[addr]
-	if old != nil && isZero(old[:]) {
+	if old != nil && config.IsZeroLine(old[:]) {
 		g.zeroRes--
 	}
 	g.shadow[addr] = data
-	if isZero(data[:]) {
+	if config.IsZeroLine(data[:]) {
 		g.zeroRes++
 	}
 	g.written = append(g.written, addr)
 	if g.recycle && old != nil {
-		linePool.Put(old)
-	}
-}
-
-func isZero(data []byte) bool {
-	for _, b := range data {
-		if b != 0 {
-			return false
+		if g.hold != nil {
+			*g.hold = append(*g.hold, old)
+		} else {
+			linePool.Put(old)
 		}
 	}
-	return true
 }
 
 // Stats reports the generator's ground-truth counters.
