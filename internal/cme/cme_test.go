@@ -2,6 +2,8 @@ package cme
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
 	"encoding/binary"
 	"encoding/hex"
 	"math/bits"
@@ -12,9 +14,11 @@ import (
 	"dewrite/internal/rng"
 )
 
+const testKey = "dewrite-test-key"
+
 func testEngine(t testing.TB) *Engine {
 	t.Helper()
-	return MustNewEngine([]byte("dewrite-test-key"))
+	return MustNewEngine([]byte(testKey))
 }
 
 func TestEncryptDecryptRoundTrip(t *testing.T) {
@@ -260,7 +264,8 @@ func TestFIPS197AppendixC(t *testing.T) {
 // stack buffers. The block cipher is an interface call, so any buffer the
 // engine hands it escapes; a regression that passes a caller's line (or a
 // pad it declared locally) through moves that buffer to the heap on every
-// call, and these pins fail.
+// call, and these pins fail. AllocsPerRun warms up with one uncounted call,
+// which is where the engine allocates its pad memo.
 func TestLineAllocations(t *testing.T) {
 	e := testEngine(t)
 	checks := []struct {
@@ -284,6 +289,23 @@ func TestLineAllocations(t *testing.T) {
 		if avg := testing.AllocsPerRun(200, c.fn); avg != 0 {
 			t.Errorf("%s: %.1f allocs/op, want 0", c.name, avg)
 		}
+	}
+}
+
+var (
+	cipherSink cipher.Block
+	engineSink *Engine
+)
+
+// TestNewEngineAllocations pins construction at the cipher's allocations
+// plus the engine itself. The pad memo is allocated on the first pad, not
+// here: building a memory (timed as set-up) builds engines, and a serving
+// daemon is not ready until every shard's controller is built.
+func TestNewEngineAllocations(t *testing.T) {
+	key := []byte(testKey)
+	cipherAllocs := testing.AllocsPerRun(100, func() { cipherSink, _ = aes.NewCipher(key) })
+	if avg := testing.AllocsPerRun(100, func() { engineSink = MustNewEngine(key) }); avg != cipherAllocs+1 {
+		t.Errorf("NewEngine: %.1f allocs/op, want %.1f (the cipher's %.1f plus the engine)", avg, cipherAllocs+1, cipherAllocs)
 	}
 }
 
@@ -373,11 +395,26 @@ func TestCounterMonotoneProperty(t *testing.T) {
 	}
 }
 
+// BenchmarkEncryptLine encrypts under a fresh (addr, counter) each time, as
+// a unique write does: every pad misses the memo and is generated.
 func BenchmarkEncryptLine(b *testing.B) {
 	e := MustNewEngine(make([]byte, 16))
 	line := make([]byte, config.LineSize)
 	b.SetBytes(config.LineSize)
 	for i := 0; i < b.N; i++ {
 		e.EncryptLine(line, line, uint64(i), uint64(i))
+	}
+}
+
+// BenchmarkDecryptLineMemoHit decrypts a line just encrypted, as a verify
+// read or a read after a write does: the pad comes from the memo.
+func BenchmarkDecryptLineMemoHit(b *testing.B) {
+	e := MustNewEngine(make([]byte, 16))
+	line := make([]byte, config.LineSize)
+	e.EncryptLine(line, line, 7, 3)
+	b.SetBytes(config.LineSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.DecryptLine(line, line, 7, 3)
 	}
 }

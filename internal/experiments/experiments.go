@@ -259,7 +259,8 @@ func (s *Suite) Simulations() int {
 }
 
 // Run returns the memoized result of running scheme on the profile, replaying
-// the profile's shared prepared stream.
+// the profile's shared prepared stream. The result keeps no final memory: no
+// experiment reads one, and the suite lives as long as its experiments.
 func (s *Suite) Run(scheme sim.Scheme, prof workload.Profile) sim.Result {
 	key := profileKey(prof) + "\x00" + scheme.String()
 	e := memoCell(&s.mu, s.runs, key)
@@ -267,7 +268,7 @@ func (s *Suite) Run(scheme sim.Scheme, prof workload.Profile) sim.Result {
 		opts := s.simOptions()
 		opts.Prepared = s.Prepared(prof)
 		res, _ := sim.RunScheme(scheme, prof, s.cfg, opts)
-		e.v = res
+		e.v = res.WithoutMemory()
 	})
 	return e.v
 }

@@ -316,6 +316,22 @@ func TestSuiteMemoization(t *testing.T) {
 	}
 }
 
+// TestPrefillKeepsNoMemory checks that the memoized grid holds results
+// without their final memories, so the suite does not keep a controller and
+// device alive for every (application, scheme) run.
+func TestPrefillKeepsNoMemory(t *testing.T) {
+	s := quickSuite()
+	s.Prefill(2)
+	if want := len(s.Opts.Profiles()) * len(perfSchemes); len(s.runs) != want {
+		t.Fatalf("%d memoized runs, want %d", len(s.runs), want)
+	}
+	for key, e := range s.runs {
+		if e.v.FinalMemory() != nil {
+			t.Errorf("memoized run %q keeps its final memory", key)
+		}
+	}
+}
+
 func TestAllExperimentsProduceOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full registry run is slow")

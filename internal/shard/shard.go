@@ -99,6 +99,11 @@ type Directory struct {
 	stripes  [numStripes]stripe
 	advances uint64
 
+	// census is the frozen generation's Snapshot less Advances. Advance
+	// keeps it current fingerprint by fingerprint as it folds deltas, so a
+	// snapshot never scans the frozen maps.
+	census Stats
+
 	// pubs counts Publish calls per shard during the current epoch
 	// (atomics, so publishers never contend on a shared lock for the
 	// count); Advance folds it into lastPubs and resets. The counts are a
@@ -167,18 +172,21 @@ func (d *Directory) Advance() {
 				f = make([]uint32, d.shards)
 				st.frozen[h] = f
 			}
-			live := false
+			was := share(f)
 			for s, delta := range deltas {
 				n := int64(f[s]) + int64(delta)
 				if n < 0 {
 					panic(fmt.Sprintf("shard: fingerprint %#x count below zero on shard %d", h, s))
 				}
 				f[s] = uint32(n)
-				if n > 0 {
-					live = true
-				}
 			}
-			if !live {
+			now := share(f)
+			// Unsigned wrap-around cancels: each total stays the sum of
+			// the shares of the fingerprints still frozen.
+			d.census.Fingerprints += now.Fingerprints - was.Fingerprints
+			d.census.Locations += now.Locations - was.Locations
+			d.census.Shared += now.Shared - was.Shared
+			if now.Fingerprints == 0 {
 				delete(st.frozen, h)
 			}
 			delete(st.pending, h)
@@ -240,24 +248,32 @@ type Stats struct {
 	Advances uint64 `json:"advances"`
 }
 
-// Snapshot summarizes the frozen generation. Like the read methods it must
-// not race an Advance; the sharded runner calls it after the final barrier.
+// Snapshot summarizes the frozen generation from the census Advance keeps,
+// without a scan. Like the read methods it must not race an Advance; the
+// sharded runner calls it after the final barrier, the serving daemon at
+// every barrier.
 func (d *Directory) Snapshot() Stats {
-	st := Stats{Advances: d.advances}
-	for i := range d.stripes {
-		for _, counts := range d.stripes[i].frozen {
-			st.Fingerprints++
-			holders := 0
-			for _, c := range counts {
-				st.Locations += uint64(c)
-				if c > 0 {
-					holders++
-				}
-			}
-			if holders > 1 {
-				st.Shared++
-			}
+	st := d.census
+	st.Advances = d.advances
+	return st
+}
+
+// share is one fingerprint's part of the census, from its per-shard counts:
+// no fingerprint when no shard holds a live location under it.
+func share(counts []uint32) Stats {
+	var st Stats
+	holders := 0
+	for _, c := range counts {
+		st.Locations += uint64(c)
+		if c > 0 {
+			holders++
 		}
+	}
+	if holders > 0 {
+		st.Fingerprints = 1
+	}
+	if holders > 1 {
+		st.Shared = 1
 	}
 	return st
 }

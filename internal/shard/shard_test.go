@@ -260,3 +260,57 @@ func TestDirectoryEpochPublishes(t *testing.T) {
 		}
 	}
 }
+
+// scanStats is the census by brute force over the frozen maps, the scan
+// Snapshot made before Advance kept the census current.
+func scanStats(d *Directory) Stats {
+	st := Stats{Advances: d.advances}
+	for i := range d.stripes {
+		for _, counts := range d.stripes[i].frozen {
+			st.Fingerprints++
+			holders := 0
+			for _, c := range counts {
+				st.Locations += uint64(c)
+				if c > 0 {
+					holders++
+				}
+			}
+			if holders > 1 {
+				st.Shared++
+			}
+		}
+	}
+	return st
+}
+
+// TestDirectoryCensusMatchesScan runs random publish/advance programs over
+// a few fingerprints, so entries appear, become shared, drain and return.
+// After every Advance the census must equal a scan of the frozen maps.
+func TestDirectoryCensusMatchesScan(t *testing.T) {
+	for _, shards := range []int{1, 2, 3} {
+		d := NewDirectory(shards)
+		src := rng.New(uint64(shards))
+		// live[h][s] is the count shard s will hold for fingerprint h once
+		// the pending deltas fold, so a removal never drives it negative.
+		live := make(map[uint32][]int, 24)
+		for step := 0; step < 400; step++ {
+			for n := src.Intn(12); n > 0; n-- {
+				h := uint32(src.Uint64n(24)) * 0x9e3779b1
+				s := src.Intn(shards)
+				if live[h] == nil {
+					live[h] = make([]int, shards)
+				}
+				delta := 1
+				if live[h][s] > 0 && src.Bool(0.45) {
+					delta = -1
+				}
+				live[h][s] += delta
+				d.Publish(s, h, delta)
+			}
+			d.Advance()
+			if got, want := d.Snapshot(), scanStats(d); got != want {
+				t.Fatalf("shards=%d step %d: Snapshot = %+v, scan = %+v", shards, step, got, want)
+			}
+		}
+	}
+}

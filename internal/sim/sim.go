@@ -301,6 +301,14 @@ type Result struct {
 // built from this, not from the memory handed to Run.
 func (r Result) FinalMemory() Memory { return r.finalMem }
 
+// WithoutMemory returns a copy of the result that does not hold the final
+// memory, for callers that keep results longer than the memory is needed:
+// a kept memory keeps its controller and device alive.
+func (r Result) WithoutMemory() Result {
+	r.finalMem = nil
+	return r
+}
+
 // Run drives opts.Requests requests through mem and returns the
 // measurements. Without opts.Prepared the requests come from a generator
 // running on its own goroutine (workload.Stream), so generation overlaps the
