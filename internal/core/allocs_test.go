@@ -15,7 +15,7 @@ import (
 // replace per-call ciphertext buffers, ReadInto replaces the allocating Read,
 // the dedup tables are dense and reuse emptied fingerprint chains. Once the
 // working set is touched nothing should allocate; the bound leaves room for
-// a rare map rehash in the fingerprint index. Requests are generated a
+// a rare doubling of the fingerprint index. Requests are generated a
 // batch at a time outside the counted calls, so only the controller is
 // measured (the generator's pooled buffers allocate under the race
 // detector, which drops a quarter of sync.Pool Puts).

@@ -378,13 +378,12 @@ func hashMaskFor(bits int) uint32 {
 }
 
 // SetAttr attaches (or, with nil, detaches) the attribution recorder,
-// cascading it to the device, the dedup tables and the crypto engine.
+// cascading it to the device and the crypto engine.
 // Attribution only observes timestamps the controller already computed and
 // never changes simulated behavior.
 func (c *Controller) SetAttr(rec *attr.Recorder) {
 	c.rec = rec
 	c.dev.SetAttr(rec)
-	c.tables.SetAttr(rec)
 	c.enc.SetAttr(rec)
 }
 
@@ -537,6 +536,7 @@ func (c *Controller) Write(now units.Time, logical uint64, data []byte) units.Ti
 	if c.hashCache.Lookup(hashLine, false) {
 		c.rec.Phase(attr.PhaseLookup, detect, detect.Add(t.MetaCache))
 		detect = detect.Add(t.MetaCache)
+		c.rec.Op(attr.OpProbe)
 		candidates = c.tables.Candidates(h)
 		probed = true
 	} else if !c.cfg.Dedup.PNAEnabled || c.mode != ModeDeWrite || predictedDup {
@@ -544,12 +544,14 @@ func (c *Controller) Write(now units.Time, logical uint64, data []byte) units.Ti
 		// part of DeWrite's prediction machinery; the plain direct/parallel
 		// ways always pay the in-NVM probe on a cache miss.
 		detect = c.metaAccess(detect, c.hashCache, hashLine, false, 1)
+		c.rec.Op(attr.OpProbe)
 		candidates = c.tables.Candidates(h)
 		probed = true
 	} else {
 		// PNA skip: treat as non-duplicate without the NVM probe. If it was
 		// a duplicate after all, the write reduction is lost (Section IV-B's
-		// ~1.5 % miss) — record it.
+		// ~1.5 % miss) — record it. The hardware made no probe, so
+		// none is counted.
 		if len(c.tables.Candidates(h)) > 0 {
 			c.missedByPNA.Inc()
 		}
@@ -559,7 +561,9 @@ func (c *Controller) Write(now units.Time, logical uint64, data []byte) units.Ti
 	// candidate whose reference count is saturated cannot absorb another
 	// duplicate (Section III-B2), but a previous saturation fallback may
 	// have stored an unsaturated copy of the same content later in the
-	// chain, so the scan continues past saturated matches.
+	// chain, so the scan continues past saturated matches. The candidate
+	// slice is valid until the tables change, and nothing in the scan
+	// changes them.
 	duplicate := false
 	sawSaturated := false
 	var target uint64

@@ -5,7 +5,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dewrite/internal/attr"
 	"dewrite/internal/config"
+	"dewrite/internal/hashes"
 	"dewrite/internal/rng"
 	"dewrite/internal/units"
 )
@@ -296,6 +298,50 @@ func TestPNASkipSavesLatencyButMayMissDup(t *testing.T) {
 	got, _ := c.Read(now, 300)
 	if !bytes.Equal(got, dup) {
 		t.Fatal("PNA miss corrupted data")
+	}
+}
+
+// TestProbeOpCountedOnlyWhenProbed: a sampled write the PNA rule lets skip
+// the in-NVM hash-table probe counts no probe op, although the controller
+// still looks at the index to count a missed duplicate; a write whose hash
+// line is cached counts exactly one.
+func TestProbeOpCountedOnlyWhenProbed(t *testing.T) {
+	c := smallController(ModeDeWrite)
+	rec := attr.NewRecorder(1, 1)
+	c.SetAttr(rec)
+	probes := func() (n uint64) {
+		for _, op := range rec.Report().Ops {
+			if op.Op == attr.OpProbe.String() {
+				n += op.Count
+			}
+		}
+		return n
+	}
+	line := fillLine(rng.New(3))
+	hashLine := c.layout.HashLine(hashes.CRC32(line) & c.hashMask)
+	var now units.Time
+	write := func(logical uint64) {
+		rec.Begin(attr.KindWrite, 0, logical, now)
+		now = c.Write(now, logical, line)
+		rec.End(now)
+	}
+
+	if c.pred.Predict() || c.hashCache.Contains(hashLine) {
+		t.Fatal("setup: a cold write is not a PNA skip")
+	}
+	write(0)
+	if got := probes(); got != 0 {
+		t.Fatalf("PNA-skipped write counted %d probe ops, want 0", got)
+	}
+	if !c.hashCache.Contains(hashLine) {
+		t.Fatal("setup: the placed line's hash line is not cached")
+	}
+	write(1)
+	if got := probes(); got != 1 {
+		t.Fatalf("cached-hash-line write counted %d probe ops, want 1", got)
+	}
+	if r := c.Report(); r.DupEliminated != 1 {
+		t.Fatalf("second write of the same line: %d duplicates eliminated, want 1", r.DupEliminated)
 	}
 }
 

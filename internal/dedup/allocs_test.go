@@ -10,8 +10,10 @@ import (
 
 // TestTablesAllocationsSteadyState pins the tables' write path at zero
 // steady-state allocations: the address-indexed tables are dense slices that
-// stop growing once every line has been touched, and a new fingerprint takes
-// the backing array of an emptied chain instead of a fresh one.
+// stop growing once every line has been touched, the fingerprint index's
+// slot array stops doubling once it holds every live fingerprint at load
+// one half, and a chain that grows past one location takes the array of an
+// emptied chain from the slab instead of a fresh one.
 func TestTablesAllocationsSteadyState(t *testing.T) {
 	const lines = 512
 	tb := NewTables(lines, 8)
@@ -59,14 +61,15 @@ func TestCheckInvariantsCatchesRepeatedChainEntry(t *testing.T) {
 	if err := tb.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	tb.hash[0xabc] = append(tb.hash[0xabc], 0)
+	tb.hash.add(0xabc, 0)
 	if err := tb.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "3 entries for 2 live") {
 		t.Fatalf("repeated chain entry: err = %v", err)
 	}
 }
 
-// TestReusedChainKeepsCandidateOrder: a new fingerprint reuses an emptied
-// chain's array, which starts empty, so candidates come back in placement
+// TestReusedChainKeepsCandidateOrder: a fingerprint emptied and then reused
+// starts a fresh chain, and a chain of two or more reuses an emptied array
+// of the slab, which starts empty, so candidates come back in placement
 // order exactly as with a fresh chain.
 func TestReusedChainKeepsCandidateOrder(t *testing.T) {
 	tb := NewTables(64, 8)

@@ -18,8 +18,8 @@ package dedup
 
 import (
 	"fmt"
+	"slices"
 
-	"dewrite/internal/attr"
 	"dewrite/internal/dense"
 	"dewrite/internal/stats"
 	"dewrite/internal/timeline"
@@ -40,10 +40,7 @@ type Tables struct {
 	loc  []location // location → state; refs == 0 means free
 	live uint64     // locations with refs > 0
 
-	hash map[uint32][]uint64 // fingerprint → live locations with that fingerprint
-	// spareChains holds the backing arrays of emptied hash chains, reused
-	// for new fingerprints so the steady-state write path allocates nothing.
-	spareChains [][]uint64
+	hash index // fingerprint → live locations with that fingerprint
 
 	freed     []uint64 // freed locations available for reuse (LIFO)
 	freshScan uint64   // cursor over never-allocated locations
@@ -53,8 +50,6 @@ type Tables struct {
 	// location, maintained incrementally so per-epoch sampling does not
 	// rescan the mapping table.
 	mappedAway uint64
-
-	rec *attr.Recorder // nil when attribution is off
 
 	// publish, when non-nil, observes every change to the fingerprint
 	// index: +1 when a live location is added under a fingerprint, -1 when
@@ -92,11 +87,7 @@ func NewTables(lines uint64, maxRef uint) *Tables {
 	if maxRef < 1 {
 		panic("dedup: maxRef must be at least 1")
 	}
-	return &Tables{
-		lines:  lines,
-		maxRef: maxRef,
-		hash:   make(map[uint32][]uint64),
-	}
+	return &Tables{lines: lines, maxRef: maxRef}
 }
 
 // Lines returns the number of data lines the tables cover.
@@ -174,11 +165,6 @@ func (t *Tables) Refs(loc uint64) uint {
 	return 0
 }
 
-// SetAttr attaches (or, with nil, detaches) the attribution recorder. The
-// tables count one probe op per hash-table lookup against the open sampled
-// request.
-func (t *Tables) SetAttr(rec *attr.Recorder) { t.rec = rec }
-
 // SetPublish attaches (or, with nil, detaches) the fingerprint-index
 // observer: fn is called with (+1) for every live location added under a
 // fingerprint and (-1) for every removal, covering the unique-write,
@@ -190,25 +176,20 @@ func (t *Tables) SetPublish(fn func(h uint32, delta int)) { t.publish = fn }
 // every insertion into the fingerprint index goes through it so the publish
 // hook sees a complete stream.
 func (t *Tables) indexHash(h uint32, locAddr uint64) {
-	list, ok := t.hash[h]
-	if !ok && len(t.spareChains) > 0 {
-		// An emptied chain's array starts empty, so candidate order is the
-		// same as with a fresh one.
-		list = t.spareChains[len(t.spareChains)-1]
-		t.spareChains = t.spareChains[:len(t.spareChains)-1]
-	}
-	t.hash[h] = append(list, locAddr)
+	t.hash.add(h, locAddr)
 	if t.publish != nil {
 		t.publish(h, 1)
 	}
 }
 
 // Candidates returns the live locations whose data carries the given
-// fingerprint — the hash-table probe of the duplication-detection path. The
-// returned slice is owned by the tables and must not be mutated.
+// fingerprint, in the order the duplication-detection path verifies them:
+// a location placed under the fingerprint goes to the end, and one removed
+// from it leaves its place to the last. The slice is owned by the tables
+// and valid until their next change; a one-location result may be a view
+// into the index itself. It must not be mutated.
 func (t *Tables) Candidates(hash uint32) []uint64 {
-	t.rec.Op(attr.OpProbe)
-	return t.hash[hash]
+	return t.hash.chain(hash)
 }
 
 // Acceptable reports whether loc can absorb one more duplicate reference,
@@ -372,25 +353,15 @@ func (t *Tables) release(logical uint64) (freed uint64, didFree bool) {
 	return locAddr, true
 }
 
+// removeHash is the single funnel removing a location from a fingerprint's
+// chain, the counterpart of indexHash.
 func (t *Tables) removeHash(h uint32, locAddr uint64) {
-	list := t.hash[h]
-	for i, a := range list {
-		if a == locAddr {
-			list[i] = list[len(list)-1]
-			list = list[:len(list)-1]
-			if len(list) == 0 {
-				delete(t.hash, h)
-				t.spareChains = append(t.spareChains, list)
-			} else {
-				t.hash[h] = list
-			}
-			if t.publish != nil {
-				t.publish(h, -1)
-			}
-			return
-		}
+	if !t.hash.remove(h, locAddr) {
+		panic(fmt.Sprintf("dedup: stale hash %#x for location %#x not found", h, locAddr))
 	}
-	panic(fmt.Sprintf("dedup: stale hash %#x for location %#x not found", h, locAddr))
+	if t.publish != nil {
+		t.publish(h, -1)
+	}
 }
 
 // tryAllocate returns a free location. Absent retirements a free location
@@ -521,14 +492,7 @@ func (t *Tables) CheckInvariants() error {
 			return fmt.Errorf("retired location %#x is live", locAddr)
 		}
 		// Its hash entry must list it.
-		found := false
-		for _, a := range t.hash[l.hash] {
-			if a == locAddr {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(t.hash.chain(l.hash), locAddr) {
 			return fmt.Errorf("live location %#x missing from hash chain %#x", locAddr, l.hash)
 		}
 	}
@@ -539,7 +503,11 @@ func (t *Tables) CheckInvariants() error {
 	// once: every live location is in its chain, so entries beyond the live
 	// count are repeats.
 	var entries uint64
-	for h, list := range t.hash {
+	for i := range t.hash.slots {
+		if t.hash.slots[i].n == 0 {
+			continue
+		}
+		h, list := t.hash.slots[i].h, t.hash.at(uint64(i))
 		entries += uint64(len(list))
 		for _, a := range list {
 			l := t.liveAt(a)
