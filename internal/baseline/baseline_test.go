@@ -258,7 +258,7 @@ func TestDEUCEEpochBoundaryFullReencrypt(t *testing.T) {
 }
 
 func TestBitModelNames(t *testing.T) {
-	for _, m := range []BitModel{NewDCW(8), NewFNW(8), NewDEUCE(8)} {
+	for _, m := range []BitModel{NewDCW(8), NewFNW(8), NewDEUCE(8), NewSECRET(8)} {
 		if m.Name() == "" {
 			t.Fatal("empty model name")
 		}
@@ -266,7 +266,7 @@ func TestBitModelNames(t *testing.T) {
 }
 
 func TestBitModelsRejectShortLines(t *testing.T) {
-	for _, m := range []BitModel{NewDCW(8), NewFNW(8), NewDEUCE(8)} {
+	for _, m := range []BitModel{NewDCW(8), NewFNW(8), NewDEUCE(8), NewSECRET(8)} {
 		func() {
 			defer func() {
 				if recover() == nil {

@@ -1,11 +1,14 @@
 package baseline
 
 import (
+	"crypto/subtle"
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 
 	"dewrite/internal/cme"
 	"dewrite/internal/config"
+	"dewrite/internal/dense"
 	"dewrite/internal/nvm"
 )
 
@@ -14,6 +17,10 @@ import (
 // how many NVM cells actually flip for each write, operating on the real
 // ciphertexts its encryption scheme would store — so the diffusion property
 // is measured, not assumed.
+//
+// A model keeps its scratch lines in its own struct and each line's state in
+// one struct allocated on the line's first write, indexed by line address
+// (internal/dense), so a write to a line written before allocates nothing.
 type BitModel interface {
 	// Name returns the technique's display name.
 	Name() string
@@ -21,10 +28,38 @@ type BitModel interface {
 	Write(loc uint64, newPlain []byte) int
 }
 
+// NewBitModels returns DCW, FNW, DEUCE and SECRET, in that order, over one
+// shared encryption engine: the four models Figure 13 stacks under each
+// write-elimination variant. Written with the same line sequence, the four
+// bump their counters in step and request the same (line, counter) pad in
+// turn, so the first model's request fills the engine's pad memo and the
+// other three hit it. A hit returns exactly the bytes a generation would (a
+// pad is a pure function of key, address and counter), so the models' flip
+// counts do not depend on the sharing, nor on the order the models are
+// written in; only the hit rate does. The engine is not safe for concurrent
+// use, so the four models must be written from one goroutine.
+func NewBitModels(lines uint64) [4]BitModel {
+	enc := cme.MustNewEngine(baselineKey)
+	return [4]BitModel{newDCW(enc, lines), newFNW(enc, lines), newDEUCE(enc, lines), newSECRET(enc, lines)}
+}
+
 func checkModelLine(data []byte) {
 	if len(data) != config.LineSize {
 		panic(fmt.Sprintf("baseline: bit-model line of %d bytes", len(data)))
 	}
+}
+
+// lineState returns loc's entry in a table of per-line state indexed by line
+// address, growing the table up to lines and allocating the entry on the
+// line's first write.
+func lineState[T any](table *[]*T, loc, lines uint64) *T {
+	*table = dense.Grow(*table, loc, lines)
+	st := (*table)[loc]
+	if st == nil {
+		st = new(T)
+		(*table)[loc] = st
+	}
+	return st
 }
 
 // DCW models Data Comparison Write over counter-mode encryption: the full
@@ -35,17 +70,17 @@ func checkModelLine(data []byte) {
 type DCW struct {
 	enc   *cme.Engine
 	ctrs  *cme.CounterStore
-	cells map[uint64][]byte
+	lines uint64
+	cells []*[config.LineSize]byte // stored ciphertext by line address
+	ct    [config.LineSize]byte    // scratch: the new ciphertext
 }
 
 // NewDCW returns a DCW model of line addresses below lines, with its own
 // encryption state.
-func NewDCW(lines uint64) *DCW {
-	return &DCW{
-		enc:   cme.MustNewEngine(baselineKey),
-		ctrs:  cme.NewCounterStore(lines),
-		cells: make(map[uint64][]byte),
-	}
+func NewDCW(lines uint64) *DCW { return newDCW(cme.MustNewEngine(baselineKey), lines) }
+
+func newDCW(enc *cme.Engine, lines uint64) *DCW {
+	return &DCW{enc: enc, ctrs: cme.NewCounterStore(lines), lines: lines}
 }
 
 // Name implements BitModel.
@@ -54,14 +89,10 @@ func (d *DCW) Name() string { return "DCW" }
 // Write implements BitModel.
 func (d *DCW) Write(loc uint64, newPlain []byte) int {
 	checkModelLine(newPlain)
-	ct := make([]byte, config.LineSize)
-	d.enc.EncryptLine(ct, newPlain, loc, d.ctrs.Bump(loc))
-	old := d.cells[loc]
-	if old == nil {
-		old = make([]byte, config.LineSize)
-	}
-	flips := nvm.BitDistance(old, ct)
-	d.cells[loc] = ct
+	cells := lineState(&d.cells, loc, d.lines)
+	d.enc.EncryptLine(d.ct[:], newPlain, loc, d.ctrs.Bump(loc))
+	flips := nvm.BitDistance(cells[:], d.ct[:])
+	*cells = d.ct
 	return flips
 }
 
@@ -76,12 +107,14 @@ const FNWWordBits = 32
 type FNW struct {
 	enc   *cme.Engine
 	ctrs  *cme.CounterStore
-	cells map[uint64]*fnwLine
+	lines uint64
+	cells []*fnwLine
+	ct    [config.LineSize]byte // scratch: the new ciphertext
 }
 
 type fnwLine struct {
-	words []uint32
-	flags []bool
+	words [FNWWordsPerLine]uint32
+	flags [FNWWordsPerLine]bool
 }
 
 // FNWWordsPerLine is the number of inversion words per 256 B line.
@@ -89,12 +122,10 @@ const FNWWordsPerLine = config.LineBits / FNWWordBits
 
 // NewFNW returns an FNW model of line addresses below lines, with its own
 // encryption state.
-func NewFNW(lines uint64) *FNW {
-	return &FNW{
-		enc:   cme.MustNewEngine(baselineKey),
-		ctrs:  cme.NewCounterStore(lines),
-		cells: make(map[uint64]*fnwLine),
-	}
+func NewFNW(lines uint64) *FNW { return newFNW(cme.MustNewEngine(baselineKey), lines) }
+
+func newFNW(enc *cme.Engine, lines uint64) *FNW {
+	return &FNW{enc: enc, ctrs: cme.NewCounterStore(lines), lines: lines}
 }
 
 // Name implements BitModel.
@@ -103,20 +134,11 @@ func (f *FNW) Name() string { return "FNW" }
 // Write implements BitModel.
 func (f *FNW) Write(loc uint64, newPlain []byte) int {
 	checkModelLine(newPlain)
-	ct := make([]byte, config.LineSize)
-	f.enc.EncryptLine(ct, newPlain, loc, f.ctrs.Bump(loc))
-
-	line := f.cells[loc]
-	if line == nil {
-		line = &fnwLine{
-			words: make([]uint32, FNWWordsPerLine),
-			flags: make([]bool, FNWWordsPerLine),
-		}
-		f.cells[loc] = line
-	}
+	line := lineState(&f.cells, loc, f.lines)
+	f.enc.EncryptLine(f.ct[:], newPlain, loc, f.ctrs.Bump(loc))
 	flips := 0
-	for w := 0; w < FNWWordsPerLine; w++ {
-		next := uint32(ct[4*w]) | uint32(ct[4*w+1])<<8 | uint32(ct[4*w+2])<<16 | uint32(ct[4*w+3])<<24
+	for w := range line.words {
+		next := binary.LittleEndian.Uint32(f.ct[4*w:])
 		plainCost := bits.OnesCount32(line.words[w]^next) + flagCost(line.flags[w], false)
 		invCost := bits.OnesCount32(line.words[w]^^next) + flagCost(line.flags[w], true)
 		if invCost < plainCost {
@@ -148,6 +170,20 @@ const DEUCEWordBytes = 2
 // DEUCEWordsPerLine is the number of DEUCE words per line.
 const DEUCEWordsPerLine = config.LineSize / DEUCEWordBytes
 
+// partialLine is the per-line state of the partial re-encryption models,
+// DEUCE and SECRET.
+type partialLine struct {
+	plain    [config.LineSize]byte
+	cells    [config.LineSize]byte
+	writes   int
+	modified [DEUCEWordsPerLine]bool // since epoch start, per word
+}
+
+// deuceWord returns DEUCE word w of a line (DEUCEWordBytes = 2 bytes).
+func deuceWord(line []byte, w int) uint16 {
+	return binary.LittleEndian.Uint16(line[w*DEUCEWordBytes:])
+}
+
 // DEUCE models the dual-counter partial re-encryption scheme: within an
 // epoch only the words modified since the epoch began are re-encrypted (with
 // the current counter); untouched words keep their epoch ciphertext and flip
@@ -156,25 +192,18 @@ const DEUCEWordsPerLine = config.LineSize / DEUCEWordBytes
 type DEUCE struct {
 	enc   *cme.Engine
 	ctrs  *cme.CounterStore
-	lines map[uint64]*deuceLine
-}
-
-type deuceLine struct {
-	plain    []byte
-	cells    []byte
-	epochCtr uint64
-	writes   int
-	modified []bool // since epoch start, per word
+	lines uint64
+	state []*partialLine
+	pad   [config.LineSize]byte // scratch: this write's one-time pad
+	next  [config.LineSize]byte // scratch: the cells after this write
 }
 
 // NewDEUCE returns a DEUCE model of line addresses below lines, with its own
 // encryption state.
-func NewDEUCE(lines uint64) *DEUCE {
-	return &DEUCE{
-		enc:   cme.MustNewEngine(baselineKey),
-		ctrs:  cme.NewCounterStore(lines),
-		lines: make(map[uint64]*deuceLine),
-	}
+func NewDEUCE(lines uint64) *DEUCE { return newDEUCE(cme.MustNewEngine(baselineKey), lines) }
+
+func newDEUCE(enc *cme.Engine, lines uint64) *DEUCE {
+	return &DEUCE{enc: enc, ctrs: cme.NewCounterStore(lines), lines: lines}
 }
 
 // Name implements BitModel.
@@ -183,59 +212,32 @@ func (d *DEUCE) Name() string { return "DEUCE" }
 // Write implements BitModel.
 func (d *DEUCE) Write(loc uint64, newPlain []byte) int {
 	checkModelLine(newPlain)
-	line := d.lines[loc]
-	if line == nil {
-		line = &deuceLine{
-			plain:    make([]byte, config.LineSize),
-			cells:    make([]byte, config.LineSize),
-			modified: make([]bool, DEUCEWordsPerLine),
-		}
-		d.lines[loc] = line
-	}
-
-	// Accumulate the modified-word set since the epoch began.
-	for w := 0; w < DEUCEWordsPerLine; w++ {
-		for b := 0; b < DEUCEWordBytes; b++ {
-			if newPlain[w*DEUCEWordBytes+b] != line.plain[w*DEUCEWordBytes+b] {
-				line.modified[w] = true
-				break
-			}
-		}
-	}
+	line := lineState(&d.state, loc, d.lines)
 	line.writes++
-	ctr := d.ctrs.Bump(loc)
-
-	next := make([]byte, config.LineSize)
-	var pad [config.LineSize]byte
+	d.enc.Pad(d.pad[:], loc, d.ctrs.Bump(loc))
 	if line.writes%DEUCEEpoch == 0 {
-		// Epoch boundary: full re-encryption under the fresh leading counter.
-		line.epochCtr = ctr
-		d.enc.Pad(pad[:], loc, ctr)
-		for i := range next {
-			next[i] = newPlain[i] ^ pad[i]
-		}
-		for w := range line.modified {
-			line.modified[w] = false
-		}
+		// Epoch boundary: full re-encryption under the fresh leading
+		// counter, and the modified-word set starts empty.
+		subtle.XORBytes(d.next[:], newPlain, d.pad[:])
+		line.modified = [DEUCEWordsPerLine]bool{}
 	} else {
-		// Partial re-encryption: modified words under the current counter,
-		// untouched words keep the epoch ciphertext.
-		d.enc.Pad(pad[:], loc, ctr)
-		copy(next, line.cells)
-		for w := 0; w < DEUCEWordsPerLine; w++ {
-			if !line.modified[w] {
+		// Partial re-encryption: the words modified since the epoch began
+		// (this write's included) under the current counter; untouched
+		// words keep the epoch ciphertext.
+		d.next = line.cells
+		for w := range line.modified {
+			if !line.modified[w] && deuceWord(newPlain, w) == deuceWord(line.plain[:], w) {
 				continue
 			}
-			for b := 0; b < DEUCEWordBytes; b++ {
-				i := w*DEUCEWordBytes + b
-				next[i] = newPlain[i] ^ pad[i]
-			}
+			line.modified[w] = true
+			i := w * DEUCEWordBytes
+			d.next[i] = newPlain[i] ^ d.pad[i]
+			d.next[i+1] = newPlain[i+1] ^ d.pad[i+1]
 		}
 	}
-
-	flips := nvm.BitDistance(line.cells, next)
-	copy(line.cells, next)
-	copy(line.plain, newPlain)
+	flips := nvm.BitDistance(line.cells[:], d.next[:])
+	line.cells = d.next
+	copy(line.plain[:], newPlain)
 	return flips
 }
 
@@ -243,29 +245,24 @@ func (d *DEUCE) Write(loc uint64, newPlain []byte) int {
 // partial re-encryption plus zero-word elision. Words that are zero in the
 // plaintext and were zero before are not re-encrypted at all (their cells
 // keep the previous contents and a per-word zero flag serves reads), which
-// removes the re-encryption churn DEUCE pays for zero-dominated data.
+// removes the re-encryption churn DEUCE pays for zero-dominated data. A
+// flag's state is whether the stored plaintext word is zero, so the model
+// keeps no flags of its own.
 type SECRET struct {
 	enc   *cme.Engine
 	ctrs  *cme.CounterStore
-	lines map[uint64]*secretLine
-}
-
-type secretLine struct {
-	plain    []byte
-	cells    []byte
-	writes   int
-	modified []bool // non-zero modified words since epoch start
-	zeroFlag []bool // word currently elided as zero
+	lines uint64
+	state []*partialLine        // modified counts non-zero words only
+	pad   [config.LineSize]byte // scratch: this write's one-time pad
+	next  [config.LineSize]byte // scratch: the cells after this write
 }
 
 // NewSECRET returns a SECRET model of line addresses below lines, with its own
 // encryption state.
-func NewSECRET(lines uint64) *SECRET {
-	return &SECRET{
-		enc:   cme.MustNewEngine(baselineKey),
-		ctrs:  cme.NewCounterStore(lines),
-		lines: make(map[uint64]*secretLine),
-	}
+func NewSECRET(lines uint64) *SECRET { return newSECRET(cme.MustNewEngine(baselineKey), lines) }
+
+func newSECRET(enc *cme.Engine, lines uint64) *SECRET {
+	return &SECRET{enc: enc, ctrs: cme.NewCounterStore(lines), lines: lines}
 }
 
 // Name implements BitModel.
@@ -274,73 +271,34 @@ func (d *SECRET) Name() string { return "SECRET" }
 // Write implements BitModel.
 func (d *SECRET) Write(loc uint64, newPlain []byte) int {
 	checkModelLine(newPlain)
-	line := d.lines[loc]
-	if line == nil {
-		line = &secretLine{
-			plain:    make([]byte, config.LineSize),
-			cells:    make([]byte, config.LineSize),
-			modified: make([]bool, DEUCEWordsPerLine),
-			zeroFlag: make([]bool, DEUCEWordsPerLine),
-		}
-		d.lines[loc] = line
-	}
-
-	wordZero := func(p []byte, w int) bool {
-		return p[w*DEUCEWordBytes] == 0 && p[w*DEUCEWordBytes+1] == 0
-	}
-
-	// Accumulate modified non-zero words since the epoch began.
-	for w := 0; w < DEUCEWordsPerLine; w++ {
-		changed := false
-		for b := 0; b < DEUCEWordBytes; b++ {
-			if newPlain[w*DEUCEWordBytes+b] != line.plain[w*DEUCEWordBytes+b] {
-				changed = true
-				break
-			}
-		}
-		if changed && !wordZero(newPlain, w) {
-			line.modified[w] = true
-		}
-	}
+	line := lineState(&d.state, loc, d.lines)
 	line.writes++
-	ctr := d.ctrs.Bump(loc)
-
-	next := make([]byte, config.LineSize)
-	var pad [config.LineSize]byte
-	d.enc.Pad(pad[:], loc, ctr)
+	// An epoch boundary re-encrypts every non-zero word and empties the
+	// modified-word set.
 	epoch := line.writes%DEUCEEpoch == 0
-	if epoch {
-		// Full re-encryption of the non-zero words; zero words stay elided.
-		for w := 0; w < DEUCEWordsPerLine; w++ {
-			line.modified[w] = false
+	d.enc.Pad(d.pad[:], loc, d.ctrs.Bump(loc))
+	d.next = line.cells
+	flagFlips := 0
+	for w := range line.modified {
+		was, now := deuceWord(line.plain[:], w), deuceWord(newPlain, w)
+		if (was == 0) != (now == 0) {
+			flagFlips++ // the word's zero flag flips: one cell
+		}
+		if now == 0 {
+			// Zero elision: flag only, cells untouched.
+			line.modified[w] = line.modified[w] && !epoch
+			continue
+		}
+		modified := line.modified[w] || now != was
+		line.modified[w] = modified && !epoch
+		if epoch || modified {
+			i := w * DEUCEWordBytes
+			d.next[i] = newPlain[i] ^ d.pad[i]
+			d.next[i+1] = newPlain[i+1] ^ d.pad[i+1]
 		}
 	}
-	copy(next, line.cells)
-	for w := 0; w < DEUCEWordsPerLine; w++ {
-		z := wordZero(newPlain, w)
-		switch {
-		case z:
-			// Zero elision: flag flip only, cells untouched.
-			line.zeroFlag[w] = true
-		case epoch || line.modified[w]:
-			line.zeroFlag[w] = false
-			for b := 0; b < DEUCEWordBytes; b++ {
-				i := w*DEUCEWordBytes + b
-				next[i] = newPlain[i] ^ pad[i]
-			}
-		}
-	}
-
-	flips := nvm.BitDistance(line.cells, next)
-	// Zero-flag bit flips: one cell per word whose flag changed.
-	for w := 0; w < DEUCEWordsPerLine; w++ {
-		was := wordZero(line.plain, w)
-		is := wordZero(newPlain, w)
-		if was != is {
-			flips++
-		}
-	}
-	copy(line.cells, next)
-	copy(line.plain, newPlain)
+	flips := nvm.BitDistance(line.cells[:], d.next[:]) + flagFlips
+	line.cells = d.next
+	copy(line.plain[:], newPlain)
 	return flips
 }

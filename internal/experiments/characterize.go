@@ -13,7 +13,6 @@ import (
 	"dewrite/internal/sim"
 	"dewrite/internal/stats"
 	"dewrite/internal/trace"
-	"dewrite/internal/units"
 	"dewrite/internal/workload"
 )
 
@@ -65,11 +64,7 @@ func Figure2(s *Suite) []*stats.Table {
 		"app", "suite", "dup %", "zero %", "nonzero dup %")
 	var dups, zeros []float64
 	for _, prof := range s.Opts.Profiles() {
-		gen := workload.NewGenerator(prof, s.Opts.Seed)
-		for i := 0; i < s.Opts.Requests; i++ {
-			gen.Next()
-		}
-		st := gen.Stats()
+		st := s.Prepared(prof).GenFinal
 		dup := stats.Ratio(st.Duplicates, st.Writes)
 		zero := stats.Ratio(st.ZeroWrites, st.Writes)
 		nz := dup - zero
@@ -92,6 +87,10 @@ func Figure4(s *Suite) []*stats.Table {
 		"app", "1-bit", "3-bit")
 	var acc1s, acc3s []float64
 	for _, prof := range s.Opts.Profiles() {
+		// A live generator, not the suite's prepared stream: each write's
+		// ground-truth duplicate flag is the step in the generator's
+		// duplicate count, and a prepared stream records only the counts
+		// at its warmup boundary and end.
 		gen := workload.NewGenerator(prof, s.Opts.Seed)
 		p1 := predict.New(1)
 		p3 := predict.New(3)
@@ -152,16 +151,7 @@ func Figure7(s *Suite) []*stats.Table {
 	cfg.Dedup.MaxReference = 1 << 30 // observe the natural distribution
 	for _, prof := range s.Opts.Profiles() {
 		ctrl := core.New(core.Options{DataLines: prof.WorkingSetLines, Config: cfg})
-		gen := workload.NewGenerator(prof, s.Opts.Seed)
-		var now units.Time
-		for i := 0; i < s.Opts.Requests; i++ {
-			req := gen.Next()
-			if req.Op == trace.Write {
-				now = ctrl.Write(now, req.Addr, req.Data)
-			} else {
-				_, now = ctrl.Read(now, req.Addr)
-			}
-		}
+		replayThrough(ctrl, s.Prepared(prof))
 		tables := ctrl.Tables()
 		tables.ObserveRefs()
 		h := tables.RefHistogram()

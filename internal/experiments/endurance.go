@@ -6,7 +6,6 @@ import (
 	"dewrite/internal/sim"
 	"dewrite/internal/stats"
 	"dewrite/internal/trace"
-	"dewrite/internal/workload"
 )
 
 // Figure12 reproduces Figure 12: the fraction of whole-line memory writes
@@ -62,10 +61,12 @@ func Figure13(s *Suite) []*stats.Table {
 	extSums := make([]float64, 3)
 	apps := 0
 
-	// Each profile's model replay is hermetic (own cipher state, own
-	// generator), so the per-profile measurements fan out across the
-	// cooperative budget; rows and averages are assembled afterwards in
-	// profile order.
+	// Each profile's model replay is hermetic (its own models, the suite's
+	// immutable prepared stream), so the per-profile measurements fan out
+	// across the cooperative budget; rows and averages are assembled
+	// afterwards in profile order. A profile's models share encryption
+	// engines, which are not safe for concurrent use, so they are built and
+	// written on the one goroutine that measures the profile.
 	profiles := s.Opts.Profiles()
 	type measured struct {
 		flips  [3][nModels]uint64
@@ -74,22 +75,21 @@ func Figure13(s *Suite) []*stats.Table {
 	results := make([]measured, len(profiles))
 	Fan(len(profiles), func(pi int) {
 		prof := profiles[pi]
-		// nModels techniques × 3 variants, each with independent cipher state.
-		models := [3][nModels]baseline.BitModel{}
-		for v := 0; v < 3; v++ {
-			models[v][0] = baseline.NewDCW(prof.WorkingSetLines)
-			models[v][1] = baseline.NewFNW(prof.WorkingSetLines)
-			models[v][2] = baseline.NewDEUCE(prof.WorkingSetLines)
-			models[v][3] = baseline.NewSECRET(prof.WorkingSetLines)
+		// One model set per variant. A set's models see the same writes and
+		// so share one engine's pads; the variants' counter histories
+		// differ, so each has its own.
+		var models [3][nModels]baseline.BitModel
+		for v := range models {
+			models[v] = baseline.NewBitModels(prof.WorkingSetLines)
 		}
 		m := &results[pi]
 
 		// Residency tracking for the DeWrite variant: a write is eliminated
 		// when its content is already live somewhere.
 		resident := newResidency()
-		gen := workload.NewGenerator(prof, s.Opts.Seed)
-		for i := 0; i < s.Opts.Requests; i++ {
-			req := gen.Next()
+		reqs := s.Prepared(prof).Requests
+		for i := range reqs {
+			req := &reqs[i]
 			if req.Op != trace.Write {
 				continue
 			}

@@ -6,7 +6,6 @@ import (
 	"dewrite/internal/stats"
 	"dewrite/internal/trace"
 	"dewrite/internal/units"
-	"dewrite/internal/workload"
 )
 
 // AblationOpenLoop measures the speedups under an open-loop arrival model —
@@ -30,8 +29,6 @@ func AblationOpenLoop(s *Suite) []*stats.Table {
 
 	var wspd, rspd []float64
 	for _, prof := range s.Opts.Profiles() {
-		gen := workload.NewGenerator(prof, s.Opts.Seed)
-
 		var baseReqs, dwReqs []memctrl.Request
 		resident := newResidency()
 		var now units.Time
@@ -39,8 +36,9 @@ func AblationOpenLoop(s *Suite) []*stats.Table {
 		bankOf := func(addr uint64) int {
 			return int((addr / cfg.RowLines) % uint64(cfg.Banks))
 		}
-		for i := 0; i < s.Opts.Requests; i++ {
-			req := gen.Next()
+		reqs := s.Prepared(prof).Requests
+		for i := range reqs {
+			req := &reqs[i]
 			now = now.Add(units.Duration(req.Gap+1) * cycle)
 			if req.Op == trace.Write {
 				demand[bankOf(req.Addr)] += cfg.Timing.NVMWrite
