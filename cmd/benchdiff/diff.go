@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -113,6 +114,22 @@ func (d *differ) compare(metric string, oldV, newV, threshold float64, dir int) 
 	}
 	regression := dir == 0 || (dir > 0 && delta > 0) || (dir < 0 && delta < 0)
 	d.found = append(d.found, finding{Metric: metric, Old: oldV, New: newV, Delta: delta, Regression: regression})
+}
+
+// wallFloorMS is the smallest wall-clock change flagged: a sub-millisecond
+// experiment can double between two runs of identical code, and a relative
+// threshold alone would call that a regression.
+const wallFloorMS = 1.0
+
+// compareWall records one host wall-clock metric in milliseconds: flagged
+// only when its change is at least wallFloorMS as well as beyond
+// -time-threshold.
+func (d *differ) compareWall(metric string, oldMS, newMS float64) {
+	if math.Abs(newMS-oldMS) < wallFloorMS {
+		d.compared++
+		return
+	}
+	d.compare(metric, oldMS, newMS, d.opts.TimeThreshold, +1)
 }
 
 // ---- run-report mode ----
@@ -274,8 +291,8 @@ func (d *differ) bench(oldBlob, newBlob []byte) error {
 	}
 	th, tt := d.opts.Threshold, d.opts.TimeThreshold
 	if oldB.Perf != nil && newB.Perf != nil {
-		d.compare("perf.wall_ms", oldB.Perf.WallMS, newB.Perf.WallMS, tt, +1)
-		d.compare("perf.seq_wall_ms", oldB.Perf.SeqWallMS, newB.Perf.SeqWallMS, tt, +1)
+		d.compareWall("perf.wall_ms", oldB.Perf.WallMS, newB.Perf.WallMS)
+		d.compareWall("perf.seq_wall_ms", oldB.Perf.SeqWallMS, newB.Perf.SeqWallMS)
 		d.compare("perf.allocs_per_request", oldB.Perf.AllocsPerRequest, newB.Perf.AllocsPerRequest, th, +1)
 		d.compare("perf.mallocs", oldB.Perf.Mallocs, newB.Perf.Mallocs, th, +1)
 		if oldB.Perf.Workers == newB.Perf.Workers {
@@ -301,7 +318,7 @@ func (d *differ) bench(oldBlob, newBlob []byte) error {
 			}
 			op := oldB.Perf.Scaling[oi]
 			prefix := fmt.Sprintf("perf.scaling[%dw]", np.Workers)
-			d.compare(prefix+".wall_ms", op.WallMS, np.WallMS, tt, +1)
+			d.compareWall(prefix+".wall_ms", op.WallMS, np.WallMS)
 			d.compare(prefix+".speedup", op.Speedup, np.Speedup, tt, -1)
 		}
 	}
@@ -316,7 +333,7 @@ func (d *differ) bench(oldBlob, newBlob []byte) error {
 			continue // new experiment: nothing to regress against
 		}
 		oe := oldB.Experiments[oi]
-		d.compare("exp."+ne.ID+".wall_ms", oe.WallMS, ne.WallMS, tt, +1)
+		d.compareWall("exp."+ne.ID+".wall_ms", oe.WallMS, ne.WallMS)
 
 		oldTables := make(map[string]int, len(oe.Tables))
 		for i, tb := range oe.Tables {

@@ -185,6 +185,50 @@ func TestBenchWallClockUsesLooseThreshold(t *testing.T) {
 	}
 }
 
+// TestBenchWallClockFloor: a wall-clock change under a millisecond is noise
+// however large its ratio. The committed pair of suite snapshots differs in
+// two sub-millisecond experiments whose code did not change (abl-modes 0.143
+// -> 0.253 ms, tail 0.152 -> 0.232 ms) and must compare clean, while an
+// experiment going from 10 to 20 ms is still flagged.
+func TestBenchWallClockFloor(t *testing.T) {
+	var pair [2][]byte
+	for i, name := range []string{"BENCH_2026-10-17e.json", "BENCH_2026-10-18.json"} {
+		blob, err := os.ReadFile(filepath.Join("..", "..", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pair[i] = blob
+	}
+	findings, _, err := diff(pair[0], pair[1], defaultOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range findings {
+		if f.Regression {
+			t.Errorf("committed pair flagged: %s", f)
+		}
+	}
+
+	from := strings.Replace(benchBase, `"id": "fig14", "wall_ms": 400`, `"id": "fig14", "wall_ms": 10`, 1)
+	to := strings.Replace(benchBase, `"id": "fig14", "wall_ms": 400`, `"id": "fig14", "wall_ms": 20`, 1)
+	findings, _, err = diff([]byte(from), []byte(to), defaultOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 1 || !findings[0].Regression || findings[0].Metric != "exp.fig14.wall_ms" {
+		t.Fatalf("10 -> 20 ms should be flagged: %v", findings)
+	}
+	from = strings.Replace(benchBase, `"id": "fig14", "wall_ms": 400`, `"id": "fig14", "wall_ms": 0.4`, 1)
+	to = strings.Replace(benchBase, `"id": "fig14", "wall_ms": 400`, `"id": "fig14", "wall_ms": 1.3`, 1)
+	findings, _, err = diff([]byte(from), []byte(to), defaultOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 0 {
+		t.Fatalf("a 0.9 ms change should pass whatever its ratio: %v", findings)
+	}
+}
+
 func TestBenchConfigMismatchNoted(t *testing.T) {
 	cur := strings.Replace(benchBase, `"seed": 42`, `"seed": 43`, 1)
 	findings, _, err := diff([]byte(benchBase), []byte(cur), defaultOpts)

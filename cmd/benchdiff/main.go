@@ -11,7 +11,8 @@
 // The file kind is sniffed from the schema field; both files must be the
 // same kind. Deterministic metrics (latencies, IPC, energy, allocations,
 // table cells) use -threshold; host wall-clock metrics use the looser
-// -time-threshold, since CI machines are noisy.
+// -time-threshold, since CI machines are noisy, and a wall-clock change under
+// 1 ms is never flagged, whatever its ratio.
 package main
 
 import (
@@ -25,7 +26,7 @@ func main() {
 	flag.Float64Var(&opts.Threshold, "threshold", 0.05,
 		"relative delta flagged on deterministic metrics (0.05 = 5%)")
 	flag.Float64Var(&opts.TimeThreshold, "time-threshold", 0.50,
-		"relative delta flagged on host wall-clock metrics")
+		"relative delta flagged on host wall-clock metrics (changes under 1 ms never are)")
 	flag.BoolVar(&opts.IncludeHost, "include-host", false,
 		"also compare host-dependent table columns (marked 'this host')")
 	warnOnly := flag.Bool("warn-only", false, "report regressions but exit 0")

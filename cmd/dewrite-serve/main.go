@@ -1,6 +1,7 @@
 // dewrite-serve is the long-running sharded secure-NVM service: the
 // securekv example promoted to a network daemon. It partitions a simulated
-// DeWrite device across N controller shards (each owned by one goroutine),
+// DeWrite device across N controller shards (each serving one request at a
+// time, under its own lock, on the connection goroutine that read it),
 // serves concurrent client streams over a minimal framed TCP protocol
 // (PUT/GET/STATS — see proto.go), maintains the cross-shard fingerprint
 // directory behind the same epoch-barrier contract the deterministic
@@ -9,10 +10,11 @@
 // barrier stall accounting, /readyz and /debug/slow, and structured JSON
 // logs (see ops.go for the metric table, DESIGN.md §13 for the model).
 //
-// Production hardening (DESIGN.md §14): bounded per-shard mailboxes with
-// watermark-based load shedding (typed BUSY responses), per-request
-// deadlines enforced at the shard owner, periodic crash-safe snapshots with
-// kill -9 recovery, and a seeded deterministic chaos mode for soak testing.
+// Production hardening (DESIGN.md §14): a bound on the requests waiting for
+// each shard with watermark-based load shedding (typed BUSY responses),
+// per-request deadlines checked once the shard lock is held, periodic
+// crash-safe snapshots with kill -9 recovery, and a seeded deterministic
+// chaos mode for soak testing.
 //
 // Usage:
 //
@@ -151,11 +153,11 @@ func runLoad(addr string, requests, conns int, seed uint64, deadline time.Durati
 func main() {
 	addr := flag.String("addr", ":7420", "TCP listen address for the framed KV protocol")
 	metrics := flag.String("metrics", ":9420", "HTTP listen address for /metrics, /readyz, /healthz, /debug/slow, /debug/vars (empty disables)")
-	shards := flag.Int("shards", 4, "controller shards (owner goroutines)")
+	shards := flag.Int("shards", 4, "controller shards, each serving one request at a time under its own lock")
 	lines := flag.Uint64("lines", 1<<16, "data lines striped across shards")
 	advanceEvery := flag.Uint64("advance-every", 1024, "requests between cross-shard directory advances")
 	slowK := flag.Int("slow-k", 32, "capacity of the /debug/slow slowest-recent-requests ring")
-	queueDepth := flag.Int("queue-depth", 64, "per-shard mailbox bound; overflow sheds with BUSY")
+	queueDepth := flag.Int("queue-depth", 64, "per-shard bound on requests waiting for the shard lock; overflow sheds with BUSY")
 	deadline := flag.Duration("deadline", 0, "default per-request deadline for frames that carry none (0 disables)")
 	shedHigh := flag.Float64("shed-high", 0.9, "drain-mode entry watermark as a fraction of queue-depth")
 	shedLow := flag.Float64("shed-low", 0.5, "drain-mode exit watermark as a fraction of queue-depth")

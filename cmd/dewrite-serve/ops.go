@@ -18,13 +18,13 @@ import (
 //	serve_slow_requests_total         counter    —            requests admitted to the /debug/slow ring
 //	serve_connections_total           counter    —            client connections accepted
 //	serve_connections_open            gauge      —            client connections currently open
-//	serve_queue_depth                 gauge      shard        owner mailbox depth sampled at enqueue
+//	serve_queue_depth                 gauge      shard        requests waiting for the shard lock, sampled at admission
 //	serve_occupancy                   gauge      shard        fraction of the shard's lines holding a key
 //	serve_keys                        gauge      shard        distinct keys stored on the shard
 //	serve_puts / serve_gets /
-//	serve_misses                      gauge      shard        owner op counts folded at each barrier
+//	serve_misses                      gauge      shard        shard op counts folded at each barrier
 //	serve_cross_shard_dup_hits        gauge      shard        puts whose fingerprint was live on another shard
-//	serve_barrier_stall_ns_total      counter    shard        wall ns owners spent blocked at the epoch barrier
+//	serve_barrier_stall_ns_total      counter    shard        wall ns requests spent blocked on the epoch read-lock
 //	serve_advances_total              counter    —            epoch barriers crossed
 //	serve_advance_ns_total            counter    —            wall ns spent inside barriers (directory fold + publish)
 //	serve_directory_publishes         gauge      shard        fingerprint deltas each shard published last epoch
@@ -42,7 +42,7 @@ import (
 //	serve_recovery_dropped_keys       gauge      —            keys dropped by the post-restore scrub (poisoned)
 //	serve_chaos_conn_resets_total     counter    —            connections torn down by the fault plan
 //	serve_chaos_slow_reads_total      counter    —            reads paced by injected slow-loris delay
-//	serve_chaos_stalls_total          counter    —            shard-owner stalls injected by the fault plan
+//	serve_chaos_stalls_total          counter    —            shard stalls (under the shard lock) injected by the fault plan
 //	serve_shard_<n>.*                 gauge      —            controller epoch sample (dup_eliminated, wear, …)
 //
 // Counters are monotonic (rates come from scrape deltas), gauges are
@@ -68,12 +68,12 @@ func latencyBounds() []uint64 {
 }
 
 // Shed causes, indexed into serveMetrics.sheds. Admission-time causes come
-// first; shedDeadline is charged by the shard owner when an admitted
-// request's budget expires in the queue.
+// first; shedDeadline is charged when an admitted request's budget expires
+// while it waits for its shard.
 const (
 	shedWatermark = iota // drain mode entered at this admission
 	shedDrain            // drain mode already active
-	shedQueueFull        // mailbox full with drain mode off (burst overflow)
+	shedQueueFull        // QueueDepth requests waiting with drain mode off (burst overflow)
 	shedDeadline         // admitted, but expired before execution
 	shedCauses
 )

@@ -18,9 +18,10 @@ import (
 //	response: status(1) valLen(4 BE) val
 //
 // deadlineMs is the client's per-request deadline budget in milliseconds
-// (0 = none): the shard owner answers StatusDeadline without touching the
-// controller once the budget has expired, so a slow epoch barrier turns into
-// a fast retryable verdict instead of a stranded connection.
+// (0 = none): a request that gets its shard's lock only after the budget has
+// expired is answered StatusDeadline without touching the controller, so a
+// slow epoch barrier turns into a fast retryable verdict instead of a
+// stranded connection.
 //
 // Values are at most ValueCap bytes — one NVM line minus the stored length
 // prefix — and keys at most MaxKeyLen. OpStats takes no key and returns the
@@ -29,10 +30,10 @@ import (
 // StatusBusy and StatusDeadline are the retryable verdicts: BUSY means the
 // request was shed by admission control (queue full or watermark drain mode)
 // before reaching a controller, DEADLINE means it was admitted but its budget
-// expired in the queue. Neither counts toward serve_requests_total — they
-// land in serve_shed_total — so client-received responses always equal
-// serve_requests_total + serve_shed_total (the books-balance invariant the
-// chaos soak pins).
+// expired while it waited for the shard lock. Neither counts toward
+// serve_requests_total — they land in serve_shed_total — so client-received
+// responses always equal serve_requests_total + serve_shed_total (the
+// books-balance invariant the chaos soak pins).
 const (
 	OpPut   byte = 1
 	OpGet   byte = 2
@@ -44,8 +45,8 @@ const (
 	// StatusBusy is the typed load-shed verdict: the server refused to admit
 	// the request. Retryable after backoff.
 	StatusBusy byte = 3
-	// StatusDeadline reports the request's deadline expired before the shard
-	// owner could execute it. Retryable if the client's budget allows.
+	// StatusDeadline reports the request's deadline expired while it waited
+	// for its shard. Retryable if the client's budget allows.
 	StatusDeadline byte = 4
 
 	// MaxKeyLen bounds request keys.
@@ -77,11 +78,17 @@ func writeRequest(w io.Writer, op byte, key string, val []byte, deadlineMs uint1
 	return err
 }
 
-// readRequest parses one request frame from r. key and val share one
-// freshly allocated frame buffer.
-func readRequest(r io.Reader) (op byte, key, val []byte, deadlineMs uint16, err error) {
-	var hdr [9]byte
-	if _, err = io.ReadFull(r, hdr[:]); err != nil {
+// frameCap is the largest request frame: the header plus the longest key and
+// value. A connection decodes every frame into one buffer of this size.
+const frameCap = 9 + MaxKeyLen + ValueCap
+
+// readRequest parses one request frame from r into frame, which must hold
+// frameCap bytes and is reused for every frame of a connection: key and val
+// alias it, so they are valid only until the next call. Both are sliced to
+// this frame's lengths, so no byte of an earlier, longer frame shows.
+func readRequest(r io.Reader, frame []byte) (op byte, key, val []byte, deadlineMs uint16, err error) {
+	hdr := frame[:9]
+	if _, err = io.ReadFull(r, hdr); err != nil {
 		return 0, nil, nil, 0, err
 	}
 	op = hdr[0]
@@ -94,20 +101,24 @@ func readRequest(r io.Reader) (op byte, key, val []byte, deadlineMs uint16, err 
 	if valLen > ValueCap {
 		return 0, nil, nil, 0, fmt.Errorf("value length %d exceeds %d", valLen, ValueCap)
 	}
-	buf := make([]byte, keyLen+valLen)
-	if _, err = io.ReadFull(r, buf); err != nil {
+	body := frame[9 : 9+keyLen+valLen]
+	if _, err = io.ReadFull(r, body); err != nil {
 		return 0, nil, nil, 0, err
 	}
-	return op, buf[:keyLen], buf[keyLen:], deadlineMs, nil
+	return op, body[:keyLen], body[keyLen:], deadlineMs, nil
 }
 
-// writeResponse frames one response onto w.
-func writeResponse(w io.Writer, status byte, val []byte) error {
-	hdr := make([]byte, 5, 5+len(val))
-	hdr[0] = status
-	binary.BigEndian.PutUint32(hdr[1:5], uint32(len(val)))
-	hdr = append(hdr, val...)
-	_, err := w.Write(hdr)
+// writeResponse frames one response onto w. The header goes out a byte at a
+// time: a header array handed to Write would escape through the writer's
+// io.Writer and cost an allocation per response.
+func writeResponse(w *bufio.Writer, status byte, val []byte) error {
+	n := uint32(len(val))
+	for _, b := range [5]byte{status, byte(n >> 24), byte(n >> 16), byte(n >> 8), byte(n)} {
+		if err := w.WriteByte(b); err != nil {
+			return err
+		}
+	}
+	_, err := w.Write(val)
 	return err
 }
 

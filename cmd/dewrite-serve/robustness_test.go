@@ -47,8 +47,8 @@ func checkBooks(t *testing.T, srv *Server, received uint64) {
 	}
 }
 
-// TestAdmissionControlSheds pins the backpressure contract: with every owner
-// request stalled and a tiny mailbox, a concurrent burst must be answered —
+// TestAdmissionControlSheds pins the backpressure contract: with every
+// request stalled and a tiny queue bound, a concurrent burst must be answered —
 // some OK, the overflow BUSY — with zero requests silently dropped and the
 // shed counters carrying exactly the BUSY responses.
 func TestAdmissionControlSheds(t *testing.T) {
@@ -114,7 +114,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 	}
 }
 
-// TestDeadlineExpiresInQueue: with the owner stalled, a queued request whose
+// TestDeadlineExpiresInQueue: with the shard stalled, a queued request whose
 // wire deadline has passed is answered StatusDeadline without touching the
 // controller, and lands in serve_shed_total{cause="deadline"}.
 func TestDeadlineExpiresInQueue(t *testing.T) {
@@ -139,8 +139,8 @@ func TestDeadlineExpiresInQueue(t *testing.T) {
 	bw := bufio.NewWriter(conn)
 	br := bufio.NewReader(conn)
 
-	// Pipeline several 1ms-deadline requests: each owner execution stalls
-	// 30ms, so by the time the later ones are dequeued their budget is gone.
+	// Pipeline several 1ms-deadline requests: each execution stalls 30ms
+	// under the shard lock before the deadline check, so budgets are gone.
 	const frames = 6
 	for k := 0; k < frames; k++ {
 		if err := writeRequest(bw, OpPut, fmt.Sprintf("d%d", k), []byte("v"), 1); err != nil {

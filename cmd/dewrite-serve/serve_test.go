@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -69,13 +72,34 @@ func TestServePutGetRoundTrip(t *testing.T) {
 // workload (most users share a few preset blobs), every stream verifies its
 // own reads, and afterwards the dedup evidence is visible in the gauges —
 // shared presets stored once per shard at most, and the cross-shard
-// directory populated at the barriers.
+// directory populated at the barriers. Requests run on their connection
+// goroutines under the shard locks; the second case has 8 clients contend
+// for 3 shards with a barrier after nearly every request, and every shard's
+// dedup tables must still be consistent once the server has closed.
 func TestServeConcurrentStreams(t *testing.T) {
+	for _, tc := range []struct {
+		shards       int
+		advanceEvery uint64
+	}{{4, 64}, {3, 2}} {
+		t.Run(fmt.Sprintf("shards=%d,advance=%d", tc.shards, tc.advanceEvery), func(t *testing.T) {
+			testConcurrentStreams(t, tc.shards, tc.advanceEvery)
+		})
+	}
+}
+
+func testConcurrentStreams(t *testing.T, shards int, advanceEvery uint64) {
 	const (
 		clients = 8
 		keys    = 100
 	)
-	srv := startTestServer(t, 4)
+	srv, err := NewServer(Config{Shards: shards, Lines: 1 << 12, AdvanceEvery: advanceEvery})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Serve("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
 
 	presets := [][]byte{
 		[]byte(`{"theme":"dark","lang":"en","notifications":true}`),
@@ -127,7 +151,7 @@ func TestServeConcurrentStreams(t *testing.T) {
 
 	reg := srv.Registry()
 	var puts, dup float64
-	for i := 0; i < 4; i++ {
+	for i := 0; i < shards; i++ {
 		labels := "\x00" + `{shard="` + fmt.Sprint(i) + `"}` // labeled-gauge key form
 		puts += reg.Get("serve_puts" + labels)
 		dup += reg.Get("serve_shard_" + fmt.Sprint(i) + ".dup_eliminated")
@@ -147,8 +171,8 @@ func TestServeConcurrentStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
 	raw, err := c.Stats()
+	c.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,6 +182,13 @@ func TestServeConcurrentStreams(t *testing.T) {
 	}
 	if snap["serve_directory_advances"] == 0 {
 		t.Fatalf("stats snapshot missing advances: %v", snap)
+	}
+
+	srv.Close()
+	for _, w := range srv.shards {
+		if err := w.ctrl.Tables().CheckInvariants(); err != nil {
+			t.Fatalf("shard %d dedup tables after close: %v", w.id, err)
+		}
 	}
 }
 
@@ -189,5 +220,98 @@ func TestServeShardFull(t *testing.T) {
 	got, found, err := c.Get("a")
 	if err != nil || !found || string(got) != "x" {
 		t.Fatalf("get a after full: %q %v %v", got, found, err)
+	}
+}
+
+// TestServeRequestAllocations pins the daemon's request path: once a key is
+// known and the controller has touched its lines, decoding a frame, admitting
+// and running a PUT and a GET on the connection's buffers, and encoding both
+// responses allocate nothing. Each PUT duplicates a value two anchor keys
+// hold, so it takes the dedup path (fingerprint, lookup, verify read, remap).
+// The warm-up takes the map entries and the controller's first-touch growth
+// out of the count.
+func TestServeRequestAllocations(t *testing.T) {
+	srv, err := NewServer(Config{Shards: 1, Lines: 1 << 10, AdvanceEvery: 1 << 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	bufs := new(connBufs)
+	bw := bufio.NewWriter(io.Discard)
+	rd := bytes.NewReader(nil)
+	br := bufio.NewReader(rd)
+	var bad string
+	serve := func(frames []byte) {
+		rd.Reset(frames)
+		br.Reset(rd)
+		for {
+			op, key, val, _, err := readRequest(br, bufs.frame[:])
+			if err != nil {
+				if err != io.EOF {
+					bad = err.Error()
+				}
+				return
+			}
+			w := srv.shards[srv.shardOf(key)]
+			if srv.admit(w) >= 0 {
+				bad = "request shed"
+				return
+			}
+			resp := srv.run(w, shardReq{op: op, key: key, val: val}, &bufs.line)
+			if resp.status != StatusOK {
+				bad = "status " + statusName(resp.status)
+				return
+			}
+			if err := writeResponse(bw, resp.status, resp.val); err != nil {
+				bad = err.Error()
+				return
+			}
+			if err := bw.Flush(); err != nil {
+				bad = err.Error()
+				return
+			}
+		}
+	}
+	frame := func(b *bytes.Buffer, op byte, key, val string) {
+		if err := writeRequest(b, op, key, []byte(val), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v1, v2 := "first value", "second, longer value"
+	var anchors, pass bytes.Buffer
+	frame(&anchors, OpPut, "anchor:1", v1)
+	frame(&anchors, OpPut, "anchor:2", v2)
+	frame(&pass, OpPut, "user:7", v1)
+	frame(&pass, OpGet, "user:7", "")
+	frame(&pass, OpPut, "user:7", v2)
+	frame(&pass, OpGet, "user:7", "")
+
+	serve(anchors.Bytes())
+	for i := 0; i < 64; i++ {
+		serve(pass.Bytes())
+	}
+	if bad != "" {
+		t.Fatal(bad)
+	}
+	// Mallocs are counted exactly over long windows, so an allocation on a
+	// fraction of requests fails too (AllocsPerRun truncates its average).
+	// The passes are identical, so an allocation on the path recurs in every
+	// window, while on a contended host the runtime itself can allocate once
+	// in a window: the pin takes the fewer of two windows' counts.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	window := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 500; i++ {
+			serve(pass.Bytes())
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	if n := min(window(), window()); n != 0 || bad != "" {
+		t.Fatalf("500 passes of two PUTs and two GETs of a known key allocated %d times (error %q)", n, bad)
+	}
+	if st := srv.shards[0].ctrl.Tables().Snapshot(); st.Duplicates != 2*(64+1000) {
+		t.Fatalf("%d of the passes' %d PUTs were duplicates", st.Duplicates, 2*(64+1000))
 	}
 }

@@ -27,18 +27,20 @@ import (
 )
 
 // Server is the long-running sharded secure-NVM key-value service: the
-// line address space is partitioned across shards, each owned by a single
-// goroutine that drives its own DeWrite controller (dedup tables, metadata
-// caches, bank queues, wear state) in simulated time, with the cross-shard
-// fingerprint directory shared between them.
+// line address space is partitioned across shards, each driving its own
+// DeWrite controller (dedup tables, metadata caches, bank queues, wear
+// state) in simulated time, with the cross-shard fingerprint directory
+// shared between them.
 //
 // Concurrency follows the simulator's shard contract: controllers are
-// single-threaded, so all access to one shard's state happens on its owner
-// goroutine; the directory's pending side is safe for concurrent publishes,
-// and its frozen side is only advanced under the epoch write-lock, which
-// every owner holds read-side while serving a request. Advancing is
-// therefore a brief stop-the-world barrier, exactly the simulator's epoch
-// boundary transplanted to wall-clock time.
+// single-threaded, so a shard serves one request at a time, on the
+// connection goroutine that read it, under the shard's lock. The
+// directory's pending side is safe for concurrent publishes, and its frozen
+// side is only advanced under the epoch write-lock, which every request
+// holds read-side while it runs. The lock order is shard lock, then epoch
+// read-lock, so a request waiting for its shard never holds the barrier
+// open. Advancing is therefore a brief stop-the-world barrier, exactly the
+// simulator's epoch boundary transplanted to wall-clock time.
 //
 // The ops surface is RED-complete: request/error counters and wall-clock
 // latency histograms per op, per-shard queue and occupancy gauges, barrier
@@ -57,16 +59,17 @@ type Server struct {
 	log      *slog.Logger // nil disables logging entirely
 	plan     *chaos.Plan  // nil disables fault injection entirely
 
-	// epochMu is the epoch barrier: owners serve requests under RLock;
-	// the directory advance runs under Lock.
+	// epochMu is the epoch barrier: requests run under RLock, taken after
+	// their shard's lock; the directory advance runs under Lock and never
+	// takes a shard lock.
 	epochMu sync.RWMutex
 	// fingerMask truncates CRC-32 fingerprints to the configured dedup hash
 	// width so the cross-shard census uses the controller's own equivalence
 	// classes.
 	fingerMask uint32
-	// highWater/lowWater are the admission watermarks in queued requests:
-	// a shard whose mailbox reaches highWater enters drain mode and sheds
-	// until it falls back to lowWater.
+	// highWater/lowWater are the admission watermarks in requests waiting
+	// for a shard's lock: a shard whose waiting count reaches highWater
+	// enters drain mode and sheds until it falls back to lowWater.
 	highWater, lowWater int
 
 	// ready flips once generation zero has published (the first Advance);
@@ -93,13 +96,13 @@ type Server struct {
 	conns   sync.WaitGroup
 	connMu  sync.Mutex
 	open    map[net.Conn]struct{}
-	owners  sync.WaitGroup
 	closing sync.Once
 }
 
 // Config sizes the server.
 type Config struct {
-	// Shards is the number of controller shards (owner goroutines).
+	// Shards is the number of controller shards, each serving one request
+	// at a time.
 	Shards int
 	// Lines is the global number of data lines, striped across shards.
 	Lines uint64
@@ -118,12 +121,12 @@ type Config struct {
 	// SlowWindow is the ring's recency window in frames; 0 defaults to 65536.
 	SlowWindow uint64
 
-	// QueueDepth bounds each shard owner's mailbox; <= 0 defaults to 64.
-	// A full mailbox sheds with StatusBusy instead of blocking the
-	// connection goroutine.
+	// QueueDepth bounds the requests waiting for each shard's lock, not
+	// counting the one running; <= 0 defaults to 64. A request that finds
+	// the bound reached sheds with StatusBusy instead of waiting.
 	QueueDepth int
 	// ShedHighWater and ShedLowWater are fractions of QueueDepth: a shard
-	// whose mailbox reaches the high watermark enters drain mode (new
+	// whose waiting count reaches the high watermark enters drain mode (new
 	// requests shed with BUSY) until it falls to the low watermark.
 	// Zero values default to 0.9 and 0.5.
 	ShedHighWater, ShedLowWater float64
@@ -148,30 +151,37 @@ type Config struct {
 	Chaos *chaos.Plan
 }
 
-// shardReq is one routed request handed to a shard owner.
+// shardReq is one routed PUT or GET. key and val alias the connection's
+// frame buffer.
 type shardReq struct {
-	op    byte
-	key   string
-	val   []byte
-	reply chan shardResp
-	// deadline is the absolute expiry instant (zero = none): the owner
-	// answers StatusDeadline without touching the controller once passed.
+	op       byte
+	key, val []byte
+	// deadline is the absolute expiry instant (zero = none): a request that
+	// gets its shard's lock only after this instant is answered
+	// StatusDeadline without touching the controller.
 	deadline time.Time
 }
 
 type shardResp struct {
 	status byte
-	val    []byte
+	val    []byte // a GET's value aliases the connection's line buffer
 	cause  string // non-empty on StatusError: the serve_errors_total cause
 }
 
-// shardWorker owns one shard: its controller, its key→line directory, and
-// its simulated clock. Everything here is touched only by the owner
-// goroutine.
+// shardWorker is one shard: its controller, its key→line directory, and its
+// simulated clock. Everything here but waiting and drainMode is touched only
+// by the request holding mu and the epoch read-lock, or under the epoch
+// write-lock.
 type shardWorker struct {
 	id   int
 	ctrl *core.Controller
-	reqs chan shardReq
+
+	// mu serializes the shard's requests; it is taken before the epoch
+	// read-lock.
+	mu sync.Mutex
+	// waiting counts admitted requests that do not yet hold mu: the shard's
+	// queue depth, which admission bounds.
+	waiting atomic.Int64
 
 	slots map[string]uint64
 	next  uint64
@@ -181,23 +191,29 @@ type shardWorker struct {
 	puts, gets, misses, full uint64
 	crossDup                 uint64
 	served                   uint64 // since last advance
-	total                    uint64 // lifetime requests dequeued (chaos stall ordinal)
+	total                    uint64 // lifetime requests run (chaos stall ordinal)
 
-	// Line buffers the owner reuses for every request. hashes.CRC32 lets
-	// its argument escape, so a per-request stack line would be moved to
-	// the heap on every PUT.
-	lineBuf, readBuf [config.LineSize]byte
-
-	// drainMode is the shard's watermark state: set when the mailbox
+	// drainMode is the shard's watermark state: set when the waiting count
 	// reaches the high watermark, cleared at the low watermark. Written by
-	// connection goroutines at admission; the flag is advisory (len(chan)
-	// is racy), so transitions are heuristics, not invariants.
+	// connection goroutines at admission; the count moves while it is read,
+	// so transitions are heuristics, not invariants.
 	drainMode atomic.Bool
 }
 
-// NewServer builds the sharded service and starts its owner goroutines; call
-// Serve to accept connections and Close to tear everything down. The server
-// is not ready (in the /readyz sense) until Serve publishes generation zero.
+// connBufs is a connection's scratch, reused for every request it reads.
+type connBufs struct {
+	// frame holds the request being decoded (see readRequest).
+	frame [frameCap]byte
+	// line is the NVM line a PUT writes or a GET reads; a GET's response
+	// value aliases it. hashes.CRC32 and the controller let their line
+	// arguments escape, so a stack line would be moved to the heap per
+	// request.
+	line [config.LineSize]byte
+}
+
+// NewServer builds the sharded service; call Serve to accept connections and
+// Close to tear everything down. The server is not ready (in the /readyz
+// sense) until Serve publishes generation zero.
 func NewServer(cfg Config) (*Server, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("dewrite-serve: %d shards", cfg.Shards)
@@ -267,7 +283,6 @@ func NewServer(cfg Config) (*Server, error) {
 	for i := 0; i < cfg.Shards; i++ {
 		w := &shardWorker{
 			id:    i,
-			reqs:  make(chan shardReq, cfg.QueueDepth),
 			slots: make(map[string]uint64),
 			cap:   s.router.LinesFor(i, cfg.Lines),
 		}
@@ -275,8 +290,6 @@ func NewServer(cfg Config) (*Server, error) {
 		d, id := s.dir, i
 		w.ctrl.Tables().SetPublish(func(h uint32, delta int) { d.Publish(id, h, delta) })
 		s.shards = append(s.shards, w)
-		s.owners.Add(1)
-		go s.runOwner(w)
 	}
 	return s, nil
 }
@@ -302,53 +315,13 @@ func (s *Server) shardOf(key []byte) int {
 	return int(hashes.CRC32(key) % uint32(len(s.shards)))
 }
 
-// runOwner is a shard's single-threaded service loop. The time an owner
-// spends blocked acquiring the epoch read-lock is exactly the time it stood
-// at a barrier waiting for an Advance to finish, so it lands in the shard's
-// serve_barrier_stall_ns_total counter — per-shard barrier pressure,
-// scrapeable as a rate.
-func (s *Server) runOwner(w *shardWorker) {
-	defer s.owners.Done()
-	stall := s.m.stalls[w.id]
-	for req := range w.reqs {
-		t0 := time.Now()
-		s.epochMu.RLock()
-		if wait := time.Since(t0); wait > 0 {
-			stall.Add(uint64(wait.Nanoseconds()))
-		}
-		w.total++
-		if ns := s.plan.ShardStallNs(w.id, w.total); ns > 0 {
-			// Injected inside the read-lock so a stall exercises exactly the
-			// path a slow controller would: barrier pressure on every other
-			// shard and queue growth on this one.
-			s.m.chaosStalls.Inc()
-			time.Sleep(time.Duration(ns))
-		}
-		var resp shardResp
-		if !req.deadline.IsZero() && time.Now().After(req.deadline) {
-			// Expired in the queue: answer the typed retryable verdict
-			// without touching the controller, so a backlogged shard fails
-			// fast instead of doing work nobody is waiting for.
-			resp = shardResp{status: StatusDeadline}
-		} else {
-			resp = w.handle(s, req)
-		}
-		advance := w.served >= s.cfg.AdvanceEvery
-		s.epochMu.RUnlock()
-		req.reply <- resp
-		if advance {
-			s.Advance()
-		}
-	}
-}
-
 // admit applies admission control for one routed request: watermark-based
-// drain mode plus a hard bound at the mailbox capacity. It returns a shed
-// cause (< 0 when admitted). Runs on the connection goroutine; depth reads
-// are racy by nature, so the watermark transitions are heuristics — the
-// channel capacity is the invariant.
-func (s *Server) admit(w *shardWorker, req shardReq) int {
-	depth := len(w.reqs)
+// drain mode plus a hard bound of QueueDepth requests waiting for the shard's
+// lock. It returns a shed cause (< 0 when admitted, and then the caller must
+// run the request). The count moves while it is read, so the watermark
+// transitions are heuristics; the bound is the invariant.
+func (s *Server) admit(w *shardWorker) int {
+	depth := int(w.waiting.Load())
 	if w.drainMode.Load() {
 		if depth > s.lowWater {
 			return shedDrain
@@ -360,22 +333,64 @@ func (s *Server) admit(w *shardWorker, req shardReq) int {
 		s.m.drainMode[w.id].Set(1)
 		return shedWatermark
 	}
-	select {
-	case w.reqs <- req:
-		s.m.queueDepth[w.id].Set(float64(len(w.reqs)))
-		return -1
-	default:
+	n := w.waiting.Add(1)
+	if n > int64(s.cfg.QueueDepth) {
+		w.waiting.Add(-1)
 		return shedQueueFull
 	}
+	s.m.queueDepth[w.id].Set(float64(n))
+	return -1
 }
 
-// handle executes one request against the shard's controller. Runs on the
-// owner goroutine under the epoch read-lock.
-func (w *shardWorker) handle(s *Server, req shardReq) shardResp {
+// run executes one admitted request on the calling connection goroutine:
+// it takes the shard's lock, then the epoch read-lock. The time spent
+// blocked acquiring the read lock is exactly the time the request stood at
+// a barrier waiting for an Advance to finish, so it lands in the shard's
+// serve_barrier_stall_ns_total counter; the wait for the shard lock is
+// queueing, not barrier pressure. The request that finds the shard's
+// advance interval used up runs the Advance, after releasing both locks.
+func (s *Server) run(w *shardWorker, req shardReq, line *[config.LineSize]byte) shardResp {
+	w.mu.Lock()
+	w.waiting.Add(-1)
+	t0 := time.Now()
+	s.epochMu.RLock()
+	if wait := time.Since(t0); wait > 0 {
+		s.m.stalls[w.id].Add(uint64(wait.Nanoseconds()))
+	}
+	w.total++
+	if ns := s.plan.ShardStallNs(w.id, w.total); ns > 0 {
+		// Injected under both locks so a stall exercises exactly the path a
+		// slow controller would: barrier pressure on every other shard and
+		// queue growth on this one.
+		s.m.chaosStalls.Inc()
+		time.Sleep(time.Duration(ns))
+	}
+	var resp shardResp
+	if !req.deadline.IsZero() && time.Now().After(req.deadline) {
+		// Expired in the queue: answer the typed retryable verdict without
+		// touching the controller, so a backlogged shard fails fast instead
+		// of doing work nobody is waiting for.
+		resp = shardResp{status: StatusDeadline}
+	} else {
+		resp = w.handle(s, req, line)
+	}
+	advance := w.served >= s.cfg.AdvanceEvery
+	s.epochMu.RUnlock()
+	w.mu.Unlock()
+	if advance {
+		s.Advance()
+	}
+	return resp
+}
+
+// handle executes one request against the shard's controller, through the
+// connection's line buffer. Caller holds the shard lock and the epoch
+// read-lock.
+func (w *shardWorker) handle(s *Server, req shardReq, line *[config.LineSize]byte) shardResp {
 	w.served++
 	switch req.op {
 	case OpPut:
-		slot, ok := w.slots[req.key]
+		slot, ok := w.slots[string(req.key)]
 		if !ok {
 			if w.next >= w.cap {
 				w.full++
@@ -383,44 +398,44 @@ func (w *shardWorker) handle(s *Server, req shardReq) shardResp {
 			}
 			slot = w.next
 			w.next++
-			w.slots[req.key] = slot
+			w.slots[string(req.key)] = slot
 		}
 		// Cleared before each fill: the tail past the value must read as
-		// zero, as a fresh line would, or stale bytes from an earlier PUT
+		// zero, as a fresh line would, or stale bytes from an earlier request
 		// would change the line and its dedup outcome.
-		line := w.lineBuf[:]
-		clear(line)
+		clear(line[:])
 		binary.BigEndian.PutUint16(line[:2], uint16(len(req.val)))
 		copy(line[2:], req.val)
-		if s.dir.HeldElsewhere(hashes.CRC32(line)&s.fingerMask, w.id) {
+		if s.dir.HeldElsewhere(hashes.CRC32(line[:])&s.fingerMask, w.id) {
 			w.crossDup++
 		}
-		w.now = w.ctrl.Write(w.now, slot, line)
+		w.now = w.ctrl.Write(w.now, slot, line[:])
 		w.puts++
 		return shardResp{status: StatusOK}
 	case OpGet:
-		slot, ok := w.slots[req.key]
+		slot, ok := w.slots[string(req.key)]
 		if !ok {
 			w.misses++
 			return shardResp{status: StatusNotFound}
 		}
-		w.now = w.ctrl.ReadInto(w.now, slot, w.readBuf[:])
+		w.now = w.ctrl.ReadInto(w.now, slot, line[:])
 		w.gets++
-		n := int(binary.BigEndian.Uint16(w.readBuf[:2]))
+		n := int(binary.BigEndian.Uint16(line[:2]))
 		if n > ValueCap {
 			return shardResp{status: StatusError, val: []byte("corrupt length prefix"), cause: "corrupt_value"}
 		}
-		return shardResp{status: StatusOK, val: append([]byte(nil), w.readBuf[2:2+n]...)}
+		return shardResp{status: StatusOK, val: line[2 : 2+n]}
 	default:
 		return shardResp{status: StatusError, val: []byte("unknown op"), cause: "unknown_op"}
 	}
 }
 
-// Advance runs one epoch barrier: waits for every in-flight request to
+// Advance runs one epoch barrier: waits for every running request to
 // finish, folds the directory's pending deltas into the next frozen
-// generation, and republishes the per-shard gauges. Owners resume as soon
-// as the lock drops. The first Advance publishes generation zero and flips
-// the readiness probe.
+// generation, and republishes the per-shard gauges. Requests resume as soon
+// as the lock drops. It takes no shard lock: a request waiting for its
+// shard holds no read lock, so it cannot hold the barrier open. The first
+// Advance publishes generation zero and flips the readiness probe.
 func (s *Server) Advance() {
 	t0 := time.Now()
 	s.epochMu.Lock()
@@ -442,9 +457,9 @@ func (s *Server) Advance() {
 		s.sinceSnap++
 		if s.sinceSnap >= s.cfg.SnapshotEvery {
 			s.sinceSnap = 0
-			// Owners are parked at the barrier, so every shard's state is
+			// No request holds the read lock, so every shard's state is
 			// stable — the same invariant publishShard relies on.
-			//dewrite:allow lockdiscipline full-state snapshots serialize at the barrier by design; ROADMAP item 1 tracks delta snapshots that would move this off the write lock
+			//dewrite:allow lockdiscipline full-state snapshots serialize at the barrier by design: no request holds the read lock; ROADMAP item 1 tracks delta snapshots that would move this off the write lock
 			s.snapshotLocked(s.plan)
 		}
 	}
@@ -463,7 +478,7 @@ func (s *Server) Advance() {
 }
 
 // publishShard refreshes one shard's gauges. Caller holds the epoch
-// write-lock (the owner is parked, so its state is stable).
+// write-lock (no request is running, so the shard's state is stable).
 func (s *Server) publishShard(w *shardWorker) {
 	labels := []monitor.Label{{Key: "shard", Value: strconv.Itoa(w.id)}}
 	s.reg.SetLabeled("serve_puts", labels, float64(w.puts))
@@ -563,9 +578,10 @@ func closedForShutdown(err error) bool {
 }
 
 // serveConn handles one client stream: a sequence of framed requests, each
-// answered in order. Requests route to shard owners by key hash; the
-// connection goroutine blocks on the owner's reply, so each stream sees its
-// own operations in program order.
+// answered in order. Requests route to shards by key hash and run on this
+// goroutine under the shard's lock, so each stream sees its own operations
+// in program order. The connection decodes into one frame buffer and answers
+// from one line buffer, so a PUT to a known key and a GET allocate nothing.
 //
 // Shutdown contract: once a request frame has been read it is always
 // processed and its response always written — quit is only honored between
@@ -598,7 +614,7 @@ func (s *Server) serveConn(conn net.Conn) {
 
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
-	reply := make(chan shardResp, 1)
+	bufs := new(connBufs)
 	for {
 		if ns := slowNs; ns > 0 {
 			// Slow-loris pacing: the injected delay sits where a slow client
@@ -606,7 +622,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.m.chaosSlowReads.Inc()
 			time.Sleep(time.Duration(ns))
 		}
-		op, key, val, deadlineMs, err := readRequest(br)
+		op, key, val, deadlineMs, err := readRequest(br, bufs.frame[:])
 		if err != nil {
 			if !closedForShutdown(err) {
 				s.errorCause(op, "bad_frame")
@@ -638,10 +654,10 @@ func (s *Server) serveConn(conn net.Conn) {
 		case OpPut, OpGet:
 			shardID = s.shardOf(key)
 			w := s.shards[shardID]
-			if shed = s.admit(w, shardReq{op: op, key: string(key), val: val, reply: reply, deadline: deadline}); shed >= 0 {
+			if shed = s.admit(w); shed >= 0 {
 				resp = shardResp{status: StatusBusy}
 			} else {
-				resp = <-reply
+				resp = s.run(w, shardReq{op: op, key: key, val: val, deadline: deadline}, &bufs.line)
 			}
 		default:
 			resp = shardResp{status: StatusError, val: []byte("unknown op"), cause: "unknown_op"}
@@ -702,10 +718,10 @@ func (s *Server) observe(rid uint64, op byte, shardID int, lat time.Duration, re
 }
 
 // Close stops accepting, lets every in-flight request finish and flush its
-// response, tears the client connections down, stops the owners, and runs
-// one final advance so the gauges reflect the end state. The listener is
-// closed exactly once; extra Close calls (including concurrent ones) wait on
-// nothing and change nothing.
+// response, tears the client connections down, and runs one final advance
+// so the gauges reflect the end state. No request can run once the
+// connections are gone. The listener is closed exactly once; extra Close
+// calls (including concurrent ones) wait on nothing and change nothing.
 func (s *Server) Close() {
 	s.closing.Do(func() {
 		// Flip the readiness probe to 503 before anything is torn down, so
@@ -731,17 +747,13 @@ func (s *Server) Close() {
 		}
 		s.connMu.Unlock()
 		s.conns.Wait()
-		for _, w := range s.shards {
-			close(w.reqs)
-		}
-		s.owners.Wait()
 		s.Advance()
 		if s.cfg.SnapshotDir != "" {
 			// The clean-shutdown snapshot is never chaos-aborted: it is the
 			// reference state the chaos soak compares a crash recovery
 			// against.
 			s.epochMu.Lock()
-			//dewrite:allow lockdiscipline the clean-shutdown snapshot runs at the barrier by design: owners have drained and no reader is stalled
+			//dewrite:allow lockdiscipline the clean-shutdown snapshot runs at the barrier by design: every connection has closed and no reader is stalled
 			s.snapshotLocked(nil)
 			s.epochMu.Unlock()
 		}
@@ -766,9 +778,5 @@ func (s *Server) Abort() {
 		}
 		s.connMu.Unlock()
 		s.conns.Wait()
-		for _, w := range s.shards {
-			close(w.reqs)
-		}
-		s.owners.Wait()
 	})
 }

@@ -103,7 +103,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 		t.Fatal("shutdown raced the load burst: no requests completed")
 	}
 
-	// The final Advance folded the owners' state, so the per-shard gauges
+	// The final Advance folded the shards' state, so the per-shard gauges
 	// agree with the flushed-response counters.
 	var puts, gets float64
 	for i := 0; i < 4; i++ {

@@ -17,7 +17,7 @@ import (
 )
 
 // Crash-safe serving state. Each snapshot generation carries one payload per
-// shard: a serve-level header (the key→line directory and owner counters,
+// shard: a serve-level header (the key→line directory and shard counters,
 // which live above the controller) followed by the controller's own
 // crash-consistent checkpoint (core.SaveState — dedup tables, refcounts,
 // encryption counters, wear, line contents). The generation directory
@@ -45,7 +45,7 @@ type keySlot struct {
 }
 
 // shardHeader is the serve-level state above the controller: the shard's key
-// directory, allocation cursor, simulated clock, and owner counters. Keys
+// directory, allocation cursor, simulated clock, and request counters. Keys
 // are sorted so identical state encodes to identical bytes (the chaos soak
 // compares crash recovery against a clean-shutdown reference).
 type shardHeader struct {
@@ -64,8 +64,8 @@ type shardHeader struct {
 func shardFileName(id int) string { return "shard-" + strconv.Itoa(id) }
 
 // encodeShard serializes one shard: magic, length-prefixed JSON header, then
-// the controller checkpoint. Caller holds the epoch write-lock (the owner is
-// parked, so the state is stable; SaveState's metadata flush is safe).
+// the controller checkpoint. Caller holds the epoch write-lock (no request is
+// running, so the state is stable; SaveState's metadata flush is safe).
 func (s *Server) encodeShard(w *shardWorker) ([]byte, error) {
 	hdr := shardHeader{
 		Shard:    w.id,
@@ -131,15 +131,15 @@ func (s *Server) snapMeta() map[string]string {
 	}
 }
 
-// Snapshot takes one on-demand snapshot under the epoch barrier (owners
-// parked, state stable) and reports whether a generation was committed.
+// Snapshot takes one on-demand snapshot under the epoch barrier (no request
+// running, state stable) and reports whether a generation was committed.
 func (s *Server) Snapshot() bool {
 	if s.cfg.SnapshotDir == "" {
 		return false
 	}
 	s.epochMu.Lock()
 	defer s.epochMu.Unlock()
-	//dewrite:allow lockdiscipline operator-requested snapshots serialize at the barrier by design; ROADMAP item 1 tracks delta snapshots that would move this off the write lock
+	//dewrite:allow lockdiscipline operator-requested snapshots serialize at the barrier by design: no request holds the read lock; ROADMAP item 1 tracks delta snapshots that would move this off the write lock
 	return s.snapshotLocked(s.plan)
 }
 
@@ -197,10 +197,10 @@ func (s *Server) snapshotLocked(plan *chaos.Plan) bool {
 // ready. Safe to call more than once; only the first call does work. With no
 // snapshot directory configured, or a cold (empty) directory, it is a no-op.
 //
-// Recover runs on Serve's goroutine before the accept loop starts, so the
-// owner goroutines — which touch shard state only after receiving from their
-// request channels — observe the restored controllers through the channel's
-// happens-before edge.
+// Recover runs on Serve's goroutine before the accept loop starts. Shard
+// state is touched only by connection goroutines, each started by a go
+// statement in that loop, so they observe the restored controllers through
+// the go statement's happens-before edge.
 func (s *Server) Recover() error {
 	s.recoverOnce.Do(func() { s.recoverErr = s.recover() })
 	return s.recoverErr
