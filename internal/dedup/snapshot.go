@@ -85,8 +85,9 @@ func (t *Tables) WriteTo(w io.Writer) (int64, error) {
 	}
 
 	// Free list, compacted: the in-memory list keeps stale entries (slots
-	// re-claimed via own-slot preference) that allocate() filters lazily;
-	// the snapshot stores only the genuinely free, de-duplicated tail.
+	// their own logical line re-claimed after an earlier release freed
+	// them, and retired locations) that tryAllocate filters lazily; the
+	// snapshot stores only the genuinely free, de-duplicated tail.
 	var freed []uint64
 	var seen []bool
 	for _, a := range t.freed {

@@ -13,7 +13,6 @@ import (
 	"dewrite/internal/sim"
 	"dewrite/internal/stats"
 	"dewrite/internal/trace"
-	"dewrite/internal/workload"
 )
 
 // TableI reproduces Table I: (a) the latency and digest size of the hash
@@ -87,22 +86,14 @@ func Figure4(s *Suite) []*stats.Table {
 		"app", "1-bit", "3-bit")
 	var acc1s, acc3s []float64
 	for _, prof := range s.Opts.Profiles() {
-		// A live generator, not the suite's prepared stream: each write's
-		// ground-truth duplicate flag is the step in the generator's
-		// duplicate count, and a prepared stream records only the counts
-		// at its warmup boundary and end.
-		gen := workload.NewGenerator(prof, s.Opts.Seed)
+		prep := s.Prepared(prof)
 		p1 := predict.New(1)
 		p3 := predict.New(3)
-		var prevDups uint64
-		for i := 0; i < s.Opts.Requests; i++ {
-			req := gen.Next()
-			if req.Op != trace.Write {
+		for i := range prep.Requests {
+			if prep.Requests[i].Op != trace.Write {
 				continue
 			}
-			st := gen.Stats()
-			isDup := st.Duplicates > prevDups
-			prevDups = st.Duplicates
+			isDup := prep.Duplicate(i)
 			p1.Observe(isDup)
 			p3.Observe(isDup)
 		}

@@ -156,3 +156,31 @@ func TestPreparedSharedAcrossGoroutines(t *testing.T) {
 		}
 	}
 }
+
+// TestPreparedDuplicateBits: a prepared stream's duplicate bit is set on
+// exactly the requests where a live generator's duplicate count steps, and
+// the bits sum to the stream's duplicate count.
+func TestPreparedDuplicateBits(t *testing.T) {
+	prof := smallProfile()
+	opts := Options{Requests: 3000, Warmup: 300, Seed: 12}
+	prep := Prepare(prof, opts)
+	gen := workload.NewGenerator(prof, opts.Seed)
+	var prev, set uint64
+	for i := range prep.Requests {
+		gen.Next()
+		d := gen.Stats().Duplicates
+		if got, want := prep.Duplicate(i), d > prev; got != want {
+			t.Fatalf("request %d: duplicate bit %v, generator says %v", i, got, want)
+		}
+		if prep.Duplicate(i) {
+			set++
+		}
+		prev = d
+	}
+	if set != prep.GenFinal.Duplicates {
+		t.Fatalf("%d duplicate bits, generator counted %d duplicates", set, prep.GenFinal.Duplicates)
+	}
+	if (&Prepared{Requests: prep.Requests}).Duplicate(0) {
+		t.Fatal("a stream not built by Prepare reports a duplicate")
+	}
+}

@@ -218,12 +218,22 @@ type Prepared struct {
 	Warmup   int
 	GenWarm  workload.Stats // generator counters at the warmup boundary
 	GenFinal workload.Stats // generator counters after the full stream
+
+	dups []uint64 // one ground-truth duplicate bit per request (Duplicate)
+}
+
+// Duplicate reports request i's ground-truth duplicate bit: whether the
+// generator counted it as a duplicate, a write whose content was resident.
+// It is false for every request of a stream not built by Prepare.
+func (p *Prepared) Duplicate(i int) bool {
+	return i/64 < len(p.dups) && p.dups[i/64]>>(i%64)&1 != 0
 }
 
 // Prepare materializes opts.Requests generator requests for the profile,
 // snapshotting the ground-truth counters exactly where Run would read them
 // (at the warmup boundary and at the end), so a replayed run's Result is
-// byte-identical to a generator-driven one.
+// byte-identical to a generator-driven one, and recording each request's
+// duplicate bit: the step in the generator's duplicate count.
 func Prepare(prof workload.Profile, opts Options) *Prepared {
 	if opts.Requests <= 0 {
 		panic("sim: non-positive request count")
@@ -236,12 +246,18 @@ func Prepare(prof workload.Profile, opts Options) *Prepared {
 		App:      prof.Name,
 		Warmup:   opts.Warmup,
 		Requests: make([]trace.Request, opts.Requests),
+		dups:     make([]uint64, (opts.Requests+63)/64),
 	}
+	var dups uint64
 	for i := range p.Requests {
 		if i == opts.Warmup {
 			p.GenWarm = gen.Stats()
 		}
 		p.Requests[i] = gen.Next()
+		if d := gen.Stats().Duplicates; d != dups {
+			p.dups[i/64] |= 1 << (i % 64)
+			dups = d
+		}
 	}
 	p.GenFinal = gen.Stats()
 	return p
