@@ -74,9 +74,8 @@ func runShardSmoke(opts experiments.Options, shards, workers int) error {
 	seqRes, seqMem := sim.RunScheme(sim.SchemeDeWrite, prof, cfg, simOpts)
 	seqBlob := encode(seqRes, seqMem)
 
-	oneRes, oneMem := sim.RunShardedScheme(sim.SchemeDeWrite, prof, cfg,
-		sim.ShardedOptions{Options: simOpts, Shards: 1})
-	if !bytes.Equal(seqBlob, encode(oneRes, oneMem)) {
+	oneRes := sim.RunSharded(sim.SchemeDeWrite, prof, cfg, sim.ShardedOptions{Options: simOpts, Shards: 1})
+	if !bytes.Equal(seqBlob, encode(oneRes, oneRes.FinalMemory())) {
 		return fmt.Errorf("shard smoke: shard count 1 diverged from the sequential controller")
 	}
 

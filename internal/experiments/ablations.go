@@ -41,19 +41,21 @@ func (s *Suite) runDeWriteWith(prof workload.Profile, cfg config.Config) core.Re
 	return ctrl.Report()
 }
 
-// replayThrough drives one prepared stream through a controller, discarding
-// read plaintext into a reusable buffer.
-func replayThrough(ctrl *core.Controller, prep *sim.Prepared) {
+// replayThrough drives one prepared stream through a memory back to back,
+// each request issued when the previous one completes, discarding read
+// plaintext into a reusable buffer. It returns the last completion time.
+func replayThrough(mem sim.Memory, prep *sim.Prepared) units.Time {
 	var now units.Time
 	var buf [config.LineSize]byte
 	for i := range prep.Requests {
 		req := &prep.Requests[i]
 		if req.Op == trace.Write {
-			now = ctrl.Write(now, req.Addr, req.Data)
+			now = mem.Write(now, req.Addr, req.Data)
 		} else {
-			now = ctrl.ReadInto(now, req.Addr, buf[:])
+			now = mem.ReadInto(now, req.Addr, buf[:])
 		}
 	}
+	return now
 }
 
 // AblationPNA compares DeWrite with and without the prediction-based NVM
@@ -210,16 +212,7 @@ func AblationWearLevel(s *Suite) []*stats.Table {
 					mem = base
 				}
 			}
-			prep := s.Prepared(prof)
-			var now units.Time
-			for i := range prep.Requests {
-				req := &prep.Requests[i]
-				if req.Op == trace.Write {
-					now = mem.Write(now, req.Addr, req.Data)
-				} else {
-					_, now = mem.Read(now, req.Addr)
-				}
-			}
+			replayThrough(mem, s.Prepared(prof))
 			w := dev.WearStats()
 			overhead := 0.0
 			if sg != nil {
@@ -252,17 +245,7 @@ func AblationPersist(s *Suite) []*stats.Table {
 				Config:    s.Config(),
 				Persist:   mode,
 			})
-			prep := s.Prepared(prof)
-			var now units.Time
-			var buf [config.LineSize]byte
-			for i := range prep.Requests {
-				req := &prep.Requests[i]
-				if req.Op == trace.Write {
-					now = ctrl.Write(now, req.Addr, req.Data)
-				} else {
-					now = ctrl.ReadInto(now, req.Addr, buf[:])
-				}
-			}
+			now := replayThrough(ctrl, s.Prepared(prof))
 			r := ctrl.Report()
 			dirty := ctrl.FlushMetadata(now)
 			t.AddRow(prof.Name, mode.String(), r.MetaNVMWrites,

@@ -12,7 +12,6 @@ import (
 	"dewrite/internal/hashes"
 	"dewrite/internal/nvm"
 	"dewrite/internal/shard"
-	"dewrite/internal/stats"
 	"dewrite/internal/timeline"
 	"dewrite/internal/trace"
 	"dewrite/internal/units"
@@ -26,15 +25,18 @@ import (
 // run is deterministic for any worker count.
 //
 // Within an epoch (a fixed span of global request indices) each shard
-// processes its own subsequence of the prepared stream in order, touching
-// only its own state plus the cross-shard fingerprint directory, whose reads
-// answer from the generation frozen at the previous barrier and whose writes
-// land in commutative pending buffers. At the barrier the directory folds
-// the epoch's deltas, the timeline collector ticks once with the merged
-// view, and the next epoch begins. Shards therefore never observe each
-// other's in-epoch progress, which is what makes the result a pure function
-// of (stream, config, shard count): scheduling worker goroutines differently
-// cannot change a single counter.
+// drives its own subsequence of the prepared stream, in order, through its
+// own driver: the request step of a sequential run, over the shard's
+// controller and CPU model. A shard touches only its own state plus the
+// cross-shard fingerprint directory, whose reads answer from the generation
+// frozen at the previous barrier and whose writes land in commutative
+// pending buffers. At the barrier the directory folds the epoch's deltas,
+// the timeline collector ticks once with the merged view, and the next
+// epoch begins. Shards therefore never observe each other's in-epoch
+// progress, which is what makes the result a pure function of (stream,
+// config, shard count): scheduling worker goroutines differently cannot
+// change a single counter. Result.fill then merges the shards' drivers the
+// way it reads a sequential run's one.
 //
 // Shard count 1 bypasses all of this and runs the sequential path, so its
 // output is byte-identical to RunScheme.
@@ -62,19 +64,6 @@ type ShardedOptions struct {
 	// EpochRequests is the barrier period in global request indices; <= 0
 	// selects DefaultEpochRequests.
 	EpochRequests int
-
-	// OnBarrier, when non-nil, observes every epoch barrier with each
-	// shard's simulated stall time: the gap between that shard's last
-	// completion and the slowest shard's, i.e. how long the shard would
-	// have idled waiting at the barrier. At least one entry is always zero
-	// (the slowest shard never waits). Observational only — the hook runs
-	// on the coordinating goroutine after the directory advance, its
-	// values are pure functions of (config, seed), and it must not mutate
-	// run state; the slice is reused across calls, so copy it to retain.
-	// epoch is 1-based (the epoch just closed), so the final call's epoch
-	// equals the report's Sharding.Epochs. Reports are byte-identical with
-	// the hook set or nil.
-	OnBarrier func(epoch uint64, stalls []units.Duration)
 }
 
 // ShardStat is one shard's slice of a sharded run, reported so the balance
@@ -108,31 +97,15 @@ type ShardingReport struct {
 	PerShard          []ShardStat `json:"per_shard"`
 }
 
-// shardState is one shard's private slice of the run. Only its owning
-// worker touches it between barriers.
+// shardState is one shard's private slice of the run: the request driver
+// over its controller, plus what only a shard has. Only its owning worker
+// touches it between barriers.
 type shardState struct {
-	id    int
-	lines uint64
-	banks int
-
-	mem     Memory
-	ri      readerInto
-	readBuf [config.LineSize]byte
-	machine *cpu.Machine
-	rec     *attr.Recorder
-	sampler timeline.Sampler
-
-	writeLat, readLat stats.Latency
-	lastDone          units.Time
-	requests          uint64
-	memWrites         uint64
-	memReads          uint64
-	zeroWrites        uint64
-	crossDup          uint64
-
-	measured       bool // warmup baseline captured
-	instr0, cycle0 uint64
-	dev0           nvm.Stats
+	driver
+	id       int
+	lines    uint64
+	banks    int
+	crossDup uint64
 }
 
 // RunSharded drives a prepared request stream through Shards partitioned
@@ -169,12 +142,7 @@ func RunSharded(s Scheme, prof workload.Profile, cfg config.Config, opts Sharded
 	if prep == nil {
 		prep = Prepare(prof, opts.Options)
 	} else {
-		if len(prep.Requests) != opts.Requests {
-			panic("sim: prepared stream length does not match Requests")
-		}
-		if prep.Warmup != opts.Warmup {
-			panic("sim: prepared warmup does not match Warmup")
-		}
+		prep.check(opts.Options)
 	}
 	epochLen := opts.EpochRequests
 	if epochLen <= 0 {
@@ -206,8 +174,8 @@ func RunSharded(s Scheme, prof workload.Profile, cfg config.Config, opts Sharded
 			faults.Seed += uint64(i)
 		}
 		sh.mem = NewMemoryWith(s, sh.lines, shardCfg, faults, false)
-		sh.ri, _ = sh.mem.(readerInto)
 		sh.machine = cpu.NewMachine(prof.Threads)
+		sh.countZeros = opts.Timeline.Enabled()
 		if ctrl, ok := sh.mem.(*core.Controller); ok {
 			if dir == nil {
 				dir = shard.NewDirectory(n)
@@ -218,9 +186,6 @@ func RunSharded(s Scheme, prof workload.Profile, cfg config.Config, opts Sharded
 		if opts.Attr.Enabled() {
 			sh.rec = attr.NewRecorder(int(opts.Attr.SamplePeriod()), opts.Seed+uint64(i))
 			AttachAttr(sh.mem, sh.rec)
-		}
-		if opts.Timeline.Enabled() {
-			sh.sampler, _ = sh.mem.(timeline.Sampler)
 		}
 		shards[i] = sh
 	}
@@ -240,61 +205,12 @@ func RunSharded(s Scheme, prof workload.Profile, cfg config.Config, opts Sharded
 			if router.ShardOf(req.Addr) != sh.id {
 				continue
 			}
-			if i >= warmup && !sh.measured {
-				sh.measured = true
-				sh.instr0 = sh.machine.Instructions()
-				sh.cycle0 = sh.machine.Cycles()
-				if dev := DeviceOf(sh.mem); dev != nil {
-					sh.dev0 = dev.Stats()
-				}
-			}
 			measuring := i >= warmup
-			th := req.Thread
-			sh.machine.Execute(th, req.Gap)
-			if measuring {
-				sh.requests++
+			if dir != nil && measuring && req.Op == trace.Write &&
+				dir.HeldElsewhere(hashLine(req.Data)&fingerMask, sh.id) {
+				sh.crossDup++
 			}
-			local := router.Local(req.Addr)
-			if req.Op == trace.Write {
-				issue := sh.machine.IssueWrite(th)
-				if tl.Enabled() && config.IsZeroLine(req.Data) {
-					sh.zeroWrites++
-				}
-				if dir != nil && measuring {
-					if dir.HeldElsewhere(hashLine(req.Data)&fingerMask, sh.id) {
-						sh.crossDup++
-					}
-				}
-				sh.rec.Begin(attr.KindWrite, th, local, issue)
-				done := sh.mem.Write(issue, local, req.Data)
-				sh.rec.End(done)
-				sh.machine.RetireWrite(th, done)
-				if done > sh.lastDone {
-					sh.lastDone = done
-				}
-				if measuring {
-					sh.writeLat.Observe(done.Sub(issue))
-					sh.memWrites++
-				}
-			} else {
-				issue := sh.machine.IssueRead(th)
-				sh.rec.Begin(attr.KindRead, th, local, issue)
-				var done units.Time
-				if sh.ri != nil {
-					done = sh.ri.ReadInto(issue, local, sh.readBuf[:])
-				} else {
-					_, done = sh.mem.Read(issue, local)
-				}
-				sh.rec.End(done)
-				sh.machine.RetireRead(th, done)
-				if done > sh.lastDone {
-					sh.lastDone = done
-				}
-				if measuring {
-					sh.readLat.Observe(done.Sub(issue))
-					sh.memReads++
-				}
-			}
+			sh.step(req, router.Local(req.Addr), measuring)
 		}
 	}
 
@@ -307,7 +223,6 @@ func RunSharded(s Scheme, prof workload.Profile, cfg config.Config, opts Sharded
 	}
 
 	var epochs uint64
-	var stallBuf []units.Duration // OnBarrier scratch, reused across barriers
 	for start := 0; start < len(prep.Requests); start += epochLen {
 		end := start + epochLen
 		if end > len(prep.Requests) {
@@ -339,16 +254,6 @@ func RunSharded(s Scheme, prof workload.Profile, cfg config.Config, opts Sharded
 			dir.Advance()
 		}
 		epochs++
-		if opts.OnBarrier != nil {
-			maxDone := maxLastDone(shards)
-			if stallBuf == nil {
-				stallBuf = make([]units.Duration, n)
-			}
-			for i, sh := range shards {
-				stallBuf[i] = maxDone.Sub(sh.lastDone)
-			}
-			opts.OnBarrier(epochs, stallBuf)
-		}
 		if tl.Enabled() {
 			tl.Tick(maxLastDone(shards), uint64(end), tlSrc)
 		}
@@ -356,70 +261,34 @@ func RunSharded(s Scheme, prof workload.Profile, cfg config.Config, opts Sharded
 
 	res := Result{App: prof.Name, Scheme: s.String()}
 	res.Gen = genDelta(prep.GenWarm, prep.GenFinal)
+	drivers := make([]*driver, n)
+	for i, sh := range shards {
+		drivers[i] = &sh.driver
+	}
+	res.fill(drivers...)
 
-	var writeLat, readLat stats.Latency
-	var dev nvm.Stats
-	var crossDup uint64
 	rep := &ShardingReport{Shards: n, EpochRequests: epochLen, Epochs: epochs}
 	attrReports := make([]*attr.Report, 0, n)
 	for _, sh := range shards {
-		res.Requests += sh.requests
-		res.MemWrites += sh.memWrites
-		res.MemReads += sh.memReads
-		crossDup += sh.crossDup
-		writeLat.Merge(&sh.writeLat)
-		readLat.Merge(&sh.readLat)
-
-		var instr, cycles uint64
-		var shardDev nvm.Stats
-		if sh.measured {
-			instr = sh.machine.Instructions() - sh.instr0
-			cycles = sh.machine.Cycles() - sh.cycle0
-			if d := DeviceOf(sh.mem); d != nil {
-				shardDev = devDelta(d.Stats(), sh.dev0)
-			}
-		}
-		res.Instructions += instr
-		if cycles > res.Cycles {
-			res.Cycles = cycles
-		}
-		mergeDeviceStats(&dev, shardDev)
-
+		rep.CrossShardDupHits += sh.crossDup
+		_, cycles, dev := sh.window()
+		rep.PerShard = append(rep.PerShard, ShardStat{
+			Shard: sh.id, Lines: sh.lines, Banks: sh.banks,
+			Requests: sh.requests, MemWrites: sh.memWrites, MemReads: sh.memReads,
+			DevReads: dev.Reads, DevWrites: dev.Writes, Cycles: cycles,
+		})
 		if sh.rec.Enabled() {
 			r := sh.rec.Report()
 			padBankWrites(r, sh.banks)
 			attrReports = append(attrReports, r)
 		}
-		rep.PerShard = append(rep.PerShard, ShardStat{
-			Shard: sh.id, Lines: sh.lines, Banks: sh.banks,
-			Requests: sh.requests, MemWrites: sh.memWrites, MemReads: sh.memReads,
-			DevReads: shardDev.Reads, DevWrites: shardDev.Writes, Cycles: cycles,
-		})
 	}
-	if res.Cycles > 0 {
-		res.IPC = float64(res.Instructions) / float64(res.Cycles)
-	}
-	res.Elapsed = units.Duration(res.Cycles) * units.NewClock(config.CPUHz).Period()
-	res.MeanWriteLat = writeLat.Mean()
-	res.MeanReadLat = readLat.Mean()
-	res.P50WriteLat = writeLat.P50()
-	res.P95WriteLat = writeLat.P95()
-	res.P99WriteLat = writeLat.P99()
-	res.P50ReadLat = readLat.P50()
-	res.P95ReadLat = readLat.P95()
-	res.P99ReadLat = readLat.P99()
-	res.WriteLatSum = writeLat.Sum()
-	res.ReadLatSum = readLat.Sum()
-	res.EnergyPJ = dev.EnergyPJ
-	res.Device = dev
 
 	if tl.Enabled() {
 		tl.Finish(maxLastDone(shards), uint64(len(prep.Requests)), tlSrc)
 		res.Timeline = tl.Report()
 	}
 	res.Attribution = attr.MergeReports(attrReports...)
-
-	rep.CrossShardDupHits = crossDup
 	if dir != nil {
 		rep.Directory = dir.Snapshot()
 	}
@@ -499,8 +368,8 @@ func mergeEpoch(e *timeline.Epoch, now units.Time, shards []*shardState, totalLi
 	}
 	for _, sh := range shards {
 		var se timeline.Epoch
-		if sh.sampler != nil {
-			sh.sampler.SampleEpoch(&se, now)
+		if ss, ok := sh.mem.(timeline.Sampler); ok {
+			ss.SampleEpoch(&se, now)
 		}
 		e.DevReads += se.DevReads
 		e.DevWrites += se.DevWrites
@@ -530,16 +399,4 @@ func mergeEpoch(e *timeline.Epoch, now units.Time, shards []*shardState, totalLi
 		e.FaultSpareUsed += se.FaultSpareUsed
 		e.FaultBanksRetired += se.FaultBanksRetired
 	}
-}
-
-// RunShardedScheme mirrors RunScheme for sharded execution; it exists so
-// callers that pattern-match on the sequential helper have an equivalent
-// entry point. The memory return is nil at Shards > 1 — a sharded run has
-// no single memory.
-func RunShardedScheme(s Scheme, prof workload.Profile, cfg config.Config, opts ShardedOptions) (Result, Memory) {
-	if opts.Shards <= 1 {
-		return RunScheme(s, prof, cfg, opts.Options)
-	}
-	res := RunSharded(s, prof, cfg, opts)
-	return res, nil
 }

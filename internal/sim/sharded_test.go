@@ -7,7 +7,6 @@ import (
 	"dewrite/internal/attr"
 	"dewrite/internal/config"
 	"dewrite/internal/timeline"
-	"dewrite/internal/units"
 	"dewrite/internal/workload"
 )
 
@@ -225,62 +224,5 @@ func TestShardedEpochGranularity(t *testing.T) {
 		if res.Sharding.EpochRequests != epoch {
 			t.Fatalf("epoch=%d: block says %d", epoch, res.Sharding.EpochRequests)
 		}
-	}
-}
-
-// TestShardedOnBarrierObservational: the OnBarrier hook sees every epoch
-// barrier with per-shard simulated stall times, and — being observational —
-// its presence leaves the run report byte-identical. This pins the serving
-// observability contract: instrumentation on vs off never changes results.
-func TestShardedOnBarrierObservational(t *testing.T) {
-	prof := shardedProfile(t)
-	cfg := config.Default()
-	base := Options{Requests: 3000, Warmup: 300, Seed: 7}
-	prep := Prepare(prof, base)
-	base.Prepared = prep
-
-	const shards = 4
-	plain := ShardedOptions{Options: base, Shards: shards}
-	want := reportBytes(t, NewRunReport(RunSharded(SchemeDeWrite, prof, cfg, plain), nil))
-
-	var (
-		calls     uint64
-		lastEpoch uint64
-	)
-	hooked := ShardedOptions{Options: base, Shards: shards}
-	hooked.OnBarrier = func(epoch uint64, stalls []units.Duration) {
-		calls++
-		if epoch != calls {
-			t.Errorf("barrier %d reported epoch %d", calls, epoch)
-		}
-		lastEpoch = epoch
-		if len(stalls) != shards {
-			t.Fatalf("barrier %d: %d stall entries, want %d", epoch, len(stalls), shards)
-		}
-		sawZero := false
-		for i, st := range stalls {
-			if st < 0 {
-				t.Errorf("barrier %d: shard %d stall %v negative", epoch, i, st)
-			}
-			if st == 0 {
-				sawZero = true
-			}
-		}
-		if !sawZero {
-			t.Errorf("barrier %d: no shard at zero stall — the slowest shard defines the barrier", epoch)
-		}
-	}
-	res := RunSharded(SchemeDeWrite, prof, cfg, hooked)
-	got := reportBytes(t, NewRunReport(res, nil))
-
-	if calls == 0 {
-		t.Fatal("OnBarrier never called")
-	}
-	if calls != res.Sharding.Epochs || lastEpoch != res.Sharding.Epochs {
-		t.Fatalf("OnBarrier called %d times (last epoch %d), report says %d epochs",
-			calls, lastEpoch, res.Sharding.Epochs)
-	}
-	if !bytes.Equal(want, got) {
-		t.Fatalf("OnBarrier hook changed the run report:\n--- plain ---\n%s\n--- hooked ---\n%s", want, got)
 	}
 }

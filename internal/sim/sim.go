@@ -23,16 +23,13 @@ import (
 )
 
 // Memory is the request interface every secure-NVM scheme implements
-// (core.Controller, baseline.SecureNVM, baseline.Shredder).
+// (core.Controller, baseline.SecureNVM, baseline.Shredder). ReadInto is Read
+// without the allocation: the plaintext lands in dst, which must hold one
+// line. The harness reads through it into one reusable buffer, which keeps
+// the simulation loop allocation-free.
 type Memory interface {
 	Write(now units.Time, logical uint64, data []byte) units.Time
 	Read(now units.Time, logical uint64) ([]byte, units.Time)
-}
-
-// readerInto is implemented by schemes whose read path can decrypt into a
-// caller-provided buffer (core.Controller, baseline.SecureNVM,
-// baseline.Shredder), keeping the simulation loop allocation-free.
-type readerInto interface {
 	ReadInto(now units.Time, logical uint64, dst []byte) units.Time
 }
 
@@ -345,12 +342,7 @@ func Run(app string, schemeName string, mem Memory, prof workload.Profile, opts 
 	var reqs []trace.Request
 	var stream *workload.Stream
 	if prep != nil {
-		if len(prep.Requests) != opts.Requests {
-			panic("sim: prepared stream length does not match Requests")
-		}
-		if prep.Warmup != opts.Warmup {
-			panic("sim: prepared warmup does not match Warmup")
-		}
+		prep.check(opts)
 		reqs = prep.Requests
 	} else {
 		gen := workload.NewGenerator(prof, opts.Seed)
@@ -362,224 +354,269 @@ func Run(app string, schemeName string, mem Memory, prof workload.Profile, opts 
 		// memory) does not strand the producer.
 		defer stream.Close()
 	}
-	machine := cpu.NewMachine(prof.Threads)
 
 	rec := opts.Attr
 	if rec.Enabled() {
 		AttachAttr(mem, rec)
 	}
+	tl := opts.Timeline
+	d := &driver{mem: mem, machine: cpu.NewMachine(prof.Threads), rec: rec, countZeros: tl.Enabled()}
+	if opts.Hierarchy != nil {
+		d.hierarchy = opts.Hierarchy
+		d.shadow = map[uint64][]byte{}
+	}
 
 	// The timeline source combines the scheme's own epoch sampler (when it
-	// has one) with the harness-level zero-write count, which the schemes
-	// other than Shredder don't track themselves.
-	tl := opts.Timeline
-	var zeroWrites uint64
+	// has one; after a crash point, the recovered memory's) with the
+	// harness-level zero-write count.
 	var tlSrc timeline.Sampler
-	var schemeSampler timeline.Sampler
 	if tl.Enabled() {
-		schemeSampler, _ = mem.(timeline.Sampler)
 		tlSrc = timeline.SamplerFunc(func(e *timeline.Epoch, now units.Time) {
-			if schemeSampler != nil {
-				schemeSampler.SampleEpoch(e, now)
+			if ss, ok := d.mem.(timeline.Sampler); ok {
+				ss.SampleEpoch(e, now)
 			}
-			e.ZeroWrites = zeroWrites
+			e.ZeroWrites = d.zeroWrites
 		})
 	}
 
-	var res Result
-	res.App = app
-	res.Scheme = schemeName
-
-	// Measurement baselines captured at the warmup boundary.
-	var instr0, cycles0 uint64
-	var dev0 nvm.Stats
-
-	var writeLat, readLat stats.Latency
-	var lastDone units.Time
-	shadow := map[uint64][]byte{} // line contents for hierarchy write-backs
-
-	// Read plaintext is discarded by the harness; decrypt into one reusable
-	// buffer when the scheme supports it.
-	ri, _ := mem.(readerInto)
-	var readBuf [config.LineSize]byte
-	read := func(issue units.Time, addr uint64) units.Time {
-		if ri != nil {
-			return ri.ReadInto(issue, addr, readBuf[:])
-		}
-		_, done := mem.Read(issue, addr)
-		return done
-	}
-
-	// doCrash swaps mem for its crash-recovered successor mid-loop. Recovery
-	// is instantaneous in simulated time (the scrub runs at boot); the CPU
-	// machine state deliberately survives — the crash model covers the memory
-	// system, not the cores. The recovered device's counters restart from the
-	// loaded state, so the warmup baseline is re-zeroed: pre-crash device
-	// traffic is lost from the measurement, exactly as it is lost to the
-	// power cut.
-	doCrash := func() {
-		nm, rep, err := crashRecover(mem)
-		if err != nil {
-			panic(fmt.Sprintf("sim: crash point at %d: %v (build the memory with NewMemoryWith track=true)",
-				opts.CrashAt, err))
-		}
-		rep.CrashedAt = opts.CrashAt
-		res.Crash = rep
-		mem = nm
-		if rec.Enabled() {
-			// The same recorder survives the power cycle, so the attribution
-			// ledger stays cumulative while the device's counters restart.
-			AttachAttr(mem, rec)
-		}
-		ri, _ = mem.(readerInto)
-		if tl.Enabled() {
-			schemeSampler, _ = mem.(timeline.Sampler)
-		}
-		dev0 = nvm.Stats{}
-	}
-
+	res := Result{App: app, Scheme: schemeName}
 	for i := 0; i < opts.Requests; i++ {
-		if i == opts.Warmup {
-			instr0 = machine.Instructions()
-			cycles0 = machine.Cycles()
-			if dev := DeviceOf(mem); dev != nil {
-				dev0 = dev.Stats()
-			}
-		}
-		measuring := i >= opts.Warmup
 		if len(reqs) == 0 {
 			reqs = stream.Next()
 		}
-		req := reqs[0]
+		d.step(&reqs[0], reqs[0].Addr, i >= opts.Warmup)
 		reqs = reqs[1:]
-		th := req.Thread
-		machine.Execute(th, req.Gap)
-		if measuring {
-			res.Requests++
-		}
-
-		if opts.Hierarchy == nil {
-			if req.Op == trace.Write {
-				// Ordered persistent write: stall on the previous write's
-				// persist, then issue; the write occupies its bank while the
-				// thread runs ahead, so later requests to that bank queue
-				// behind it — the paper's contention mechanism.
-				issue := machine.IssueWrite(th)
-				if tl.Enabled() && config.IsZeroLine(req.Data) {
-					zeroWrites++
-				}
-				rec.Begin(attr.KindWrite, th, req.Addr, issue)
-				done := mem.Write(issue, req.Addr, req.Data)
-				rec.End(done)
-				machine.RetireWrite(th, done)
-				if done > lastDone {
-					lastDone = done
-				}
-				if measuring {
-					writeLat.Observe(done.Sub(issue))
-					res.MemWrites++
-				}
-			} else {
-				issue := machine.IssueRead(th)
-				rec.Begin(attr.KindRead, th, req.Addr, issue)
-				done := read(issue, req.Addr)
-				rec.End(done)
-				machine.RetireRead(th, done)
-				if done > lastDone {
-					lastDone = done
-				}
-				if measuring {
-					readLat.Observe(done.Sub(issue))
-					res.MemReads++
-				}
-			}
-			tl.Tick(lastDone, uint64(i+1), tlSrc)
-			if opts.CrashAt != 0 && uint64(i+1) == opts.CrashAt {
-				doCrash()
-			}
-			continue
-		}
-
-		// Cache-filtered path: only misses and dirty write-backs reach NVM.
-		store := req.Op == trace.Write
-		if store {
-			shadow[req.Addr] = req.Data
-		}
-		acc := opts.Hierarchy.Access(req.Addr, store)
-		machine.Delay(th, acc.Latency)
-		if acc.MemFill {
-			issue := machine.Now(th)
-			rec.Begin(attr.KindRead, th, req.Addr, issue)
-			done := read(issue, req.Addr)
-			rec.End(done)
-			machine.CompleteRead(th, done)
-			if done > lastDone {
-				lastDone = done
-			}
-			if measuring {
-				readLat.Observe(done.Sub(issue))
-				res.MemReads++
-			}
-		}
-		for _, wb := range acc.Writebacks {
-			data := shadow[wb]
-			if data == nil {
-				data = zeroLine[:]
-			}
-			if tl.Enabled() && config.IsZeroLine(data) {
-				zeroWrites++
-			}
-			issue := machine.IssueWrite(th)
-			rec.Begin(attr.KindWrite, th, wb, issue)
-			done := mem.Write(issue, wb, data)
-			rec.End(done)
-			machine.RetireWrite(th, done)
-			if done > lastDone {
-				lastDone = done
-			}
-			if measuring {
-				writeLat.Observe(done.Sub(issue))
-				res.MemWrites++
-			}
-		}
-		tl.Tick(lastDone, uint64(i+1), tlSrc)
+		tl.Tick(d.lastDone, uint64(i+1), tlSrc)
 		if opts.CrashAt != 0 && uint64(i+1) == opts.CrashAt {
-			doCrash()
+			res.Crash = d.crash(opts.CrashAt)
 		}
 	}
 
-	tl.Finish(lastDone, uint64(opts.Requests), tlSrc)
+	tl.Finish(d.lastDone, uint64(opts.Requests), tlSrc)
 	res.Timeline = tl.Report()
 	res.Attribution = rec.Report()
-
 	if prep != nil {
 		res.Gen = genDelta(prep.GenWarm, prep.GenFinal)
 	} else {
 		res.Gen = genDelta(stream.Stats())
 	}
-	res.Instructions = machine.Instructions() - instr0
-	res.Cycles = machine.Cycles() - cycles0
-	if res.Cycles > 0 {
-		res.IPC = float64(res.Instructions) / float64(res.Cycles)
-	}
-	res.Elapsed = units.Duration(res.Cycles) * units.NewClock(config.CPUHz).Period()
-	res.MeanWriteLat = writeLat.Mean()
-	res.MeanReadLat = readLat.Mean()
-	res.P50WriteLat = writeLat.P50()
-	res.P95WriteLat = writeLat.P95()
-	res.P99WriteLat = writeLat.P99()
-	res.P50ReadLat = readLat.P50()
-	res.P95ReadLat = readLat.P95()
-	res.P99ReadLat = readLat.P99()
-	res.WriteLatSum = writeLat.Sum()
-	res.ReadLatSum = readLat.Sum()
-	if dev := DeviceOf(mem); dev != nil {
-		st := devDelta(dev.Stats(), dev0)
-		res.EnergyPJ = st.EnergyPJ
-		res.Device = st
-	}
-	res.finalMem = mem
+	res.fill(d)
+	res.finalMem = d.mem
 	return res
+}
+
+// check panics unless p was prepared for opts' request count and warmup.
+func (p *Prepared) check(opts Options) {
+	if len(p.Requests) != opts.Requests {
+		panic("sim: prepared stream length does not match Requests")
+	}
+	if p.Warmup != opts.Warmup {
+		panic("sim: prepared warmup does not match Warmup")
+	}
+}
+
+// driver is the request step every run shares: Run drives one, RunSharded
+// one per shard. It issues each request on the CPU model, drives the memory
+// (through the cache hierarchy when there is one), retires the request, and
+// keeps the counts and latencies Result.fill reads.
+type driver struct {
+	mem       Memory
+	machine   *cpu.Machine
+	rec       *attr.Recorder
+	hierarchy *cache.Hierarchy
+	shadow    map[uint64][]byte // line contents for hierarchy write-backs
+	readBuf   [config.LineSize]byte
+
+	// countZeros counts all-zero write payloads for the timeline, which
+	// the schemes other than Shredder don't track themselves.
+	countZeros bool
+	zeroWrites uint64
+
+	measuring                     bool // the current request is past the warmup
+	writeLat, readLat             stats.Latency
+	lastDone                      units.Time
+	requests, memWrites, memReads uint64
+
+	// The warmup baseline, captured at the first measured request.
+	measured        bool
+	instr0, cycles0 uint64
+	dev0            nvm.Stats
+}
+
+// step drives one request: the thread runs the request's gap of non-memory
+// instructions, then the request reaches the memory at addr (its line in
+// the memory's own address space), directly or through the cache
+// hierarchy. measuring marks a request past the warmup; the first one
+// captures the measurement baseline.
+func (d *driver) step(req *trace.Request, addr uint64, measuring bool) {
+	if measuring && !d.measured {
+		d.measured = true
+		d.instr0 = d.machine.Instructions()
+		d.cycles0 = d.machine.Cycles()
+		if dev := DeviceOf(d.mem); dev != nil {
+			d.dev0 = dev.Stats()
+		}
+	}
+	d.measuring = measuring
+	th := req.Thread
+	d.machine.Execute(th, req.Gap)
+	if measuring {
+		d.requests++
+	}
+	if d.hierarchy == nil {
+		if req.Op == trace.Write {
+			d.write(th, addr, req.Data)
+		} else {
+			d.read(th, addr, false)
+		}
+		return
+	}
+
+	// Cache-filtered path: only misses and dirty write-backs reach NVM.
+	store := req.Op == trace.Write
+	if store {
+		d.shadow[addr] = req.Data
+	}
+	acc := d.hierarchy.Access(addr, store)
+	d.machine.Delay(th, acc.Latency)
+	if acc.MemFill {
+		d.read(th, addr, true)
+	}
+	for _, wb := range acc.Writebacks {
+		data := d.shadow[wb]
+		if data == nil {
+			data = zeroLine[:]
+		}
+		d.write(th, wb, data)
+	}
+}
+
+// write is one ordered persistent write: the thread stalls on its persist
+// window, then issues; the write occupies its bank while the thread runs
+// ahead, so later requests to that bank queue behind it — the paper's
+// contention mechanism.
+func (d *driver) write(th int, addr uint64, data []byte) {
+	issue := d.machine.IssueWrite(th)
+	if d.countZeros && config.IsZeroLine(data) {
+		d.zeroWrites++
+	}
+	d.rec.Begin(attr.KindWrite, th, addr, issue)
+	done := d.mem.Write(issue, addr, data)
+	d.rec.End(done)
+	d.machine.RetireWrite(th, done)
+	if done > d.lastDone {
+		d.lastDone = done
+	}
+	if d.measuring {
+		d.writeLat.Observe(done.Sub(issue))
+		d.memWrites++
+	}
+}
+
+// read is one load. A plain load joins the thread's load window; a cache
+// fill (fill set) issues at the thread's current time and stalls it until
+// the line returns.
+func (d *driver) read(th int, addr uint64, fill bool) {
+	var issue units.Time
+	if fill {
+		issue = d.machine.Now(th)
+	} else {
+		issue = d.machine.IssueRead(th)
+	}
+	d.rec.Begin(attr.KindRead, th, addr, issue)
+	done := d.mem.ReadInto(issue, addr, d.readBuf[:])
+	d.rec.End(done)
+	if fill {
+		d.machine.CompleteRead(th, done)
+	} else {
+		d.machine.RetireRead(th, done)
+	}
+	if done > d.lastDone {
+		d.lastDone = done
+	}
+	if d.measuring {
+		d.readLat.Observe(done.Sub(issue))
+		d.memReads++
+	}
+}
+
+// crash swaps the memory for its crash-recovered successor mid-run and
+// returns the recovery report, stamped with the crash point. Recovery is
+// instantaneous in simulated time (the scrub runs at boot); the CPU machine
+// state deliberately survives — the crash model covers the memory system,
+// not the cores. The recovered device's counters restart from the loaded
+// state, so the warmup baseline is re-zeroed: pre-crash device traffic is
+// lost from the measurement, exactly as it is lost to the power cut.
+func (d *driver) crash(at uint64) *fault.RecoveryReport {
+	nm, rep, err := crashRecover(d.mem)
+	if err != nil {
+		panic(fmt.Sprintf("sim: crash point at %d: %v (build the memory with NewMemoryWith track=true)", at, err))
+	}
+	rep.CrashedAt = at
+	d.mem = nm
+	if d.rec.Enabled() {
+		// The same recorder survives the power cycle, so the attribution
+		// ledger stays cumulative while the device's counters restart.
+		AttachAttr(d.mem, d.rec)
+	}
+	d.dev0 = nvm.Stats{}
+	return rep
+}
+
+// window returns what the driver measured past its warmup baseline: the
+// instructions, the cycles and the device counters.
+func (d *driver) window() (instr, cycles uint64, dev nvm.Stats) {
+	if !d.measured {
+		return 0, 0, nvm.Stats{}
+	}
+	instr = d.machine.Instructions() - d.instr0
+	cycles = d.machine.Cycles() - d.cycles0
+	if nd := DeviceOf(d.mem); nd != nil {
+		dev = devDelta(nd.Stats(), d.dev0)
+	}
+	return instr, cycles, dev
+}
+
+// fill sets r's measurements from the drivers that ran its requests: one
+// for a sequential run, one per shard for a sharded one. Counts and
+// instructions add and Cycles is the slowest driver's, the makespan. The
+// latency histograms merge (same bucket geometry, so the merged quantiles
+// keep the sequential error bound) and the device counters merge by
+// mergeDeviceStats.
+func (r *Result) fill(ds ...*driver) {
+	var writeLat, readLat stats.Latency
+	for _, d := range ds {
+		instr, cycles, dev := d.window()
+		r.Requests += d.requests
+		r.MemWrites += d.memWrites
+		r.MemReads += d.memReads
+		r.Instructions += instr
+		r.Cycles = max(r.Cycles, cycles)
+		if len(ds) == 1 {
+			// As measured: merging would re-derive the mean waits
+			// through floating point.
+			r.Device = dev
+		} else {
+			mergeDeviceStats(&r.Device, dev)
+		}
+		writeLat.Merge(&d.writeLat)
+		readLat.Merge(&d.readLat)
+	}
+	if r.Cycles > 0 {
+		r.IPC = float64(r.Instructions) / float64(r.Cycles)
+	}
+	r.Elapsed = units.Duration(r.Cycles) * units.NewClock(config.CPUHz).Period()
+	r.MeanWriteLat = writeLat.Mean()
+	r.MeanReadLat = readLat.Mean()
+	r.P50WriteLat = writeLat.P50()
+	r.P95WriteLat = writeLat.P95()
+	r.P99WriteLat = writeLat.P99()
+	r.P50ReadLat = readLat.P50()
+	r.P95ReadLat = readLat.P95()
+	r.P99ReadLat = readLat.P99()
+	r.WriteLatSum = writeLat.Sum()
+	r.ReadLatSum = readLat.Sum()
+	r.EnergyPJ = r.Device.EnergyPJ
 }
 
 // zeroLine is the all-zero payload used for clean-miss write-backs; schemes
@@ -651,80 +688,7 @@ func RelativeEnergy(r, base Result) float64 {
 // Run uses, returning the measurements. The trace's Gap/Thread fields drive
 // the timing; thread indices must be dense starting at zero.
 func RunTrace(tr *trace.Trace, mem Memory, warmup int) Result {
-	if len(tr.Requests) == 0 {
-		panic("sim: empty trace")
-	}
-	if warmup < 0 || warmup >= len(tr.Requests) {
-		panic("sim: warmup must be in [0, len(trace))")
-	}
-	threads := tr.Summarize().Threads
-	if threads < 1 {
-		threads = 1
-	}
-	machine := cpu.NewMachine(threads)
-
-	var res Result
-	res.App = tr.Name
-	res.Scheme = "trace"
-
-	var instr0, cycles0 uint64
-	var dev0 nvm.Stats
-	var writeLat, readLat stats.Latency
-
-	for i := range tr.Requests {
-		if i == warmup {
-			instr0 = machine.Instructions()
-			cycles0 = machine.Cycles()
-			if dev := DeviceOf(mem); dev != nil {
-				dev0 = dev.Stats()
-			}
-		}
-		measuring := i >= warmup
-		req := &tr.Requests[i]
-		th := req.Thread
-		machine.Execute(th, req.Gap)
-		if measuring {
-			res.Requests++
-		}
-		if req.Op == trace.Write {
-			issue := machine.IssueWrite(th)
-			done := mem.Write(issue, req.Addr, req.Data)
-			machine.RetireWrite(th, done)
-			if measuring {
-				writeLat.Observe(done.Sub(issue))
-				res.MemWrites++
-			}
-		} else {
-			issue := machine.IssueRead(th)
-			_, done := mem.Read(issue, req.Addr)
-			machine.RetireRead(th, done)
-			if measuring {
-				readLat.Observe(done.Sub(issue))
-				res.MemReads++
-			}
-		}
-	}
-
-	res.Instructions = machine.Instructions() - instr0
-	res.Cycles = machine.Cycles() - cycles0
-	if res.Cycles > 0 {
-		res.IPC = float64(res.Instructions) / float64(res.Cycles)
-	}
-	res.Elapsed = units.Duration(res.Cycles) * units.NewClock(config.CPUHz).Period()
-	res.MeanWriteLat = writeLat.Mean()
-	res.MeanReadLat = readLat.Mean()
-	res.P50WriteLat = writeLat.P50()
-	res.P95WriteLat = writeLat.P95()
-	res.P99WriteLat = writeLat.P99()
-	res.P50ReadLat = readLat.P50()
-	res.P95ReadLat = readLat.P95()
-	res.P99ReadLat = readLat.P99()
-	res.WriteLatSum = writeLat.Sum()
-	res.ReadLatSum = readLat.Sum()
-	if dev := DeviceOf(mem); dev != nil {
-		st := devDelta(dev.Stats(), dev0)
-		res.EnergyPJ = st.EnergyPJ
-		res.Device = st
-	}
-	return res
+	prof := workload.Profile{Name: tr.Name, Threads: max(tr.Summarize().Threads, 1)}
+	prep := &Prepared{App: tr.Name, Requests: tr.Requests, Warmup: warmup}
+	return Run(tr.Name, "trace", mem, prof, Options{Requests: len(tr.Requests), Warmup: warmup, Prepared: prep})
 }

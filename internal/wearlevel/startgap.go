@@ -97,6 +97,13 @@ func (s *StartGap) Read(now units.Time, la uint64) ([]byte, units.Time) {
 	return s.dev.Read(now, s.Physical(la))
 }
 
+// ReadInto is Read with the line copied into dst, which must hold one line.
+func (s *StartGap) ReadInto(now units.Time, la uint64, dst []byte) units.Time {
+	line, done := s.Read(now, la)
+	copy(dst, line)
+	return done
+}
+
 // Write stores the line and advances the wear-leveling schedule: every psi
 // writes the gap moves one slot (one read plus one write of overhead).
 func (s *StartGap) Write(now units.Time, la uint64, data []byte) units.Time {
