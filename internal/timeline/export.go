@@ -55,8 +55,8 @@ type Record struct {
 // per-epoch records in chronological order. It is the `timeline` block of
 // the dewrite/run/v2 report schema.
 type Report struct {
-	EpochBy string   `json:"epoch_by"`       // "requests" | "time"
-	Every   uint64   `json:"every"`          // requests, or picoseconds for "time"
+	EpochBy string   `json:"epoch_by"`       // always "requests"
+	Every   uint64   `json:"every"`          // requests per epoch
 	Dropped uint64   `json:"dropped_epochs"` // overwritten by the ring
 	Epochs  []Record `json:"epochs"`
 }
@@ -68,7 +68,7 @@ func (c *Collector) Report() *Report {
 		return nil
 	}
 	r := &Report{
-		EpochBy: c.Mode().String(),
+		EpochBy: "requests",
 		Every:   c.Every(),
 		Dropped: c.Dropped(),
 		Epochs:  make([]Record, c.Len()),

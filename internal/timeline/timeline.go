@@ -1,6 +1,6 @@
 // Package timeline is the simulator's temporal axis: an epoch-based
 // time-series collector that samples component state at fixed boundaries
-// (every N requests or every D of simulated time) so a run's evolution —
+// (every N requests) so a run's evolution —
 // wear accumulating, queues draining, dup-ratio locality shifting — is
 // observable, not just its end-of-run scalars. It is the simulator's only
 // time series.
@@ -28,24 +28,6 @@ import (
 
 	"dewrite/internal/units"
 )
-
-// Mode selects how epoch boundaries are drawn.
-type Mode uint8
-
-const (
-	// ByRequests closes an epoch every fixed number of memory requests.
-	ByRequests Mode = iota
-	// ByTime closes an epoch every fixed span of simulated time.
-	ByTime
-)
-
-// String returns the mode's stable machine-friendly name (used in reports).
-func (m Mode) String() string {
-	if m == ByTime {
-		return "time"
-	}
-	return "requests"
-}
 
 // Epoch is one sampled point of the run's evolution. Counter fields are
 // cumulative whole-run values at the moment the epoch closed (exports derive
@@ -119,16 +101,12 @@ const DefaultMaxEpochs = 4096
 // but distinct runs own distinct collectors, so parallel suites need no
 // sharing. The nil *Collector is the disabled collector.
 type Collector struct {
-	mode      Mode
-	everyReq  uint64
-	everyTime units.Duration
+	every uint64 // requests per epoch
+	next  uint64 // request count at which the next epoch closes
 
 	ring   []Epoch
 	max    int
 	closed uint64 // total epochs ever closed (ring may hold fewer)
-
-	nextReq  uint64
-	nextTime units.Time
 
 	// OnEpoch, when non-nil, observes each epoch immediately after it closes
 	// — the live-monitoring hook. The *Epoch is only valid during the call
@@ -142,62 +120,21 @@ func NewByRequests(every uint64, maxEpochs int) *Collector {
 	if every == 0 {
 		every = 1
 	}
-	c := newCollector(maxEpochs)
-	c.mode = ByRequests
-	c.everyReq = every
-	c.nextReq = every
-	return c
-}
-
-// NewByTime returns a collector closing an epoch every `every` of simulated
-// time, keeping at most maxEpochs (DefaultMaxEpochs when maxEpochs <= 0).
-func NewByTime(every units.Duration, maxEpochs int) *Collector {
-	if every == 0 {
-		every = units.Microsecond
-	}
-	c := newCollector(maxEpochs)
-	c.mode = ByTime
-	c.everyTime = every
-	c.nextTime = units.Time(0).Add(every)
-	return c
-}
-
-func newCollector(maxEpochs int) *Collector {
 	if maxEpochs <= 0 {
 		maxEpochs = DefaultMaxEpochs
 	}
-	return &Collector{max: maxEpochs}
+	return &Collector{every: every, next: every, max: maxEpochs}
 }
 
 // Enabled reports whether the collector actually records.
 func (c *Collector) Enabled() bool { return c != nil }
 
-// Mode returns the boundary mode.
-func (c *Collector) Mode() Mode {
-	if c == nil {
-		return ByRequests
-	}
-	return c.mode
-}
-
-// Every returns the boundary period: requests for ByRequests, picoseconds
-// for ByTime.
+// Every returns the boundary period in requests.
 func (c *Collector) Every() uint64 {
 	if c == nil {
 		return 0
 	}
-	if c.mode == ByTime {
-		return uint64(c.everyTime)
-	}
-	return c.everyReq
-}
-
-// due reports whether the next boundary has been reached.
-func (c *Collector) due(now units.Time, requests uint64) bool {
-	if c.mode == ByTime {
-		return now >= c.nextTime
-	}
-	return requests >= c.nextReq
+	return c.every
 }
 
 // Tick is the per-request hook: called once after each retired request with
@@ -205,20 +142,12 @@ func (c *Collector) due(now units.Time, requests uint64) bool {
 // epoch whenever a boundary has been crossed. src may be nil (an epoch with
 // only the harness-level fields).
 func (c *Collector) Tick(now units.Time, requests uint64, src Sampler) {
-	if c == nil || !c.due(now, requests) {
+	if c == nil || requests < c.next {
 		return
 	}
 	c.close(now, requests, src)
-	if c.mode == ByTime {
-		// Skip boundaries a long stall jumped over; one epoch per Tick —
-		// re-sampling identical state for each missed boundary says nothing.
-		for c.nextTime = c.nextTime.Add(c.everyTime); now >= c.nextTime; {
-			c.nextTime = c.nextTime.Add(c.everyTime)
-		}
-	} else {
-		for c.nextReq += c.everyReq; requests >= c.nextReq; {
-			c.nextReq += c.everyReq
-		}
+	for c.next += c.every; requests >= c.next; {
+		c.next += c.every
 	}
 }
 

@@ -97,32 +97,6 @@ func TestFinishEmptyRun(t *testing.T) {
 	}
 }
 
-func TestByTimeSkipsJumpedBoundaries(t *testing.T) {
-	c := NewByTime(units.Duration(1000), 0)
-	c.Tick(units.Time(999), 1, nil) // before first boundary
-	if c.Closed() != 0 {
-		t.Fatal("closed before boundary")
-	}
-	c.Tick(units.Time(1000), 2, nil) // exactly at boundary
-	if c.Closed() != 1 {
-		t.Fatal("did not close at boundary")
-	}
-	// Jump over three boundaries at once: one epoch, not three.
-	c.Tick(units.Time(4500), 3, nil)
-	if c.Closed() != 2 {
-		t.Fatalf("closed = %d, want 2 (jump produces one epoch)", c.Closed())
-	}
-	// Next boundary should be 5000, not a stale skipped one.
-	c.Tick(units.Time(4900), 4, nil)
-	if c.Closed() != 2 {
-		t.Fatal("closed before the advanced boundary")
-	}
-	c.Tick(units.Time(5000), 5, nil)
-	if c.Closed() != 3 {
-		t.Fatal("did not close at the advanced boundary")
-	}
-}
-
 func TestRingWrapAndReuse(t *testing.T) {
 	c := NewByRequests(1, 3)
 	s := &countingSampler{}
