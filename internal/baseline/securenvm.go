@@ -125,9 +125,6 @@ func (s *SecureNVM) SampleEpoch(e *timeline.Epoch, now units.Time) {
 // Device exposes the underlying device for statistics.
 func (s *SecureNVM) Device() *nvm.Device { return s.dev }
 
-// CounterCache exposes the counter cache for statistics.
-func (s *SecureNVM) CounterCache() *metacache.Cache { return s.ctrCache }
-
 func (s *SecureNVM) counterLine(logical uint64) uint64 {
 	return s.ctrBase + logical/CounterEntriesPerLine
 }

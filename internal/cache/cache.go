@@ -6,114 +6,27 @@
 package cache
 
 import (
-	"fmt"
-
 	"dewrite/internal/config"
-	"dewrite/internal/stats"
+	"dewrite/internal/metacache"
 	"dewrite/internal/units"
 )
 
-// Level is one cache level.
+// Level is one cache level: a set-associative, true-LRU, write-back
+// metadata-cache model of 256 B lines (the same model as the controller's
+// metadata partitions) plus the level's access latency. Its hits and misses
+// count the hierarchy's lookups; fills and invalidations count neither.
 type Level struct {
-	name    string
-	sets    [][]entry
-	ways    int
+	*metacache.Cache
 	latency units.Duration
-	tick    uint64
-
-	hits   stats.Counter
-	misses stats.Counter
 }
 
-type entry struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	used  uint64
-}
-
-// NewLevel builds a level from its configuration.
+// NewLevel builds a level from its configuration. It panics when the level
+// holds fewer lines than ways.
 func NewLevel(cfg config.CacheLevel) *Level {
-	blocks := cfg.SizeBytes / config.LineSize
-	if blocks < cfg.Ways || cfg.Ways <= 0 {
-		panic(fmt.Sprintf("cache: %s: %d blocks for %d ways", cfg.Name, blocks, cfg.Ways))
+	return &Level{
+		Cache:   metacache.New(cfg.Name, cfg.SizeBytes, config.LineSize, cfg.Ways),
+		latency: cfg.Latency,
 	}
-	nsets := blocks / cfg.Ways
-	sets := make([][]entry, nsets)
-	for i := range sets {
-		sets[i] = make([]entry, cfg.Ways)
-	}
-	return &Level{name: cfg.Name, sets: sets, ways: cfg.Ways, latency: cfg.Latency}
-}
-
-// Name returns the level's name.
-func (l *Level) Name() string { return l.name }
-
-// Latency returns the level's access latency.
-func (l *Level) Latency() units.Duration { return l.latency }
-
-// HitRate returns hits/(hits+misses).
-func (l *Level) HitRate() float64 {
-	return stats.Ratio(l.hits.Value(), l.hits.Value()+l.misses.Value())
-}
-
-func (l *Level) set(addr uint64) []entry { return l.sets[addr%uint64(len(l.sets))] }
-
-// lookup probes for addr, touching LRU on hit and optionally dirtying.
-func (l *Level) lookup(addr uint64, dirty bool) bool {
-	l.tick++
-	set := l.set(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == addr {
-			set[i].used = l.tick
-			set[i].dirty = set[i].dirty || dirty
-			l.hits.Inc()
-			return true
-		}
-	}
-	l.misses.Inc()
-	return false
-}
-
-// insert places addr, returning the evicted victim if one was displaced.
-func (l *Level) insert(addr uint64, dirty bool) (victim uint64, victimDirty, evicted bool) {
-	l.tick++
-	set := l.set(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == addr {
-			set[i].used = l.tick
-			set[i].dirty = set[i].dirty || dirty
-			return 0, false, false
-		}
-	}
-	for i := range set {
-		if !set[i].valid {
-			set[i] = entry{tag: addr, valid: true, dirty: dirty, used: l.tick}
-			return 0, false, false
-		}
-	}
-	v := 0
-	for i := 1; i < len(set); i++ {
-		if set[i].used < set[v].used {
-			v = i
-		}
-	}
-	victim, victimDirty = set[v].tag, set[v].dirty
-	set[v] = entry{tag: addr, valid: true, dirty: dirty, used: l.tick}
-	return victim, victimDirty, true
-}
-
-// invalidate drops addr if present, reporting whether it was dirty.
-func (l *Level) invalidate(addr uint64) (wasDirty, was bool) {
-	set := l.set(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == addr {
-			d := set[i].dirty
-			set[i] = entry{}
-			return d, true
-		}
-	}
-	return false, false
 }
 
 // Hierarchy is an ordered stack of levels, L1 first.
@@ -154,7 +67,7 @@ func (h *Hierarchy) Access(addr uint64, store bool) AccessResult {
 	res := AccessResult{HitLevel: -1}
 	for i, l := range h.levels {
 		res.Latency += l.latency
-		if l.lookup(addr, store && i == 0) {
+		if l.Lookup(addr, store && i == 0) {
 			res.HitLevel = i
 			// Promote into the upper levels.
 			for j := i - 1; j >= 0; j-- {
@@ -162,7 +75,7 @@ func (h *Hierarchy) Access(addr uint64, store bool) AccessResult {
 			}
 			if store && i != 0 {
 				// The dirty bit lives at L1 after promotion.
-				h.levels[0].lookup(addr, true)
+				h.levels[0].Lookup(addr, true)
 			}
 			return res
 		}
@@ -175,68 +88,36 @@ func (h *Hierarchy) Access(addr uint64, store bool) AccessResult {
 	return res
 }
 
-// fillLevel inserts addr into level j; dirty victims ripple to the next
+// fillLevel inserts addr into level j; a dirty victim ripples to the next
 // lower level and finally to memory.
 func (h *Hierarchy) fillLevel(j int, addr uint64, dirty bool) []uint64 {
-	var writebacks []uint64
-	victim, victimDirty, evicted := h.levels[j].insert(addr, dirty)
+	ev, evicted := h.levels[j].Insert(addr, dirty)
 	if !evicted {
 		return nil
 	}
 	// Inclusive-style: drop the victim from the upper levels, folding their
 	// dirtiness down.
+	victimDirty := ev.Dirty
 	for u := 0; u < j; u++ {
-		if d, ok := h.levels[u].invalidate(victim); ok && d {
+		if d, ok := h.levels[u].Invalidate(ev.Block); ok && d {
 			victimDirty = true
 		}
 	}
 	if !victimDirty {
 		return nil
 	}
-	if j == len(h.levels)-1 {
-		return []uint64{victim}
-	}
-	victim2, victim2Dirty, evicted2 := h.levels[j+1].insert(victim, true)
-	if evicted2 && victim2Dirty {
-		if j+1 == len(h.levels)-1 {
-			writebacks = append(writebacks, victim2)
-		} else {
-			// Rare deep ripple; recurse.
-			writebacks = append(writebacks, h.rippleDown(j+2, victim2)...)
-		}
-	}
-	return writebacks
+	return h.rippleDown(j+1, ev.Block)
 }
 
+// rippleDown writes a dirty line back into level j, or to memory below the
+// last level; a dirty victim it displaces ripples on down.
 func (h *Hierarchy) rippleDown(j int, addr uint64) []uint64 {
 	if j == len(h.levels) {
 		return []uint64{addr}
 	}
-	victim, victimDirty, evicted := h.levels[j].insert(addr, true)
-	if evicted && victimDirty {
-		return h.rippleDown(j+1, victim)
+	ev, evicted := h.levels[j].Insert(addr, true)
+	if evicted && ev.Dirty {
+		return h.rippleDown(j+1, ev.Block)
 	}
 	return nil
-}
-
-// FlushAll evicts every dirty line from the whole hierarchy, returning the
-// line addresses that must be written back to memory, de-duplicated.
-func (h *Hierarchy) FlushAll() []uint64 {
-	dirty := map[uint64]bool{}
-	for _, l := range h.levels {
-		for s := range l.sets {
-			for i := range l.sets[s] {
-				e := &l.sets[s][i]
-				if e.valid && e.dirty {
-					dirty[e.tag] = true
-					e.dirty = false
-				}
-			}
-		}
-	}
-	out := make([]uint64, 0, len(dirty))
-	for a := range dirty {
-		out = append(out, a)
-	}
-	return out
 }

@@ -126,20 +126,6 @@ func TestHitRateStats(t *testing.T) {
 	}
 }
 
-func TestFlushAll(t *testing.T) {
-	h := tinyHierarchy()
-	h.Access(2, true)
-	h.Access(4, true)
-	h.Access(6, false)
-	dirty := h.FlushAll()
-	if len(dirty) != 2 {
-		t.Fatalf("FlushAll = %v, want 2 lines", dirty)
-	}
-	if len(h.FlushAll()) != 0 {
-		t.Fatal("second flush found dirty lines")
-	}
-}
-
 func TestDefaultHierarchyBuilds(t *testing.T) {
 	h := NewHierarchy(config.DefaultHierarchy())
 	if len(h.Levels()) != 4 {

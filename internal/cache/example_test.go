@@ -23,8 +23,6 @@ func Example() {
 		}
 	}
 	fmt.Printf("16 accesses, %d memory fills (cold misses only)\n", fills)
-	fmt.Printf("dirty lines to flush at shutdown: %d\n", len(h.FlushAll()))
 	// Output:
 	// 16 accesses, 8 memory fills (cold misses only)
-	// dirty lines to flush at shutdown: 8
 }

@@ -4,17 +4,18 @@
 //
 // The model is deliberately first-order, matching what the evaluation needs:
 // each hardware thread executes its non-memory instructions at one
-// instruction per cycle and stalls for the full latency of its memory
-// requests. Writes stall the thread to completion because persistent memory
-// requires ordered, flushed writes (Section III: "the processor has to stall
-// and wait for a memory write to be completed before issuing the next one").
+// instruction per cycle. Persistent memory orders writes (Section III: "the
+// processor has to stall and wait for a memory write to be completed before
+// issuing the next one"), which the model bounds with a persist window: a
+// thread runs ahead of up to WriteWindow unpersisted writes and stalls for
+// the oldest when the window is full. Loads get a ReadWindow of their own,
+// the memory-level parallelism of an out-of-order core.
 package cpu
 
 import (
 	"fmt"
 
 	"dewrite/internal/config"
-	"dewrite/internal/stats"
 	"dewrite/internal/units"
 )
 
@@ -22,9 +23,6 @@ import (
 type Machine struct {
 	clock   units.Clock
 	threads []thread
-
-	writeStall stats.Latency
-	readStall  stats.Latency
 }
 
 // WriteWindow is the per-thread bound on outstanding ordered writes: the
@@ -45,7 +43,6 @@ type thread struct {
 	pending      []units.Time // completion times of in-flight writes, FIFO
 	pendingReads []units.Time // completion times of in-flight loads, FIFO
 	instructions uint64
-	memStall     units.Duration
 }
 
 // NewMachine returns a machine with the given hardware thread count running
@@ -87,17 +84,11 @@ func (m *Machine) Delay(t int, d units.Duration) {
 func (m *Machine) IssueWrite(t int) units.Time {
 	th := &m.threads[t]
 	th.instructions++
-	var stall units.Duration
 	if len(th.pending) >= WriteWindow {
 		var oldest units.Time
 		oldest, th.pending = popFront(th.pending)
-		if oldest > th.now {
-			stall = oldest.Sub(th.now)
-			th.memStall += stall
-			th.now = oldest
-		}
+		th.now = units.Max(th.now, oldest)
 	}
-	m.writeStall.Observe(stall)
 	return th.now
 }
 
@@ -123,17 +114,11 @@ func (m *Machine) RetireWrite(t int, done units.Time) {
 func (m *Machine) IssueRead(t int) units.Time {
 	th := &m.threads[t]
 	th.instructions++
-	var stall units.Duration
 	if len(th.pendingReads) >= ReadWindow {
 		var oldest units.Time
 		oldest, th.pendingReads = popFront(th.pendingReads)
-		if oldest > th.now {
-			stall = oldest.Sub(th.now)
-			th.memStall += stall
-			th.now = oldest
-		}
+		th.now = units.Max(th.now, oldest)
 	}
-	m.readStall.Observe(stall)
 	return th.now
 }
 
@@ -143,32 +128,15 @@ func (m *Machine) RetireRead(t int, done units.Time) {
 	th.pendingReads = append(th.pendingReads, done)
 }
 
-// CompleteWrite accounts a memory write instruction issued at the thread's
-// current time and completing at done: the thread stalls to completion.
-// It models a synchronous flush (used at drain points and by tests); the
-// common path is IssueWrite/RetireWrite.
-func (m *Machine) CompleteWrite(t int, done units.Time) {
-	th := &m.threads[t]
-	th.instructions++ // the store itself
-	if done < th.now {
-		panic("cpu: write completes before issue")
-	}
-	stall := done.Sub(th.now)
-	th.memStall += stall
-	m.writeStall.Observe(stall)
-	th.now = done
-}
-
-// CompleteRead accounts a memory read instruction completing at done.
+// CompleteRead accounts a memory read instruction issued at the thread's
+// current time and completing at done: the thread stalls until the line
+// returns, as on a cache fill. It panics if done precedes the thread's time.
 func (m *Machine) CompleteRead(t int, done units.Time) {
 	th := &m.threads[t]
 	th.instructions++
 	if done < th.now {
 		panic("cpu: read completes before issue")
 	}
-	stall := done.Sub(th.now)
-	th.memStall += stall
-	m.readStall.Observe(stall)
 	th.now = done
 }
 
@@ -215,23 +183,3 @@ func (m *Machine) IPC() float64 {
 	}
 	return float64(m.Instructions()) / float64(cycles)
 }
-
-// MemStallFraction returns the fraction of total thread time spent stalled
-// on memory.
-func (m *Machine) MemStallFraction() float64 {
-	var stall, total units.Duration
-	for i := range m.threads {
-		stall += m.threads[i].memStall
-		total += m.threads[i].now.Sub(0)
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(stall) / float64(total)
-}
-
-// MeanWriteStall returns the mean write-stall duration.
-func (m *Machine) MeanWriteStall() units.Duration { return m.writeStall.Mean() }
-
-// MeanReadStall returns the mean read-stall duration.
-func (m *Machine) MeanReadStall() units.Duration { return m.readStall.Mean() }

@@ -23,10 +23,18 @@ func TestExecuteAdvancesAtOneIPC(t *testing.T) {
 func TestWriteStallLowersIPC(t *testing.T) {
 	m := NewMachine(1)
 	m.Execute(0, 1000) // 500 ns at 2 GHz
-	// A write completing 300 ns later: 600 stall cycles.
-	done := m.Now(0).Add(300 * units.Nanosecond)
-	m.CompleteWrite(0, done)
-	if m.Instructions() != 1001 {
+	// A full persist window of writes, each persisting 300 ns after issue.
+	for i := 0; i < WriteWindow; i++ {
+		m.RetireWrite(0, m.IssueWrite(0).Add(300*units.Nanosecond))
+	}
+	if m.Now(0) != units.Time(0).Add(500*units.Nanosecond) {
+		t.Fatalf("thread stalled at %v before its window filled", m.Now(0))
+	}
+	// The next write waits for the oldest persist: 600 stall cycles.
+	if issue := m.IssueWrite(0); issue != units.Time(0).Add(800*units.Nanosecond) {
+		t.Fatalf("write past a full window issued at %v, want 800ns", issue)
+	}
+	if m.Instructions() != 1000+WriteWindow+1 {
 		t.Fatalf("instructions = %d", m.Instructions())
 	}
 	if m.Cycles() != 1600 {
@@ -35,17 +43,13 @@ func TestWriteStallLowersIPC(t *testing.T) {
 	if ipc := m.IPC(); ipc >= 1 {
 		t.Fatalf("IPC = %v, want < 1 after stall", ipc)
 	}
-	if m.MeanWriteStall() != 300*units.Nanosecond {
-		t.Fatalf("MeanWriteStall = %v", m.MeanWriteStall())
-	}
 }
 
 func TestReadStallAccounting(t *testing.T) {
 	m := NewMachine(1)
-	done := m.Now(0).Add(75 * units.Nanosecond)
-	m.CompleteRead(0, done)
-	if m.MeanReadStall() != 75*units.Nanosecond {
-		t.Fatalf("MeanReadStall = %v", m.MeanReadStall())
+	m.CompleteRead(0, m.Now(0).Add(75*units.Nanosecond))
+	if m.Now(0) != units.Time(0).Add(75*units.Nanosecond) || m.Instructions() != 1 {
+		t.Fatalf("after a 75 ns fill: now %v, %d instructions", m.Now(0), m.Instructions())
 	}
 }
 
@@ -63,16 +67,6 @@ func TestMultiThreadElapsedIsMax(t *testing.T) {
 	}
 }
 
-func TestMemStallFraction(t *testing.T) {
-	m := NewMachine(1)
-	m.Execute(0, 200) // 100 ns
-	m.CompleteWrite(0, m.Now(0).Add(100*units.Nanosecond))
-	got := m.MemStallFraction()
-	if got < 0.49 || got > 0.51 {
-		t.Fatalf("stall fraction = %v, want ~0.5", got)
-	}
-}
-
 func TestCompletionBeforeIssuePanics(t *testing.T) {
 	m := NewMachine(1)
 	m.Execute(0, 100)
@@ -81,7 +75,7 @@ func TestCompletionBeforeIssuePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	m.CompleteWrite(0, 0)
+	m.CompleteRead(0, 0)
 }
 
 func TestZeroThreadsPanics(t *testing.T) {

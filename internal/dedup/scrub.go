@@ -90,11 +90,6 @@ func (t *Tables) Retire(loc uint64) {
 	}
 }
 
-// IsRetired reports whether the location has been removed from allocation.
-func (t *Tables) IsRetired(loc uint64) bool {
-	return loc < uint64(len(t.loc)) && t.loc[loc].retired
-}
-
 // RetiredCount returns the number of retired locations.
 func (t *Tables) RetiredCount() int { return int(t.retired) }
 

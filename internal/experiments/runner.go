@@ -205,10 +205,12 @@ type Outcome struct {
 }
 
 // RunAll executes the experiments over the shared suite with the given
-// worker count and returns one Outcome per experiment, in input order. The
-// suite's per-key memoization distributes the underlying simulations across
-// workers without duplicating any; the returned tables are byte-identical to
-// a workers=1 run (except TableI, see above).
+// worker count and returns one Outcome per experiment, in input order. A
+// memoized pass (a scheme run, a DeWrite controller report, a prepared
+// stream) runs once, on whichever worker asks first. A pass an experiment
+// runs outside the memo runs every time, even when its inputs equal a
+// memoized pass's, as the ablations' default cells do. The returned tables
+// are byte-identical to a workers=1 run (except TableI, see above).
 func RunAll(s *Suite, exps []Experiment, workers int) []Outcome {
 	SetFanWorkers(workers)
 	out := make([]Outcome, len(exps))

@@ -65,9 +65,6 @@ func New(leaves uint64, key []byte) *Tree {
 	return t
 }
 
-// Leaves returns the leaf count.
-func (t *Tree) Leaves() uint64 { return t.leaves }
-
 // Levels returns the number of tree levels including the leaf level — the
 // path length every verify/update walks.
 func (t *Tree) Levels() int { return len(t.levels) }

@@ -1,6 +1,8 @@
 package lint_test
 
 import (
+	"os/exec"
+	"strings"
 	"testing"
 
 	"dewrite/internal/lint"
@@ -100,6 +102,31 @@ func TestRepoClean(t *testing.T) {
 		}
 		for _, d := range diags {
 			t.Errorf("%s", d)
+		}
+	}
+}
+
+// TestInternalPackagesReached fails when an internal package is built into
+// no command and no example: a package no program reads. The analyzers'
+// fixture runner, which only this package's tests import, is the one
+// exception.
+func TestInternalPackagesReached(t *testing.T) {
+	list := func(args ...string) []string {
+		cmd := exec.Command("go", append([]string{"list"}, args...)...)
+		cmd.Dir = "../.."
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("go list %s: %v", strings.Join(args, " "), err)
+		}
+		return strings.Fields(string(out))
+	}
+	reached := map[string]bool{"dewrite/internal/lint/analysistest": true}
+	for _, p := range list("-deps", "./cmd/...", "./examples/...") {
+		reached[p] = true
+	}
+	for _, p := range list("./internal/...") {
+		if !reached[p] {
+			t.Errorf("%s is imported by no command or example", p)
 		}
 	}
 }

@@ -103,6 +103,20 @@ func (c *Cache) Contains(block uint64) bool {
 	return false
 }
 
+// Invalidate drops block if it is cached, without touching LRU state or
+// statistics, and reports whether it was present and whether it was dirty.
+func (c *Cache) Invalidate(block uint64) (dirty, present bool) {
+	set := c.set(block)
+	for i := range set {
+		if set[i].valid && set[i].block == block {
+			dirty = set[i].dirty
+			set[i] = entry{}
+			return dirty, true
+		}
+	}
+	return false, false
+}
+
 // Eviction describes a block displaced by an Insert.
 type Eviction struct {
 	Block uint64

@@ -107,6 +107,31 @@ func TestFlushAll(t *testing.T) {
 	}
 }
 
+func TestInvalidateFreesWayAndReportsDirty(t *testing.T) {
+	c := small()
+	c.Insert(0, true)
+	c.Insert(2, false)
+	before := c.Stats()
+	if dirty, present := c.Invalidate(0); !present || !dirty {
+		t.Fatalf("Invalidate(0) = dirty %v present %v, want dirty and present", dirty, present)
+	}
+	if dirty, present := c.Invalidate(2); !present || dirty {
+		t.Fatalf("Invalidate(2) = dirty %v present %v, want clean and present", dirty, present)
+	}
+	if _, present := c.Invalidate(4); present {
+		t.Fatal("Invalidate of an uncached block reported it present")
+	}
+	if c.Stats() != before {
+		t.Fatalf("Invalidate moved the counters: %+v, was %+v", c.Stats(), before)
+	}
+	// Both ways of set 0 are free again: two inserts evict nothing.
+	for _, b := range []uint64{4, 6} {
+		if _, evicted := c.Insert(b, false); evicted {
+			t.Fatalf("Insert(%d) evicted from an invalidated set", b)
+		}
+	}
+}
+
 func TestHitRate(t *testing.T) {
 	c := small()
 	if c.HitRate() != 0 {

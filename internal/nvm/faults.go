@@ -176,11 +176,6 @@ func (d *Device) recDegrade(phys uint64, pulsed, done units.Time) {
 	}
 }
 
-// IsStuck reports whether writes to the line permanently fail.
-func (d *Device) IsStuck(lineAddr uint64) bool {
-	return d.faults != nil && d.faults.stuck[lineAddr]
-}
-
 // StuckLines returns the permanently stuck external line addresses in sorted
 // order.
 func (d *Device) StuckLines() []uint64 {

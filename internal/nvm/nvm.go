@@ -159,15 +159,8 @@ func (d *Device) checkAddr(lineAddr uint64) {
 // It returns a copy of the line contents (zero line if never written) and
 // the completion time.
 func (d *Device) Read(now units.Time, lineAddr uint64) ([]byte, units.Time) {
-	return d.read(now, lineAddr, true)
-}
-
-// ReadBypass is a timed read that does not install a new open row on a miss
-// (it still benefits from an already-open row). The dedup logic's verify
-// reads and the controller's metadata fills use it so that their traffic
-// does not evict the row buffers the CPU's demand reads are about to hit.
-func (d *Device) ReadBypass(now units.Time, lineAddr uint64) ([]byte, units.Time) {
-	return d.read(now, lineAddr, false)
+	out := make([]byte, config.LineSize)
+	return out, d.readInto(now, lineAddr, true, out)
 }
 
 // ReadInto is Read without the per-call allocation: the line contents are
@@ -178,15 +171,13 @@ func (d *Device) ReadInto(now units.Time, lineAddr uint64, dst []byte) units.Tim
 	return d.readInto(now, lineAddr, true, dst)
 }
 
-// ReadBypassInto is ReadBypass without the per-call allocation; see ReadInto.
+// ReadBypassInto is a timed read that does not install a new open row on a
+// miss (it still benefits from an already-open row). The dedup logic's
+// verify reads and the controller's metadata fills use it so that their
+// traffic does not evict the row buffers the CPU's demand reads are about to
+// hit. dst is as for ReadInto.
 func (d *Device) ReadBypassInto(now units.Time, lineAddr uint64, dst []byte) units.Time {
 	return d.readInto(now, lineAddr, false, dst)
-}
-
-func (d *Device) read(now units.Time, lineAddr uint64, open bool) ([]byte, units.Time) {
-	out := make([]byte, config.LineSize)
-	done := d.readInto(now, lineAddr, open, out)
-	return out, done
 }
 
 func (d *Device) readInto(now units.Time, lineAddr uint64, open bool, dst []byte) units.Time {
@@ -357,12 +348,6 @@ func (d *Device) storedLine(phys uint64) []byte {
 		d.store[phys] = new([config.LineSize]byte)
 	}
 	return d.store[phys][:]
-}
-
-// BankBusyUntil reports when the bank holding lineAddr frees up — the
-// queueing visibility the controller uses for statistics.
-func (d *Device) BankBusyUntil(lineAddr uint64) units.Time {
-	return d.banks[d.Bank(lineAddr)].busyUntil
 }
 
 // ReadLatency returns the array read latency.

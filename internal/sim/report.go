@@ -11,7 +11,6 @@ import (
 	"dewrite/internal/fault"
 	"dewrite/internal/nvm"
 	"dewrite/internal/timeline"
-	"dewrite/internal/units"
 	"dewrite/internal/workload"
 )
 
@@ -192,12 +191,4 @@ func (r RunReport) WriteJSON(w io.Writer) error {
 	b = append(b, '\n')
 	_, err = w.Write(b)
 	return err
-}
-
-// SummaryLine returns the one-line human summary used by progress output.
-func (r RunReport) SummaryLine() string {
-	return fmt.Sprintf("%s/%s: %d reqs, write p50=%v p99=%v, read p50=%v p99=%v",
-		r.App, r.Scheme, r.Requests,
-		units.Duration(r.WriteLatency.P50Ps), units.Duration(r.WriteLatency.P99Ps),
-		units.Duration(r.ReadLatency.P50Ps), units.Duration(r.ReadLatency.P99Ps))
 }

@@ -410,57 +410,3 @@ func (t *Table) String() string {
 	}
 	return b.String()
 }
-
-// Reservoir keeps a bounded uniform sample of durations so percentiles can
-// be estimated over arbitrarily long runs with fixed memory (Vitter's
-// algorithm R). The zero value is not usable; call NewReservoir.
-type Reservoir struct {
-	cap    int
-	seen   uint64
-	sample []units.Duration
-	rng    uint64 // xorshift64 state; deterministic, seeded at construction
-}
-
-// NewReservoir returns a reservoir holding up to capacity samples.
-func NewReservoir(capacity int) *Reservoir {
-	if capacity < 1 {
-		panic("stats: reservoir capacity must be positive")
-	}
-	return &Reservoir{cap: capacity, rng: 0x9e3779b97f4a7c15}
-}
-
-// Observe offers one duration to the sample.
-func (r *Reservoir) Observe(d units.Duration) {
-	r.seen++
-	if len(r.sample) < r.cap {
-		r.sample = append(r.sample, d)
-		return
-	}
-	// Replace a random element with probability cap/seen.
-	r.rng ^= r.rng << 13
-	r.rng ^= r.rng >> 7
-	r.rng ^= r.rng << 17
-	if idx := r.rng % r.seen; idx < uint64(r.cap) {
-		r.sample[idx] = d
-	}
-}
-
-// Count returns the number of observations offered.
-func (r *Reservoir) Count() uint64 { return r.seen }
-
-// Percentile estimates the p-th percentile (p in [0,1]) from the sample.
-func (r *Reservoir) Percentile(p float64) units.Duration {
-	if len(r.sample) == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	sorted := append([]units.Duration(nil), r.sample...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(p * float64(len(sorted)-1))
-	return sorted[idx]
-}

@@ -209,50 +209,3 @@ func TestWriteDAT(t *testing.T) {
 		}
 	}
 }
-
-func TestReservoirSmallStream(t *testing.T) {
-	r := NewReservoir(100)
-	for i := 1; i <= 10; i++ {
-		r.Observe(units.Duration(i) * units.Nanosecond)
-	}
-	if r.Count() != 10 {
-		t.Fatalf("Count = %d", r.Count())
-	}
-	if got := r.Percentile(0.5); got != 5*units.Nanosecond && got != 6*units.Nanosecond {
-		t.Fatalf("P50 = %v", got)
-	}
-	if got := r.Percentile(1); got != 10*units.Nanosecond {
-		t.Fatalf("P100 = %v", got)
-	}
-	if got := r.Percentile(0); got != 1*units.Nanosecond {
-		t.Fatalf("P0 = %v", got)
-	}
-}
-
-func TestReservoirLongStreamApproximates(t *testing.T) {
-	r := NewReservoir(512)
-	// Uniform 0..9999 ns: P99 should land near 9900 ns.
-	for i := 0; i < 100000; i++ {
-		r.Observe(units.Duration(i%10000) * units.Nanosecond)
-	}
-	p99 := r.Percentile(0.99).Nanoseconds()
-	if p99 < 9500 || p99 > 10000 {
-		t.Fatalf("P99 = %vns, want ≈9900", p99)
-	}
-	if r.Count() != 100000 {
-		t.Fatalf("Count = %d", r.Count())
-	}
-}
-
-func TestReservoirEmptyAndValidation(t *testing.T) {
-	r := NewReservoir(4)
-	if r.Percentile(0.5) != 0 {
-		t.Fatal("empty percentile should be 0")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewReservoir(0)
-}
