@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -223,11 +224,22 @@ func TestServeShardFull(t *testing.T) {
 	}
 }
 
+// TestNewServerRejectsOversizedShard: a shard's dedup tables link their
+// free locations by 32-bit numbers, so a shard of 2^32 lines is refused as
+// a configuration error, not a panic.
+func TestNewServerRejectsOversizedShard(t *testing.T) {
+	if _, err := NewServer(Config{Shards: 1, Lines: 1 << 32}); err == nil || !strings.Contains(err.Error(), "2^32-1") {
+		t.Fatalf("NewServer with a 2^32-line shard: err = %v", err)
+	}
+}
+
 // TestServeRequestAllocations pins the daemon's request path: once a key is
 // known and the controller has touched its lines, decoding a frame, admitting
 // and running a PUT and a GET on the connection's buffers, and encoding both
-// responses allocate nothing. Each PUT duplicates a value two anchor keys
-// hold, so it takes the dedup path (fingerprint, lookup, verify read, remap).
+// responses allocate nothing. Each PUT to one key duplicates a value two
+// anchor keys hold, so it takes the dedup path (fingerprint, lookup, verify
+// read, remap). Another key's PUTs alternate a pooled value and one no other
+// key holds, so each pass frees its slot and places unique data in it again.
 // The warm-up takes the map entries and the controller's first-touch growth
 // out of the count.
 func TestServeRequestAllocations(t *testing.T) {
@@ -285,6 +297,8 @@ func TestServeRequestAllocations(t *testing.T) {
 	frame(&pass, OpGet, "user:7", "")
 	frame(&pass, OpPut, "user:7", v2)
 	frame(&pass, OpGet, "user:7", "")
+	frame(&pass, OpPut, "user:9", v1)
+	frame(&pass, OpPut, "user:9", "a value no other key holds")
 
 	serve(anchors.Bytes())
 	for i := 0; i < 64; i++ {
@@ -309,9 +323,12 @@ func TestServeRequestAllocations(t *testing.T) {
 		return after.Mallocs - before.Mallocs
 	}
 	if n := min(window(), window()); n != 0 || bad != "" {
-		t.Fatalf("500 passes of two PUTs and two GETs of a known key allocated %d times (error %q)", n, bad)
+		t.Fatalf("500 passes of four PUTs and two GETs of known keys allocated %d times (error %q)", n, bad)
 	}
-	if st := srv.shards[0].ctrl.Tables().Snapshot(); st.Duplicates != 2*(64+1000) {
-		t.Fatalf("%d of the passes' %d PUTs were duplicates", st.Duplicates, 2*(64+1000))
+	// Per pass, three PUTs are duplicates and user:9's other one is unique,
+	// as are the anchors' first PUTs.
+	const passes = 64 + 1000
+	if st := srv.shards[0].ctrl.Tables().Snapshot(); st.Duplicates != 3*passes || st.Uniques != 2+passes {
+		t.Fatalf("%d duplicate and %d unique PUTs, want %d and %d", st.Duplicates, st.Uniques, 3*passes, 2+passes)
 	}
 }

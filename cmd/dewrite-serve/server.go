@@ -286,6 +286,9 @@ func NewServer(cfg Config) (*Server, error) {
 			slots: make(map[string]uint64),
 			cap:   s.router.LinesFor(i, cfg.Lines),
 		}
+		if w.cap >= 1<<32 {
+			return nil, fmt.Errorf("dewrite-serve: %d lines give shard %d %d, above the dedup tables' 2^32-1", cfg.Lines, i, w.cap)
+		}
 		w.ctrl = core.New(core.Options{DataLines: w.cap, Config: shardCfg})
 		d, id := s.dir, i
 		w.ctrl.Tables().SetPublish(func(h uint32, delta int) { d.Publish(id, h, delta) })
@@ -459,7 +462,7 @@ func (s *Server) Advance() {
 			s.sinceSnap = 0
 			// No request holds the read lock, so every shard's state is
 			// stable — the same invariant publishShard relies on.
-			//dewrite:allow lockdiscipline full-state snapshots serialize at the barrier by design: no request holds the read lock; ROADMAP item 1 tracks delta snapshots that would move this off the write lock
+			//dewrite:allow lockdiscipline full-state snapshots serialize at the barrier by design: no request holds the read lock; delta snapshots, parked in ROADMAP.md, would move this off the write lock
 			s.snapshotLocked(s.plan)
 		}
 	}

@@ -139,7 +139,7 @@ func (s *Server) Snapshot() bool {
 	}
 	s.epochMu.Lock()
 	defer s.epochMu.Unlock()
-	//dewrite:allow lockdiscipline operator-requested snapshots serialize at the barrier by design: no request holds the read lock; ROADMAP item 1 tracks delta snapshots that would move this off the write lock
+	//dewrite:allow lockdiscipline operator-requested snapshots serialize at the barrier by design: no request holds the read lock; delta snapshots, parked in ROADMAP.md, would move this off the write lock
 	return s.snapshotLocked(s.plan)
 }
 

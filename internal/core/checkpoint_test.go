@@ -260,8 +260,66 @@ func TestCheckpointDeterministic(t *testing.T) {
 	}
 }
 
+// seededVips runs the first 30,000 requests of seed 42's vips stream over
+// opts.DataLines lines on a new controller.
+func seededVips(opts Options) (*Controller, units.Time) {
+	prof, _ := workload.ByName("vips")
+	prof.WorkingSetLines = opts.DataLines
+	c := New(opts)
+	gen := workload.NewGenerator(prof, 42)
+	var now units.Time
+	var line [config.LineSize]byte
+	for i := 0; i < 30000; i++ {
+		req := gen.Next()
+		if req.Op == trace.Write {
+			now = c.Write(now, req.Addr, req.Data)
+		} else {
+			now = c.ReadInto(now, req.Addr, line[:])
+		}
+	}
+	return c, now
+}
+
+// TestRetirementsSurviveRestoreAndCrash: a faulted run's retired locations
+// stay retired in a controller restored from its checkpoint and in one
+// recovered from a crash, which rebuilds them from the device's stuck
+// lines. The checkpoint stored no retirements and the crash scrub rebuilt
+// none, so both came back with every stuck line allocatable.
+func TestRetirementsSurviveRestoreAndCrash(t *testing.T) {
+	opts := Options{DataLines: 1024, Config: config.Default(), TrackPersist: true,
+		Faults: fault.Config{Seed: 7, Endurance: 40, ReadBER: 1e-3}}
+	c, now := seededVips(opts)
+	want := c.Tables().RetiredCount()
+	if want == 0 {
+		t.Fatal("the run retired nothing")
+	}
+	crashed, _, err := c.Crash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := crashed.Tables().RetiredCount(); got != want {
+		t.Errorf("crash recovery keeps %d of %d retired locations", got, want)
+	}
+	var buf bytes.Buffer
+	if err := c.SaveState(now, &buf); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Restore(&buf, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := restored.Tables().RetiredCount(); got != want {
+		t.Errorf("restore keeps %d of %d retired locations", got, want)
+	}
+	for _, r := range []*Controller{crashed, restored} {
+		if err := r.Tables().CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestSaveStateGolden pins the checkpoint bytes (DWCP1 around the counter
-// section, DWDT1 tables and DWNV1 or, with faults armed, DWNV2 device state)
+// section, DWDT2 tables and DWNV1 or, with faults armed, DWNV2 device state)
 // of a seeded vips run, with and without faults: any change to the formats
 // or to the simulated state they record moves the digests.
 func TestSaveStateGolden(t *testing.T) {
@@ -271,24 +329,11 @@ func TestSaveStateGolden(t *testing.T) {
 		want   string
 	}{
 		{"clean", fault.Config{},
-			"9faf983e7383538b521e905ee6d16328cfd6d3fa8b238b5f287864a6f9cd9558"},
+			"fe4df002d2ace12916822a1b79debfa5c400ad59f47793e3be808f02c9529ca0"},
 		{"faults", fault.Config{Seed: 7, Endurance: 40, ReadBER: 1e-3},
-			"8ab62355d10c90803c4a77e9e196ca5117fc0afb49b922c6dc2d4d33450d7035"},
+			"7fe801f5cb88e0732009b91afb06f5069e3ebd58627e3754b9a0d0acdbd7d4d2"},
 	} {
-		prof, _ := workload.ByName("vips")
-		prof.WorkingSetLines = 1024
-		c := New(Options{DataLines: prof.WorkingSetLines, Config: config.Default(), Faults: tc.faults})
-		gen := workload.NewGenerator(prof, 42)
-		var now units.Time
-		var line [config.LineSize]byte
-		for i := 0; i < 30000; i++ {
-			req := gen.Next()
-			if req.Op == trace.Write {
-				now = c.Write(now, req.Addr, req.Data)
-			} else {
-				now = c.ReadInto(now, req.Addr, line[:])
-			}
-		}
+		c, now := seededVips(Options{DataLines: 1024, Config: config.Default(), Faults: tc.faults})
 		if tc.faults.Enabled() {
 			// The run must reach every fault structure the format carries.
 			fs := c.Device().FaultStats()

@@ -211,6 +211,13 @@ func (c *Controller) Crash() (*Controller, *fault.RecoveryReport, error) {
 	for _, a := range dropped {
 		poison[a] = true
 	}
+	// The device's stuck set survives the crash, so the retirements are
+	// rebuilt from it: every stuck data line left free is retired again.
+	for _, a := range nc.dev.StuckLines() {
+		if a < c.layout.DataLines && !tables.IsLive(a) {
+			tables.Retire(a)
+		}
+	}
 	nc.tables = tables
 	rep.RecoveredMappings = len(recovered) - len(dropped)
 

@@ -9,8 +9,8 @@ import (
 // fuzzLines is the line count FuzzReadTables' snapshots are read against.
 const fuzzLines = 32
 
-// snapshotBytes assembles a DWDT1 snapshot from raw 64-bit words: the
-// header (lines, maxRef, freshScan) and then the three counted sections.
+// snapshotBytes assembles a DWDT2 snapshot from raw 64-bit words: the
+// header (lines, maxRef, freshScan) and then the four counted sections.
 func snapshotBytes(words ...uint64) []byte {
 	out := []byte(snapshotMagic)
 	for _, w := range words {
@@ -34,7 +34,7 @@ func FuzzReadTables(f *testing.F) {
 	}
 	f.Add(buf.Bytes())
 	f.Add(buf.Bytes()[:buf.Len()-9])
-	f.Add([]byte("DWDT1\nxxxxxxxxxxxxxxxxxxxxxxxx"))
+	f.Add([]byte("DWDT2\nxxxxxxxxxxxxxxxxxxxxxxxx"))
 	f.Add([]byte{})
 	// 70 bytes declaring 2^32 lines and one mapping at address 2^32-1: a
 	// loader sizing its dense tables from the snapshot would allocate 32 GiB.

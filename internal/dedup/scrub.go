@@ -85,6 +85,7 @@ func (t *Tables) Retire(loc uint64) {
 	}
 	t.loc = dense.Grow(t.loc, loc, t.lines)
 	if !t.loc[loc].retired {
+		t.unlink(loc)
 		t.loc[loc].retired = true
 		t.retired++
 	}
@@ -114,17 +115,5 @@ func (t *Tables) RelocateStuck(logical uint64) (chosen uint64, ok bool) {
 	t.release(logical)
 	t.Retire(locAddr)
 	t.relocations.Inc()
-
-	if t.allocatable(logical) {
-		chosen = logical
-	} else {
-		chosen, ok = t.tryAllocate()
-		if !ok {
-			return 0, false
-		}
-		t.displaced.Inc()
-	}
-	t.claim(chosen, location{hash: h, refs: 1, isZero: isZero})
-	t.setMapping(logical, chosen)
-	return chosen, true
+	return t.place(logical, location{hash: h, refs: 1, isZero: isZero})
 }

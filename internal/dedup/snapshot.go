@@ -13,96 +13,80 @@ import (
 // equivalent of the recovery walk a real controller performs over the
 // in-NVM metadata region after a clean shutdown (Section V: the metadata is
 // persistent; only the cached copies need flushing). A restored Tables is
-// behaviourally identical to the original.
+// behaviourally identical to the original: it holds the same free list in
+// the same order, every fingerprint chain in candidate order and the same
+// retired locations, so it places and deduplicates every later write as
+// the original would.
 
-const snapshotMagic = "DWDT1\n"
+const snapshotMagic = "DWDT2\n"
 
-// WriteTo serializes the tables in a compact, deterministic binary format.
+// WriteTo serializes the tables in a compact, deterministic binary format:
+// the header (lines, maxRef, fresh cursor), then four counted sections of
+// 64-bit little-endian words: the mappings, the live locations, the free
+// list and the retired locations.
 func (t *Tables) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	var n int64
-	count := func(c int, err error) error {
-		n += int64(c)
-		return err
-	}
-	if err := count(bw.WriteString(snapshotMagic)); err != nil {
-		return n, err
-	}
+	// A bufio.Writer keeps its first error and writes nothing after it, so
+	// the error is read once, from Flush.
+	c, _ := bw.WriteString(snapshotMagic)
+	n += int64(c)
 	var b8 [8]byte
-	writeU64 := func(v uint64) error {
+	put := func(v uint64) {
 		binary.LittleEndian.PutUint64(b8[:], v)
-		return count(bw.Write(b8[:]))
+		c, _ := bw.Write(b8[:])
+		n += int64(c)
 	}
-	if err := writeU64(t.lines); err != nil {
-		return n, err
-	}
-	if err := writeU64(uint64(t.maxRef)); err != nil {
-		return n, err
-	}
-	if err := writeU64(t.freshScan); err != nil {
-		return n, err
-	}
+	put(t.lines)
+	put(uint64(t.maxRef))
+	put(t.freshScan)
 
 	// Mappings, in logical address order.
 	mappings := t.Mappings()
-	if err := writeU64(uint64(len(mappings))); err != nil {
-		return n, err
-	}
+	put(uint64(len(mappings)))
 	for _, m := range mappings {
-		if err := writeU64(m.Logical); err != nil {
-			return n, err
-		}
-		if err := writeU64(m.Location); err != nil {
-			return n, err
-		}
+		put(m.Logical)
+		put(m.Location)
 	}
 
-	// Live locations (hash, refs, zero flag), in address order.
-	if err := writeU64(t.live); err != nil {
-		return n, err
-	}
-	for i := range t.loc {
-		l := &t.loc[i]
-		if l.refs == 0 {
+	// Live locations (address, hash, refs, zero flag), one fingerprint
+	// chain after another and each in candidate order, so the restore,
+	// which appends each to its chain, rebuilds every chain as it stands.
+	put(t.live)
+	for i := range t.hash.slots {
+		if t.hash.slots[i].n == 0 {
 			continue
 		}
-		if err := writeU64(uint64(i)); err != nil {
-			return n, err
-		}
-		if err := writeU64(uint64(l.hash)); err != nil {
-			return n, err
-		}
-		if err := writeU64(uint64(l.refs)); err != nil {
-			return n, err
-		}
-		z := uint64(0)
-		if l.isZero {
-			z = 1
-		}
-		if err := writeU64(z); err != nil {
-			return n, err
+		for _, a := range t.hash.at(uint64(i)) {
+			l := &t.loc[a]
+			z := uint64(0)
+			if l.isZero {
+				z = 1
+			}
+			put(a)
+			put(uint64(l.hash))
+			put(uint64(l.refs))
+			put(z)
 		}
 	}
 
-	// Free list, compacted: the in-memory list keeps stale entries (slots
-	// their own logical line re-claimed after an earlier release freed
-	// them, and retired locations) that tryAllocate filters lazily; the
-	// snapshot stores only the genuinely free, de-duplicated tail.
-	var freed []uint64
-	var seen []bool
-	for _, a := range t.freed {
-		seen = dense.Grow(seen, a, t.lines)
-		if t.liveAt(a) == nil && !seen[a] {
-			freed = append(freed, a)
-			seen[a] = true
-		}
+	// The free list, oldest first, so the restore, which pushes each in
+	// turn, rebuilds it in the same order.
+	var nFree uint64
+	var oldest uint32
+	for a := t.head; a != 0; a = t.loc[a-1].next {
+		nFree, oldest = nFree+1, a
 	}
-	if err := writeU64(uint64(len(freed))); err != nil {
-		return n, err
+	put(nFree)
+	for a := oldest; a != 0; a = t.loc[a-1].prev {
+		put(uint64(a - 1))
 	}
-	for _, a := range freed {
-		if err := writeU64(a); err != nil {
-			return n, err
+
+	// Retired locations, in address order.
+	put(t.retired)
+	for i := range t.loc {
+		if t.loc[i].retired {
+			put(uint64(i))
 		}
 	}
 	return n, bw.Flush()
@@ -142,7 +126,7 @@ func ReadTables(r io.Reader, lines uint64) (*Tables, error) {
 	if err != nil {
 		return nil, err
 	}
-	if lines == 0 || lines > 1<<32 || maxRef == 0 || maxRef > 1<<32 {
+	if lines == 0 || lines >= 1<<32 || maxRef == 0 || maxRef > 1<<32 {
 		return nil, fmt.Errorf("dedup: corrupt snapshot header (lines=%d maxRef=%d)", lines, maxRef)
 	}
 	t := NewTables(lines, uint(maxRef))
@@ -226,7 +210,33 @@ func ReadTables(r io.Reader, lines uint64) (*Tables, error) {
 		if a >= lines {
 			return nil, fmt.Errorf("dedup: snapshot freed location %#x out of range", a)
 		}
-		t.freed = append(t.freed, a)
+		t.loc = dense.Grow(t.loc, a, t.lines)
+		if l := &t.loc[a]; l.refs > 0 || l.listed {
+			return nil, fmt.Errorf("dedup: snapshot frees live or repeated location %#x", a)
+		}
+		t.push(a)
+	}
+
+	nRetired, err := readU64()
+	if err != nil {
+		return nil, err
+	}
+	if nRetired > lines {
+		return nil, fmt.Errorf("dedup: snapshot claims %d retired locations", nRetired)
+	}
+	for i := uint64(0); i < nRetired; i++ {
+		a, err := readU64()
+		if err != nil {
+			return nil, err
+		}
+		if a >= lines {
+			return nil, fmt.Errorf("dedup: snapshot retired location %#x out of range", a)
+		}
+		t.loc = dense.Grow(t.loc, a, t.lines)
+		if l := &t.loc[a]; l.refs > 0 || l.listed || l.retired {
+			return nil, fmt.Errorf("dedup: snapshot retires live, free-listed or repeated location %#x", a)
+		}
+		t.Retire(a)
 	}
 
 	if err := t.CheckInvariants(); err != nil {

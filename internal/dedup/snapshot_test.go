@@ -135,7 +135,7 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 
 func snapshotMagicFor(t *testing.T) string {
 	t.Helper()
-	return "DWDT1\n" // header only, counts missing
+	return "DWDT2\n" // header only, counts missing
 }
 
 func TestSnapshotRejectsCorruptCounts(t *testing.T) {
@@ -144,7 +144,7 @@ func TestSnapshotRejectsCorruptCounts(t *testing.T) {
 	tb.WriteTo(&buf)
 	raw := buf.Bytes()
 	// Corrupt the mapping count (bytes 6+24 .. 6+32 hold it) to a huge value.
-	copy(raw[len("DWDT1\n")+24:], []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	copy(raw[len("DWDT2\n")+24:], []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	if _, err := ReadTables(bytes.NewReader(raw), 32); err == nil {
 		t.Fatal("expected error on corrupt count")
 	}
@@ -181,7 +181,7 @@ func TestReadTablesRejectsDuplicateLocation(t *testing.T) {
 		t.Fatalf("duplicate location: err = %v", err)
 	}
 	// Without the repeat the same snapshot loads.
-	single := snapshotBytes(fuzzLines, 8, 1, 1, 0, 0, 1, 0, 0xabc, 1, 0, 0)
+	single := snapshotBytes(fuzzLines, 8, 1, 1, 0, 0, 1, 0, 0xabc, 1, 0, 0, 0)
 	if _, err := ReadTables(bytes.NewReader(single), fuzzLines); err != nil {
 		t.Fatalf("single location rejected: %v", err)
 	}
@@ -200,4 +200,38 @@ func allocatedBytes(f func()) uint64 {
 	f()
 	runtime.ReadMemStats(&after)
 	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestReadTablesChecksFreeListAndRetirements: a snapshot's free list and
+// retired locations must describe what placement relies on. Every snapshot
+// here maps logical 2 to live location 2 under a fresh cursor of 2, so
+// locations 0 and 1 must each be on the free list or retired.
+func TestReadTablesChecksFreeListAndRetirements(t *testing.T) {
+	snap := func(cursor uint64, free, retired []uint64) []byte {
+		words := []uint64{fuzzLines, 8, cursor, 1, 2, 2, 1, 2, 0xabc, 1, 0, uint64(len(free))}
+		words = append(words, free...)
+		words = append(words, uint64(len(retired)))
+		return snapshotBytes(append(words, retired...)...)
+	}
+	for _, tc := range []struct {
+		name string
+		in   []byte
+		want string // "" when the snapshot loads
+	}{
+		{"free", snap(2, []uint64{0, 1}, nil), ""},
+		{"free and retired", snap(2, []uint64{0}, []uint64{1}), ""},
+		{"live on the free list", snap(2, []uint64{0, 1, 2}, nil), "frees live or repeated location 0x2"},
+		{"repeated on the free list", snap(2, []uint64{0, 1, 1}, nil), "frees live or repeated location 0x1"},
+		{"free list out of range", snap(2, []uint64{0, 1, fuzzLines}, nil), "freed location 0x20 out of range"},
+		{"retired and free", snap(2, []uint64{0, 1}, []uint64{1}), "retires live, free-listed or repeated location 0x1"},
+		{"retired twice", snap(2, []uint64{0}, []uint64{1, 1}), "retires live, free-listed or repeated location 0x1"},
+		{"free below the cursor, unlisted", snap(2, []uint64{0}, nil), "free location 0x1 below the fresh cursor is not listed"},
+		{"cursor past every touched location", snap(4, []uint64{0, 1}, nil), "free location 0x3 below the fresh cursor is not listed"},
+		{"cursor beyond the lines", snap(fuzzLines+1, []uint64{0, 1}, nil), "free location 0x3 below the fresh cursor is not listed"},
+	} {
+		_, err := ReadTables(bytes.NewReader(tc.in), fuzzLines)
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
 }

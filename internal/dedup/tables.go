@@ -42,9 +42,15 @@ type Tables struct {
 
 	hash index // fingerprint → live locations with that fingerprint
 
-	freed     []uint64 // freed locations available for reuse (LIFO)
-	freshScan uint64   // cursor over never-allocated locations
-	retired   uint64   // locations permanently removed from allocation
+	// The FSM table: a doubly-linked free list threaded through loc, newest
+	// first, and a cursor over locations never claimed. release pushes a
+	// location, and a claim or a retirement unlinks it wherever it sits, so
+	// the list holds exactly the free, unretired locations that were freed
+	// since they were last claimed, each once. Below the cursor every free,
+	// unretired location is listed (CheckInvariants).
+	head      uint32 // newest listed location+1; 0 when the list is empty
+	freshScan uint64 // cursor over never-allocated locations
+	retired   uint64 // locations permanently removed from allocation
 
 	// mappedAway counts logical lines whose data lives at a foreign
 	// location, maintained incrementally so per-epoch sampling does not
@@ -69,20 +75,27 @@ type Tables struct {
 }
 
 type location struct {
-	hash   uint32
+	hash uint32
+	// prev and next link a listed location to its newer and older
+	// neighbours on the free list, as location+1 (0 at either end). They
+	// fill what would be padding, so the struct stays 24 bytes.
+	prev   uint32
 	refs   uint
+	next   uint32
 	isZero bool
 	// retired marks a free location removed from allocation because its
 	// device line is stuck; a retired location is never live.
 	retired bool
+	listed  bool // on the free list
 }
 
 // NewTables returns empty metadata for a device with the given number of
 // data lines. maxRef is the saturating reference-count limit (255 in the
-// paper); a location at the limit no longer accepts new duplicates.
+// paper); a location at the limit no longer accepts new duplicates. The
+// free list links locations by 32-bit numbers, so lines must be below 2^32.
 func NewTables(lines uint64, maxRef uint) *Tables {
-	if lines == 0 {
-		panic("dedup: zero data lines")
+	if lines == 0 || lines >= 1<<32 {
+		panic(fmt.Sprintf("dedup: %d data lines, want 1 to 2^32-1", lines))
 	}
 	if maxRef < 1 {
 		panic("dedup: maxRef must be at least 1")
@@ -295,29 +308,50 @@ func (t *Tables) PlaceUnique(logical uint64, hash uint32) (chosen uint64, freed 
 func (t *Tables) TryPlaceUnique(logical uint64, hash uint32) (chosen uint64, freed uint64, didFree, ok bool) {
 	t.checkAddr(logical)
 	freed, didFree = t.release(logical)
-
-	if t.allocatable(logical) {
-		chosen = logical
-	} else {
-		if chosen, ok = t.tryAllocate(); !ok {
-			return 0, freed, didFree, false
-		}
-		t.displaced.Inc()
+	if chosen, ok = t.place(logical, location{hash: hash, refs: 1}); !ok {
+		return 0, freed, didFree, false
 	}
 	if didFree && freed == chosen {
 		didFree = false
 	}
-
-	t.claim(chosen, location{hash: hash, refs: 1})
-	t.setMapping(logical, chosen)
 	t.uniques.Inc()
 	return chosen, freed, didFree, true
 }
 
-// claim makes free location a live with state l (l.refs > 0) and indexes it
-// under its fingerprint.
+// place claims a location for logical's new data l and maps logical to it,
+// the one placement rule of unique writes and relocations: logical's own
+// slot when it is allocatable, else the most recently freed location, else
+// the next never-claimed one. Absent retirements a location always exists:
+// the caller has released logical, so live locations < logical lines.
+// Retirements shrink the pool, and place reports false once every
+// unretired location is live.
+func (t *Tables) place(logical uint64, l location) (uint64, bool) {
+	a := logical
+	if !t.allocatable(a) {
+		if t.head != 0 {
+			a = uint64(t.head - 1)
+		} else {
+			for t.freshScan < t.lines && !t.allocatable(t.freshScan) {
+				t.freshScan++
+			}
+			if t.freshScan >= t.lines {
+				return 0, false
+			}
+			a = t.freshScan
+			t.freshScan++
+		}
+		t.displaced.Inc()
+	}
+	t.claim(a, l)
+	t.setMapping(logical, a)
+	return a, true
+}
+
+// claim makes free location a live with state l (l.refs > 0), taking it off
+// the free list, and indexes it under its fingerprint.
 func (t *Tables) claim(a uint64, l location) {
 	t.loc = dense.Grow(t.loc, a, t.lines)
+	t.unlink(a)
 	t.loc[a] = l
 	t.live++
 	t.indexHash(l.hash, a)
@@ -348,7 +382,7 @@ func (t *Tables) release(logical uint64) (freed uint64, didFree bool) {
 	t.removeHash(l.hash, locAddr)
 	*l = location{}
 	t.live--
-	t.freed = append(t.freed, locAddr)
+	t.push(locAddr)
 	t.frees.Inc()
 	return locAddr, true
 }
@@ -364,36 +398,33 @@ func (t *Tables) removeHash(h uint32, locAddr uint64) {
 	}
 }
 
-// tryAllocate returns a free location. Absent retirements a free location
-// always exists when it is called: it is only reached from TryPlaceUnique
-// after the writing logical line has been released, so live locations <
-// logical lines. Retired locations shrink the pool, so exhaustion is
-// possible once the device runs out of spares; it then reports false.
-func (t *Tables) tryAllocate() (uint64, bool) {
-	for len(t.freed) > 0 {
-		a := t.freed[len(t.freed)-1]
-		t.freed = t.freed[:len(t.freed)-1]
-		if t.allocatable(a) {
-			return a, true
-		}
-		// Stale entry: re-claimed via own-slot preference, or since retired.
+// push puts free location a, which must be unlisted, at the head of the
+// free list.
+func (t *Tables) push(a uint64) {
+	l := &t.loc[a]
+	l.listed, l.next = true, t.head
+	if t.head != 0 {
+		t.loc[t.head-1].prev = uint32(a + 1)
 	}
-	for ; t.freshScan < t.lines; t.freshScan++ {
-		if t.allocatable(t.freshScan) {
-			a := t.freshScan
-			t.freshScan++
-			return a, true
-		}
+	t.head = uint32(a + 1)
+}
+
+// unlink takes location a off the free list wherever it sits; an unlisted
+// location is left as it is.
+func (t *Tables) unlink(a uint64) {
+	l := &t.loc[a]
+	if !l.listed {
+		return
 	}
-	// Last resort: rescan for locations freed then lost to stale-entry
-	// skipping. Only reachable when retirements have fragmented the pool,
-	// so the scan cost never shows up in healthy runs.
-	for a := uint64(0); a < t.lines; a++ {
-		if t.allocatable(a) {
-			return a, true
-		}
+	if l.prev != 0 {
+		t.loc[l.prev-1].next = l.next
+	} else {
+		t.head = l.next
 	}
-	return 0, false
+	if l.next != 0 {
+		t.loc[l.next-1].prev = l.prev
+	}
+	l.prev, l.next, l.listed = 0, 0, false
 }
 
 // ObserveRefs samples the current reference count of every live location
@@ -472,10 +503,43 @@ func (t *Tables) CheckInvariants() error {
 	if mapped != t.mappedAway {
 		return fmt.Errorf("mappedAway=%d but recount finds %d", t.mappedAway, mapped)
 	}
-	// Reference counts match the mapping census.
-	var live uint64
+	// The free list's links are consistent, and it lists only free,
+	// unretired locations, each once.
+	var listed uint64
+	for newer, a := uint32(0), t.head; a != 0; newer, a = a, t.loc[a-1].next {
+		if uint64(a) > uint64(len(t.loc)) {
+			return fmt.Errorf("free list runs past location %#x", a-1)
+		}
+		// A cycle returns to some location from a second newer neighbour.
+		switch l := &t.loc[a-1]; {
+		case !l.listed || l.prev != newer:
+			return fmt.Errorf("free list links location %#x inconsistently", a-1)
+		case l.refs > 0 || l.retired:
+			return fmt.Errorf("free list holds live or retired location %#x", a-1)
+		}
+		listed++
+	}
+	// Below the fresh cursor every free, unretired location is listed, so
+	// placement never has to rescan for one; an untouched location is free.
+	if t.freshScan > uint64(len(t.loc)) {
+		return fmt.Errorf("free location %#x below the fresh cursor is not listed", len(t.loc))
+	}
+	// Per location: the listing and retirement flags agree with the list
+	// and the count, and reference counts match the mapping census.
+	var live, flagged, retired uint64
 	for i := range t.loc {
 		locAddr, l := uint64(i), &t.loc[i]
+		if l.retired {
+			retired++
+		}
+		switch {
+		case l.listed:
+			flagged++
+		case l.prev != 0 || l.next != 0:
+			return fmt.Errorf("unlisted location %#x has free-list links", locAddr)
+		case locAddr < t.freshScan && l.refs == 0 && !l.retired:
+			return fmt.Errorf("free location %#x below the fresh cursor is not listed", locAddr)
+		}
 		if l.refs == 0 {
 			continue
 		}
@@ -498,6 +562,10 @@ func (t *Tables) CheckInvariants() error {
 	}
 	if live != t.live {
 		return fmt.Errorf("live=%d but recount finds %d", t.live, live)
+	}
+	if flagged != listed || retired != t.retired {
+		return fmt.Errorf("%d locations flagged listed for %d on the free list, %d retired for a count of %d",
+			flagged, listed, retired, t.retired)
 	}
 	// Hash chains only list live locations with that hash, and list each
 	// once: every live location is in its chain, so entries beyond the live
