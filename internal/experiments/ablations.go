@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"dewrite/internal/baseline"
 	"dewrite/internal/cache"
@@ -32,15 +33,6 @@ func (s *Suite) ablationApps() []workload.Profile {
 	return out
 }
 
-// runDeWriteWith drives a DeWrite controller under a modified config and
-// returns its report. Every config variant replays the profile's shared
-// prepared stream, so sweeps pay for trace generation once.
-func (s *Suite) runDeWriteWith(prof workload.Profile, cfg config.Config) core.Report {
-	ctrl := core.New(core.Options{DataLines: prof.WorkingSetLines, Config: cfg})
-	replayThrough(ctrl, s.Prepared(prof))
-	return ctrl.Report()
-}
-
 // replayThrough drives one prepared stream through a memory back to back,
 // each request issued when the previous one completes, discarding read
 // plaintext into a reusable buffer. It returns the last completion time.
@@ -67,9 +59,9 @@ func AblationPNA(s *Suite) []*stats.Table {
 		"app", "PNA", "eliminated %", "missed by PNA %", "metadata NVM reads", "mean write")
 	for _, prof := range s.ablationApps() {
 		for _, pna := range []bool{true, false} {
-			cfg := s.Config()
-			cfg.Dedup.PNAEnabled = pna
-			r := s.runDeWriteWith(prof, cfg)
+			opts := s.coreOptions(prof)
+			opts.Config.Dedup.PNAEnabled = pna
+			r := s.replayWith(prof, opts, false).report
 			t.AddRow(prof.Name, onOff(pna),
 				stats.Ratio(r.DupEliminated, r.Writes)*100,
 				stats.Ratio(r.MissedByPNA, r.Writes)*100,
@@ -94,9 +86,9 @@ func AblationHistory(s *Suite) []*stats.Table {
 		"app", "bits", "prediction accuracy %", "eliminated %", "AES wasted")
 	for _, prof := range s.ablationApps() {
 		for _, bits := range []int{1, 2, 3, 5, 8} {
-			cfg := s.Config()
-			cfg.Dedup.HistoryBits = bits
-			r := s.runDeWriteWith(prof, cfg)
+			opts := s.coreOptions(prof)
+			opts.Config.Dedup.HistoryBits = bits
+			r := s.replayWith(prof, opts, false).report
 			t.AddRow(prof.Name, bits, r.PredAccuracy*100,
 				stats.Ratio(r.DupEliminated, r.Writes)*100, r.AESWasted)
 		}
@@ -112,9 +104,9 @@ func AblationRefWidth(s *Suite) []*stats.Table {
 		"app", "max refs", "eliminated %", "missed by saturation %")
 	for _, prof := range s.ablationApps() {
 		for _, width := range []uint{3, 15, 255, 65535} {
-			cfg := s.Config()
-			cfg.Dedup.MaxReference = width
-			r := s.runDeWriteWith(prof, cfg)
+			opts := s.coreOptions(prof)
+			opts.Config.Dedup.MaxReference = width
+			r := s.replayWith(prof, opts, false).report
 			t.AddRow(prof.Name, width,
 				stats.Ratio(r.DupEliminated, r.Writes)*100,
 				stats.Ratio(r.MissedBySat, r.Writes)*100)
@@ -151,9 +143,9 @@ func AblationHashWidth(s *Suite) []*stats.Table {
 		"app", "bits", "eliminated %", "collisions", "collision %", "compares/dup")
 	for _, prof := range s.ablationApps() {
 		for _, bits := range []int{8, 12, 16, 24, 32} {
-			cfg := s.Config()
-			cfg.Dedup.HashSizeBits = bits
-			r := s.runDeWriteWith(prof, cfg)
+			opts := s.coreOptions(prof)
+			opts.Config.Dedup.HashSizeBits = bits
+			r := s.replayWith(prof, opts, false).report
 			matches := r.Dedup.Duplicates + r.Dedup.Collisions
 			t.AddRow(prof.Name, bits,
 				stats.Ratio(r.DupEliminated, r.Writes)*100,
@@ -240,17 +232,13 @@ func AblationPersist(s *Suite) []*stats.Table {
 		"app", "scheme", "metadata NVM writes", "per CPU write", "mean write", "dirty lines at shutdown")
 	for _, prof := range s.ablationApps() {
 		for _, mode := range []core.PersistMode{core.PersistBatteryBacked, core.PersistWriteThrough} {
-			ctrl := core.New(core.Options{
-				DataLines: prof.WorkingSetLines,
-				Config:    s.Config(),
-				Persist:   mode,
-			})
-			now := replayThrough(ctrl, s.Prepared(prof))
-			r := ctrl.Report()
-			dirty := ctrl.FlushMetadata(now)
+			opts := s.coreOptions(prof)
+			opts.Persist = mode
+			rp := s.replayWith(prof, opts, true)
+			r := rp.report
 			t.AddRow(prof.Name, mode.String(), r.MetaNVMWrites,
 				float64(r.MetaNVMWrites)/float64(max64(r.Writes, 1)),
-				r.MeanWriteLat.String(), dirty)
+				r.MeanWriteLat.String(), rp.flushed)
 		}
 	}
 	return []*stats.Table{t}
@@ -286,8 +274,8 @@ func AblationHierarchy(s *Suite) []*stats.Table {
 				opts.Hierarchy = cache.NewHierarchy(scaled())
 				optsBase.Hierarchy = cache.NewHierarchy(scaled())
 			}
-			dw, _ := sim.RunScheme(sim.SchemeDeWrite, prof, s.Config(), opts)
-			base, _ := sim.RunScheme(sim.SchemeSecureNVM, prof, s.Config(), optsBase)
+			dw := s.run(sim.SchemeDeWrite, prof, s.Config(), opts)
+			base := s.run(sim.SchemeSecureNVM, prof, s.Config(), optsBase)
 			t.AddRow(prof.Name, onOff(withCaches),
 				dw.MemWrites+dw.MemReads, dw.Device.Writes, sim.RelativeIPC(dw, base))
 		}
@@ -307,44 +295,52 @@ func AblationCacheScale(s *Suite) []*stats.Table {
 		"app", "cache scale", "direct", "parallel", "DeWrite", "direct gap %")
 	apps := s.ablationApps()
 	divides := []int{1, 16, 64, 256}
-	// At 1/1 the config is the suite's, so those rows are the memoized grid
-	// runs. Every other (app, divide) cell runs three un-memoized
-	// simulations over the app's prepared stream under its own shrunken
-	// cache config; fan the cells out and add rows in order.
+	// Each partition shrinks by the divide down to a floor of four sets, so
+	// two divides can clamp to one configuration: configs holds each
+	// distinct one once, and divides[i] reads configs[which[i]].
+	base := s.Config().MetaCache
+	floor := base.Ways * base.BlockBytes * 4
+	var configs []config.MetaCacheConfig
+	which := make([]int, len(divides))
+	for i, divide := range divides {
+		mc := base
+		mc.HashBytes = maxInt(mc.HashBytes/divide, floor)
+		mc.AddrMapBytes = maxInt(mc.AddrMapBytes/divide, floor)
+		mc.InvHashBytes = maxInt(mc.InvHashBytes/divide, floor)
+		mc.FSMBytes = maxInt(mc.FSMBytes/divide, floor)
+		which[i] = slices.Index(configs, mc)
+		if which[i] < 0 {
+			which[i] = len(configs)
+			configs = append(configs, mc)
+		}
+	}
+	// Every (app, config) cell runs three schemes over the app's prepared
+	// stream; the suite's own config reads the memoized grid runs. Fan the
+	// cells out and add rows in order.
 	type cellResult struct {
 		direct, parallel, dewrite sim.Result
 	}
-	results := make([]cellResult, len(apps)*len(divides))
+	results := make([]cellResult, len(apps)*len(configs))
 	Fan(len(results), func(j int) {
-		prof := apps[j/len(divides)]
-		divide := divides[j%len(divides)]
-		if divide == 1 {
-			results[j].direct = s.Run(sim.SchemeDirect, prof)
-			results[j].parallel = s.Run(sim.SchemeParallel, prof)
-			results[j].dewrite = s.Run(sim.SchemeDeWrite, prof)
-			return
-		}
+		prof := apps[j/len(configs)]
 		cfg := s.Config()
-		mc := &cfg.MetaCache
-		mc.HashBytes = maxInt(mc.HashBytes/divide, mc.Ways*mc.BlockBytes*4)
-		mc.AddrMapBytes = maxInt(mc.AddrMapBytes/divide, mc.Ways*mc.BlockBytes*4)
-		mc.InvHashBytes = maxInt(mc.InvHashBytes/divide, mc.Ways*mc.BlockBytes*4)
-		mc.FSMBytes = maxInt(mc.FSMBytes/divide, mc.Ways*mc.BlockBytes*4)
-
+		cfg.MetaCache = configs[j%len(configs)]
 		opts := s.simOptions()
 		opts.Prepared = s.Prepared(prof)
-		results[j].direct, _ = sim.RunScheme(sim.SchemeDirect, prof, cfg, opts)
-		results[j].parallel, _ = sim.RunScheme(sim.SchemeParallel, prof, cfg, opts)
-		results[j].dewrite, _ = sim.RunScheme(sim.SchemeDeWrite, prof, cfg, opts)
+		results[j].direct = s.run(sim.SchemeDirect, prof, cfg, opts)
+		results[j].parallel = s.run(sim.SchemeParallel, prof, cfg, opts)
+		results[j].dewrite = s.run(sim.SchemeDeWrite, prof, cfg, opts)
 	})
-	for j, r := range results {
-		if r.parallel.WriteLatSum == 0 {
-			continue
+	for a, prof := range apps {
+		for i, divide := range divides {
+			r := results[a*len(configs)+which[i]]
+			if r.parallel.WriteLatSum == 0 {
+				continue
+			}
+			nd := float64(r.direct.WriteLatSum) / float64(r.parallel.WriteLatSum)
+			ndw := float64(r.dewrite.WriteLatSum) / float64(r.parallel.WriteLatSum)
+			t.AddRow(prof.Name, fmt.Sprintf("1/%d", divide), nd, 1.0, ndw, (nd-1)*100)
 		}
-		nd := float64(r.direct.WriteLatSum) / float64(r.parallel.WriteLatSum)
-		ndw := float64(r.dewrite.WriteLatSum) / float64(r.parallel.WriteLatSum)
-		t.AddRow(apps[j/len(divides)].Name, fmt.Sprintf("1/%d", divides[j%len(divides)]),
-			nd, 1.0, ndw, (nd-1)*100)
 	}
 	return []*stats.Table{t}
 }
@@ -373,8 +369,8 @@ func AblationBus(s *Suite) []*stats.Table {
 		cfg.NVM.Channels = channelGrid[j%len(channelGrid)]
 		opts := s.simOptions()
 		opts.Prepared = s.Prepared(prof)
-		results[j].dw, _ = sim.RunScheme(sim.SchemeDeWrite, prof, cfg, opts)
-		results[j].base, _ = sim.RunScheme(sim.SchemeSecureNVM, prof, cfg, opts)
+		results[j].dw = s.run(sim.SchemeDeWrite, prof, cfg, opts)
+		results[j].base = s.run(sim.SchemeSecureNVM, prof, cfg, opts)
 	})
 	for j, r := range results {
 		channels := channelGrid[j%len(channelGrid)]
@@ -411,7 +407,9 @@ func AblationPhases(s *Suite) []*stats.Table {
 	uniform.ZeroRatio = 0.18
 
 	for _, prof := range []workload.Profile{phased, uniform} {
-		r := s.runDeWriteWith(prof, s.Config())
+		// Not replayWith: these profiles are not the suite's, and a memo
+		// entry for them would count as a simulation of its own.
+		r := s.replayOn(core.New(s.coreOptions(prof)), prof, false).report
 		// Ground truth straight from the prepared stream's generator stats.
 		gt := s.Prepared(prof).GenFinal
 		t.AddRow(prof.Name,
@@ -432,13 +430,9 @@ func AblationIntegrity(s *Suite) []*stats.Table {
 		"tree updates", "updates saved by dedup %")
 	for _, prof := range s.ablationApps() {
 		for _, on := range []bool{false, true} {
-			ctrl := core.New(core.Options{
-				DataLines: prof.WorkingSetLines,
-				Config:    s.Config(),
-				Integrity: on,
-			})
-			replayThrough(ctrl, s.Prepared(prof))
-			r := ctrl.Report()
+			opts := s.coreOptions(prof)
+			opts.Integrity = on
+			r := s.replayWith(prof, opts, false).report
 			saved := ""
 			if on {
 				// Without dedup, every CPU write would update the tree.
@@ -465,9 +459,11 @@ func AblationSeeds(s *Suite) []*stats.Table {
 		prof := apps[j/len(seeds)]
 		opts := s.simOptions()
 		opts.Seed = seeds[j%len(seeds)]
-		opts.Prepared = sim.Prepare(prof, opts)
-		dw, _ := sim.RunScheme(sim.SchemeDeWrite, prof, s.Config(), opts)
-		base, _ := sim.RunScheme(sim.SchemeSecureNVM, prof, s.Config(), opts)
+		if !s.isSuiteRun(s.Config(), opts) {
+			opts.Prepared = sim.Prepare(prof, opts)
+		}
+		dw := s.run(sim.SchemeDeWrite, prof, s.Config(), opts)
+		base := s.run(sim.SchemeSecureNVM, prof, s.Config(), opts)
 		results[j] = cellResult{
 			ws: sim.WriteSpeedup(dw, base),
 			rs: sim.ReadSpeedup(dw, base),
@@ -522,8 +518,8 @@ func AblationRowPolicy(s *Suite) []*stats.Table {
 			cfg.NVM.ClosePage = closed
 			opts := s.simOptions()
 			opts.Prepared = s.Prepared(prof)
-			dw, _ := sim.RunScheme(sim.SchemeDeWrite, prof, cfg, opts)
-			base, _ := sim.RunScheme(sim.SchemeSecureNVM, prof, cfg, opts)
+			dw := s.run(sim.SchemeDeWrite, prof, cfg, opts)
+			base := s.run(sim.SchemeSecureNVM, prof, cfg, opts)
 			policy := "open-page"
 			if closed {
 				policy = "closed-page"

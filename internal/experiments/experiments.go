@@ -15,6 +15,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"sync"
 
@@ -153,8 +154,9 @@ func IDs() []string {
 	return ids
 }
 
-// Suite memoizes (application, scheme) runs so the performance figures that
-// share underlying simulations (14–17, 19, 20) run each simulation once. It
+// Suite memoizes (application, scheme) runs and each application's default
+// DeWrite replay, so the figures that share underlying simulations (14–17,
+// 19, 20) and the ablations' default cells run each simulation once. It
 // also materializes each application's request stream once (sim.Prepare) and
 // replays it across every scheme, so the five schemes consume an identical,
 // immutable trace instead of regenerating it.
@@ -171,7 +173,7 @@ type Suite struct {
 
 	mu      sync.Mutex
 	runs    map[string]*memo[sim.Result]
-	reports map[string]*memo[core.Report]
+	reports map[string]*memo[replay]
 	preps   map[string]*memo[*sim.Prepared]
 }
 
@@ -210,7 +212,7 @@ func NewSuite(opts Options) *Suite {
 		Opts:    opts,
 		cfg:     opts.Config(),
 		runs:    make(map[string]*memo[sim.Result]),
-		reports: make(map[string]*memo[core.Report]),
+		reports: make(map[string]*memo[replay]),
 		preps:   make(map[string]*memo[*sim.Prepared]),
 	}
 }
@@ -234,16 +236,71 @@ func (s *Suite) Prepared(prof workload.Profile) *sim.Prepared {
 	return e.v
 }
 
-// CoreReport returns the memoized full controller report of the DeWrite run
-// on the profile (controller-internal statistics sim.Result does not carry).
-func (s *Suite) CoreReport(prof workload.Profile) core.Report {
+// replay is what the suite keeps of a DeWrite controller's replay of a
+// profile's prepared stream: the controller's report and what experiments
+// read beside it.
+type replay struct {
+	report core.Report
+	// hashHitRate is the hash-table partition's hit rate (Figure 21(a)).
+	hashHitRate float64
+	// meta holds the other three partitions' probes (Figure 21(b)-(d)). Only
+	// the default replay records them.
+	meta *core.MetaTrace
+	// flushed is what FlushMetadata returned after the stream: the dirty
+	// metadata lines written back at shutdown (abl-persist). The default
+	// replay always flushes; another only when asked to.
+	flushed int
+}
+
+// coreOptions returns the options of the profile's default DeWrite
+// controller: the suite's configuration, battery-backed metadata, no
+// integrity tree.
+func (s *Suite) coreOptions(prof workload.Profile) core.Options {
+	return core.Options{DataLines: prof.WorkingSetLines, Config: s.cfg}
+}
+
+// defaultReplay returns the profile's memoized default DeWrite replay, the
+// suite's one pass of a controller built from coreOptions. Every cell whose
+// controller options equal those by value reads it (replayWith).
+func (s *Suite) defaultReplay(prof workload.Profile) replay {
 	e := memoCell(&s.mu, s.reports, profileKey(prof))
 	e.once.Do(func() {
-		ctrl := core.New(core.Options{DataLines: prof.WorkingSetLines, Config: s.cfg})
-		replayThrough(ctrl, s.Prepared(prof))
-		e.v = ctrl.Report()
+		ctrl := core.New(s.coreOptions(prof))
+		meta := ctrl.RecordMeta()
+		e.v = s.replayOn(ctrl, prof, true)
+		e.v.meta = meta
 	})
 	return e.v
+}
+
+// CoreReport returns the controller report of the profile's default DeWrite
+// replay (controller-internal statistics sim.Result does not carry).
+func (s *Suite) CoreReport(prof workload.Profile) core.Report {
+	return s.defaultReplay(prof).report
+}
+
+// replayWith returns the DeWrite replay of the profile's prepared stream
+// through a controller built from opts. When opts equals coreOptions by
+// value, that is the memoized default replay; otherwise the replay is the
+// caller's own: it records no probes, and flushes the metadata caches only
+// when flush is set.
+func (s *Suite) replayWith(prof workload.Profile, opts core.Options, flush bool) replay {
+	if reflect.DeepEqual(opts, s.coreOptions(prof)) {
+		return s.defaultReplay(prof)
+	}
+	return s.replayOn(core.New(opts), prof, flush)
+}
+
+// replayOn replays the profile's prepared stream through ctrl and returns
+// its report and hash-partition hit rate, flushing the metadata caches after
+// the stream when flush is set.
+func (s *Suite) replayOn(ctrl *core.Controller, prof workload.Profile, flush bool) replay {
+	now := replayThrough(ctrl, s.Prepared(prof))
+	r := replay{report: ctrl.Report(), hashHitRate: ctrl.MetaCaches()[0].HitRate()}
+	if flush {
+		r.flushed = ctrl.FlushMetadata(now)
+	}
+	return r
 }
 
 // Config returns the suite's machine configuration.
@@ -262,8 +319,7 @@ func (s *Suite) Simulations() int {
 // the profile's shared prepared stream. The result keeps no final memory: no
 // experiment reads one, and the suite lives as long as its experiments.
 func (s *Suite) Run(scheme sim.Scheme, prof workload.Profile) sim.Result {
-	key := profileKey(prof) + "\x00" + scheme.String()
-	e := memoCell(&s.mu, s.runs, key)
+	e := memoCell(&s.mu, s.runs, runKey(scheme, prof))
 	e.once.Do(func() {
 		opts := s.simOptions()
 		opts.Prepared = s.Prepared(prof)
@@ -271,6 +327,30 @@ func (s *Suite) Run(scheme sim.Scheme, prof workload.Profile) sim.Result {
 		e.v = res.WithoutMemory()
 	})
 	return e.v
+}
+
+// runKey is the memoization key of a scheme run on a profile.
+func runKey(scheme sim.Scheme, prof workload.Profile) string {
+	return profileKey(prof) + "\x00" + scheme.String()
+}
+
+// isSuiteRun reports whether a run under cfg and opts has Suite.Run's inputs:
+// cfg and opts equal the suite's by value, opts.Prepared aside (a prepared
+// stream is a function of the profile and the other options).
+func (s *Suite) isSuiteRun(cfg config.Config, opts sim.Options) bool {
+	opts.Prepared = nil
+	return opts == s.simOptions() && reflect.DeepEqual(cfg, s.cfg)
+}
+
+// run returns the result of running scheme on the profile under cfg and
+// opts: Suite.Run's memoized result when isSuiteRun, otherwise a run of the
+// caller's own over opts.Prepared.
+func (s *Suite) run(scheme sim.Scheme, prof workload.Profile, cfg config.Config, opts sim.Options) sim.Result {
+	if s.isSuiteRun(cfg, opts) {
+		return s.Run(scheme, prof)
+	}
+	res, _ := sim.RunScheme(scheme, prof, cfg, opts)
+	return res
 }
 
 // perfSchemes is the full scheme grid the performance figures draw from.
@@ -281,8 +361,8 @@ var perfSchemes = []sim.Scheme{
 
 // Prefill computes the (application × scheme) simulation grid the
 // performance figures share — plus each application's prepared stream and
-// controller report — across workers goroutines. It is an optional warm-up:
-// experiments run correctly without it, computing entries on demand.
+// default DeWrite replay — across workers goroutines. It is an optional
+// warm-up: experiments run correctly without it, computing entries on demand.
 func (s *Suite) Prefill(workers int) {
 	profs := s.Opts.Profiles()
 	// Streams first: every grid run replays one, so materializing them

@@ -1,9 +1,14 @@
 package experiments
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
+
+	"dewrite/internal/core"
+	"dewrite/internal/nvm"
+	"dewrite/internal/sim"
 )
 
 func quickSuite() *Suite { return NewSuite(QuickOptions()) }
@@ -328,6 +333,90 @@ func TestPrefillKeepsNoMemory(t *testing.T) {
 	for key, e := range s.runs {
 		if e.v.FinalMemory() != nil {
 			t.Errorf("memoized run %q keeps its final memory", key)
+		}
+	}
+}
+
+// plant fills the memo cell under key with v, as if v had been computed.
+func plant[T any](s *Suite, m map[string]*memo[T], key string, v T) {
+	e := memoCell(&s.mu, m, key)
+	e.once.Do(func() { e.v = v })
+}
+
+// TestDefaultCellsReadTheMemo plants sentinel values in a quick suite's memo
+// cells and requires exactly the rows whose inputs equal a memoized pass's to
+// print them. The default rows of the DeWrite sweeps and Figure 21(a)'s row
+// at the suite's hash-cache size read the default replay; abl-hierarchy,
+// abl-bus and abl-rowpolicy at the suite's configuration, and abl-seeds at
+// the suite's seed, read Suite.Run. Every other row simulates.
+func TestDefaultCellsReadTheMemo(t *testing.T) {
+	s := quickSuite()
+	for _, prof := range s.Opts.Profiles() {
+		plant(s, s.reports, profileKey(prof), replay{
+			report:      core.Report{Writes: 4000, DupEliminated: 1000, MetaNVMWrites: 1000, TreeUpdates: 1000},
+			hashHitRate: 0.25,
+			// No probes: Figure 21's other partitions replay nothing.
+			meta:    core.New(s.coreOptions(prof)).RecordMeta(),
+			flushed: 1000,
+		})
+	}
+	for _, prof := range s.ablationApps() {
+		plant(s, s.runs, runKey(sim.SchemeDeWrite, prof), sim.Result{
+			Device:      nvm.Stats{Writes: 1000},
+			WriteLatSum: 1, ReadLatSum: 1, IPC: 1000,
+		})
+		plant(s, s.runs, runKey(sim.SchemeSecureNVM, prof), sim.Result{
+			WriteLatSum: 1000, ReadLatSum: 1000, IPC: 1,
+		})
+	}
+
+	def := s.Config()
+	checks := []struct {
+		id        string
+		col       int    // the column that shows the sentinel
+		want      string // the sentinel as printed
+		isDefault func(row []string) bool
+	}{
+		{"abl-pna", 2, "25", func(r []string) bool { return r[1] == onOff(def.Dedup.PNAEnabled) }},
+		{"abl-history", 3, "25", func(r []string) bool { return r[1] == fmt.Sprint(def.Dedup.HistoryBits) }},
+		{"abl-refwidth", 2, "25", func(r []string) bool { return r[1] == fmt.Sprint(def.Dedup.MaxReference) }},
+		{"abl-hashwidth", 2, "25", func(r []string) bool { return r[1] == fmt.Sprint(def.Dedup.HashSizeBits) }},
+		{"abl-integrity", 4, "1000", func(r []string) bool { return r[1] == "off" }},
+		{"abl-persist", 5, "1000", func(r []string) bool { return r[1] == core.PersistBatteryBacked.String() }},
+		{"fig21", 1, "25", func(r []string) bool { return r[0] == fmt.Sprint(def.MetaCache.HashBytes/1024) }},
+		{"abl-hierarchy", 3, "1000", func(r []string) bool { return r[1] == "off" }},
+		{"abl-bus", 2, "1000", func(r []string) bool { return r[1] == "off" }},
+		{"abl-rowpolicy", 2, "1000", func(r []string) bool { return r[1] == "open-page" }},
+		// Each row aggregates the seeds, the suite's among them: its max.
+		{"abl-seeds", 4, "1000", func([]string) bool { return true }},
+	}
+	var exps []Experiment
+	for _, c := range checks {
+		e, ok := ByID(c.id)
+		if !ok {
+			t.Fatalf("unknown experiment %q", c.id)
+		}
+		exps = append(exps, e)
+	}
+	for i, oc := range RunAll(s, exps, 2) {
+		c := checks[i]
+		tb := oc.Tables[0]
+		defaults := 0
+		for r := 0; r < tb.NumRows(); r++ {
+			row := make([]string, len(tb.Columns))
+			for col := range row {
+				row[col] = tb.Cell(r, col)
+			}
+			isDefault := c.isDefault(row)
+			if isDefault {
+				defaults++
+			}
+			if shown := row[c.col] == c.want; shown != isDefault {
+				t.Errorf("%s row %v: default %v, but shows the sentinel %v", c.id, row, isDefault, shown)
+			}
+		}
+		if defaults == 0 {
+			t.Errorf("%s: no row at the suite's inputs", c.id)
 		}
 	}
 }

@@ -25,6 +25,12 @@ var update = flag.Bool("update", false, "re-pin "+goldenPath+" from this run's d
 // quick-suite experiment and one per run report of pinnedRuns.
 const goldenPath = "testdata/golden.json"
 
+// quickSimulations is Suite.Simulations() after the seed-42 quick suite:
+// each of the five profiles' prepared stream, default replay and five scheme
+// runs, plus the prepared streams of abl-wear's three shrunken profiles,
+// abl-phases' two and the fault campaign's hot profile.
+const quickSimulations = 41
+
 // goldenFile is the on-disk form of the pin.
 type goldenFile struct {
 	Seed    uint64            `json:"seed"`
@@ -51,6 +57,12 @@ func TestQuickSuiteGolden(t *testing.T) {
 	s.Prefill(2)
 	for _, oc := range RunAll(s, All(), 2) {
 		got["suite-quick/"+oc.Experiment.ID] = tableDigest(oc.Tables)
+	}
+	// The suite-quick benchmark's op count is Simulations() × Requests over
+	// the wall time, so a change that opens a memo key would raise its
+	// throughput without running anything faster.
+	if n := s.Simulations(); n != quickSimulations {
+		t.Errorf("the quick suite memoized %d simulations, want %d", n, quickSimulations)
 	}
 	for key, rep := range pinnedRuns(s) {
 		var buf bytes.Buffer

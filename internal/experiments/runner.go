@@ -206,11 +206,12 @@ type Outcome struct {
 
 // RunAll executes the experiments over the shared suite with the given
 // worker count and returns one Outcome per experiment, in input order. A
-// memoized pass (a scheme run, a DeWrite controller report, a prepared
-// stream) runs once, on whichever worker asks first. A pass an experiment
-// runs outside the memo runs every time, even when its inputs equal a
-// memoized pass's, as the ablations' default cells do. The returned tables
-// are byte-identical to a workers=1 run (except TableI, see above).
+// memoized pass (a scheme run, a default DeWrite replay, a prepared stream)
+// runs once, on whichever worker asks first, and every cell whose inputs
+// equal a memoized pass's by value reads it, as the ablations' default
+// cells do (Suite.run, Suite.replayWith). A pass of other inputs runs
+// outside the memo, once per cell that asks for it. The returned tables are
+// byte-identical to a workers=1 run (except TableI, see above).
 func RunAll(s *Suite, exps []Experiment, workers int) []Outcome {
 	SetFanWorkers(workers)
 	out := make([]Outcome, len(exps))

@@ -57,27 +57,25 @@ func Figure21(s *Suite) []*stats.Table {
 
 	// Figure 21(a): a hash-cache miss steers the PNA decision, and with it
 	// the request stream, so every hash-table size is a full controller
-	// replay. The one at the suite's own configuration also records the
-	// probes the other three partitions receive. Jobs are flattened into
-	// (size × profile) slots and fanned across the engine's cooperative
-	// budget, so the output is byte-identical at any worker count.
+	// replay; the size equal to the suite's reads the memoized default
+	// replay (replayWith). Jobs are flattened into (size × profile) slots
+	// and fanned across the engine's cooperative budget, so the output is
+	// byte-identical at any worker count.
 	hashRates := make([]float64, len(sizesKB)*np)
-	traces := make([]*core.MetaTrace, np)
 	Fan(len(hashRates), func(j int) {
 		prof := profiles[j%np]
-		cfg := s.Config()
-		cfg.MetaCache.HashBytes = sizesKB[j/np] * 1024
-		ctrl := core.New(core.Options{DataLines: prof.WorkingSetLines, Config: cfg})
-		if cfg.MetaCache == s.Config().MetaCache {
-			traces[j%np] = ctrl.RecordMeta()
-		}
-		replayThrough(ctrl, s.Prepared(prof))
-		hashRates[j] = ctrl.MetaCaches()[0].HitRate()
+		opts := s.coreOptions(prof)
+		opts.Config.MetaCache.HashBytes = sizesKB[j/np] * 1024
+		hashRates[j] = s.replayWith(prof, opts, false).hashHitRate
 	})
 
 	// Figures 21(b)-(d): these partitions never change which metadata lines
 	// the controller touches, so each cell replays only a cache of its
-	// geometry over the recorded probes (core.MetaTrace).
+	// geometry over the probes the default replay recorded (core.MetaTrace).
+	traces := make([]*core.MetaTrace, np)
+	for i, prof := range profiles {
+		traces[i] = s.defaultReplay(prof).meta
+	}
 	type cell struct {
 		mc   config.MetaCacheConfig
 		part int
