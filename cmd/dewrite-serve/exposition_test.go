@@ -59,10 +59,7 @@ func TestServeExposition(t *testing.T) {
 	}
 
 	// Drive enough load to populate every metric kind and cross barriers.
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := dial(srv.Addr())
 	defer c.Close()
 	for k := 0; k < 200; k++ {
 		key := fmt.Sprintf("user:%d", k%40)
@@ -73,7 +70,7 @@ func TestServeExposition(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.Stats(); err != nil {
+	if _, err := c.ServerStats(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"net"
 
 	"dewrite/internal/config"
 )
@@ -139,38 +138,6 @@ func readResponse(r io.Reader) (status byte, val []byte, err error) {
 	return hdr[0], val, nil
 }
 
-// Client is a minimal synchronous client for the framed protocol, used by
-// the end-to-end tests and handy for smoke-testing a live server.
-type Client struct {
-	conn net.Conn
-	rw   *bufio.ReadWriter
-}
-
-// Dial connects a client to a dewrite-serve address.
-func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return &Client{
-		conn: conn,
-		rw:   bufio.NewReadWriter(bufio.NewReader(conn), bufio.NewWriter(conn)),
-	}, nil
-}
-
-// Close tears the connection down.
-func (c *Client) Close() error { return c.conn.Close() }
-
-func (c *Client) roundTrip(op byte, key string, val []byte) (byte, []byte, error) {
-	if err := writeRequest(c.rw, op, key, val, 0); err != nil {
-		return 0, nil, err
-	}
-	if err := c.rw.Flush(); err != nil {
-		return 0, nil, err
-	}
-	return readResponse(c.rw)
-}
-
 // statusName renders a response status for errors and logs.
 func statusName(status byte) string {
 	switch status {
@@ -187,45 +154,4 @@ func statusName(status byte) string {
 	default:
 		return fmt.Sprintf("status_%d", status)
 	}
-}
-
-// Put stores val under key.
-func (c *Client) Put(key string, val []byte) error {
-	status, _, err := c.roundTrip(OpPut, key, val)
-	if err != nil {
-		return err
-	}
-	if status != StatusOK {
-		return fmt.Errorf("put %q: status %d", key, status)
-	}
-	return nil
-}
-
-// Get returns the value stored under key; found is false when the key has
-// never been put.
-func (c *Client) Get(key string) (val []byte, found bool, err error) {
-	status, val, err := c.roundTrip(OpGet, key, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	switch status {
-	case StatusOK:
-		return val, true, nil
-	case StatusNotFound:
-		return nil, false, nil
-	default:
-		return nil, false, fmt.Errorf("get %q: status %d", key, status)
-	}
-}
-
-// Stats returns the server's metric snapshot as JSON.
-func (c *Client) Stats() ([]byte, error) {
-	status, val, err := c.roundTrip(OpStats, "", nil)
-	if err != nil {
-		return nil, err
-	}
-	if status != StatusOK {
-		return nil, fmt.Errorf("stats: status %d", status)
-	}
-	return val, nil
 }

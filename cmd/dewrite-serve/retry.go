@@ -9,14 +9,14 @@ import (
 	"dewrite/internal/rng"
 )
 
-// RetryClient is the production-grade counterpart of Client: it carries a
+// RetryClient is the client of the framed protocol: it carries a
 // per-request deadline on the wire, reconnects after transport failures, and
 // retries retryable verdicts (BUSY, DEADLINE, broken connections) with
 // capped exponential backoff and seeded full jitter. The seed makes a load
 // run's retry schedule reproducible, which the chaos soak relies on: the
 // same seed replays the same backoff decisions against the same fault plan.
 //
-// A RetryClient is single-goroutine, like Client; run one per connection.
+// A RetryClient is single-goroutine; run one per connection.
 type RetryClient struct {
 	opts  RetryOptions
 	src   *rng.Source
@@ -227,5 +227,23 @@ func (c *RetryClient) Get(key string) (val []byte, found bool, err error) {
 		return nil, false, fmt.Errorf("get %q: %s", key, statusName(status))
 	default:
 		return nil, false, fmt.Errorf("get %q: unexpected %s", key, statusName(status))
+	}
+}
+
+// ServerStats returns the server's metric snapshot as JSON (the STATS op).
+func (c *RetryClient) ServerStats() ([]byte, error) {
+	status, resp, err := c.roundTrip(OpStats, "", nil)
+	if err != nil {
+		return nil, err
+	}
+	switch status {
+	case StatusOK:
+		c.stats.OK++
+		return resp, nil
+	case StatusError:
+		c.stats.ErrResponses++
+		return nil, fmt.Errorf("stats: %s", statusName(status))
+	default:
+		return nil, fmt.Errorf("stats: unexpected %s", statusName(status))
 	}
 }

@@ -74,14 +74,10 @@ func TestAdmissionControlSheds(t *testing.T) {
 		wg.Add(1)
 		go func(cl int) {
 			defer wg.Done()
-			c, err := Dial(srv.Addr())
-			if err != nil {
-				t.Errorf("dial: %v", err)
-				return
-			}
+			c := dial(srv.Addr())
 			defer c.Close()
 			for k := 0; k < perClient; k++ {
-				status, _, err := c.roundTrip(OpPut, fmt.Sprintf("k%d-%d", cl, k), []byte("v"))
+				status, _, err := c.try(OpPut, fmt.Sprintf("k%d-%d", cl, k), []byte("v"))
 				if err != nil {
 					t.Errorf("client %d: transport error mid-burst: %v", cl, err)
 					return
@@ -193,10 +189,7 @@ func TestSnapshotRecoveryAfterCrash(t *testing.T) {
 	}
 
 	want := make(map[string][]byte)
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := dial(srv.Addr())
 	src := rng.New(42)
 	for k := 0; k < 200; k++ {
 		key := fmt.Sprintf("durable:%d", k)
@@ -245,10 +238,7 @@ func TestSnapshotRecoveryAfterCrash(t *testing.T) {
 		t.Fatalf("clean snapshot recovery dropped %v keys", dropped)
 	}
 
-	c2, err := Dial(restarted.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c2 := dial(restarted.Addr())
 	defer c2.Close()
 	for key, val := range want {
 		got, found, err := c2.Get(key)
@@ -294,10 +284,7 @@ func TestSnapshotChaosAbortFallsBack(t *testing.T) {
 	if err := srv.Serve("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := dial(srv.Addr())
 	if err := c.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
@@ -325,10 +312,7 @@ func TestSnapshotChaosAbortFallsBack(t *testing.T) {
 	if restarted.Registry().Get("serve_recovery_keys") != 1 {
 		t.Fatalf("recovery after debris: %v keys", restarted.Registry().Get("serve_recovery_keys"))
 	}
-	c2, err := Dial(restarted.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c2 := dial(restarted.Addr())
 	defer c2.Close()
 	got, found, err := c2.Get("k")
 	if err != nil || !found || string(got) != "v" {
@@ -512,10 +496,7 @@ func TestChaosSoakBooksBalance(t *testing.T) {
 		if dropped := reg.Get("serve_recovery_dropped_keys"); dropped != 0 {
 			t.Fatalf("round %d scrub dropped %v keys from clean snapshots", round, dropped)
 		}
-		c, err := Dial(restarted.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := dial(restarted.Addr())
 		for key, val := range expected {
 			got, found, err := c.Get(key)
 			if err != nil || !found || !bytes.Equal(got, val) {
@@ -565,10 +546,7 @@ func TestSnapshotPeriodicTrigger(t *testing.T) {
 	if err := srv.Serve("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := dial(srv.Addr())
 	for k := 0; k < 64; k++ {
 		if err := c.Put(fmt.Sprintf("p%d", k), []byte("v")); err != nil {
 			t.Fatal(err)

@@ -27,15 +27,18 @@ func startTestServer(t *testing.T, shards int) *Server {
 	return srv
 }
 
+// dial returns a client that makes one attempt per request, so a test sees
+// every verdict and transport error as it happens.
+func dial(addr string) *RetryClient {
+	return NewRetryClient(RetryOptions{Addr: addr, MaxAttempts: 1})
+}
+
 // TestServePutGetRoundTrip covers the framed protocol basics on one stream:
 // values round-trip exactly (length prefix, not NUL-trimming), missing keys
 // answer NotFound, and oversized values are rejected client-side.
 func TestServePutGetRoundTrip(t *testing.T) {
 	srv := startTestServer(t, 4)
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := dial(srv.Addr())
 	defer c.Close()
 
 	want := []byte("value with trailing zeros\x00\x00")
@@ -114,11 +117,7 @@ func testConcurrentStreams(t *testing.T, shards int, advanceEvery uint64) {
 		wg.Add(1)
 		go func(cl int) {
 			defer wg.Done()
-			c, err := Dial(srv.Addr())
-			if err != nil {
-				errs <- err
-				return
-			}
+			c := dial(srv.Addr())
 			defer c.Close()
 			src := rng.New(uint64(cl) + 1)
 			for k := 0; k < keys; k++ {
@@ -168,11 +167,8 @@ func testConcurrentStreams(t *testing.T, shards int, advanceEvery uint64) {
 	}
 
 	// The STATS op serves the same snapshot over the wire.
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := c.Stats()
+	c := dial(srv.Addr())
+	raw, err := c.ServerStats()
 	c.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -205,10 +201,7 @@ func TestServeShardFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := dial(srv.Addr())
 	defer c.Close()
 
 	if err := c.Put("a", []byte("x")); err != nil {

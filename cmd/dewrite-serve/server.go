@@ -63,10 +63,6 @@ type Server struct {
 	// their shard's lock; the directory advance runs under Lock and never
 	// takes a shard lock.
 	epochMu sync.RWMutex
-	// fingerMask truncates CRC-32 fingerprints to the configured dedup hash
-	// width so the cross-shard census uses the controller's own equivalence
-	// classes.
-	fingerMask uint32
 	// highWater/lowWater are the admission watermarks in requests waiting
 	// for a shard's lock: a shard whose waiting count reaches highWater
 	// enters drain mode and sheds until it falls back to lowWater.
@@ -266,19 +262,7 @@ func NewServer(cfg Config) (*Server, error) {
 		s.highWater = 1
 	}
 	s.lowWater = int(cfg.ShedLowWater * float64(cfg.QueueDepth))
-	s.fingerMask = ^uint32(0)
-	if bits := nvmCfg.Dedup.HashSizeBits; bits > 0 && bits < 32 {
-		s.fingerMask = uint32(1)<<bits - 1
-	}
-
-	// Each shard owns an equal slice of the device's banks on one rank.
-	shardCfg := nvmCfg
-	shardCfg.NVM.Ranks = 1
-	shardCfg.NVM.BanksPerRank = nvmCfg.NVM.Banks() / cfg.Shards
-	if shardCfg.NVM.BanksPerRank < 1 {
-		shardCfg.NVM.BanksPerRank = 1
-	}
-	s.shardCfg = shardCfg
+	s.shardCfg = shard.BankSlice(nvmCfg, cfg.Shards)
 
 	for i := 0; i < cfg.Shards; i++ {
 		w := &shardWorker{
@@ -289,9 +273,8 @@ func NewServer(cfg Config) (*Server, error) {
 		if w.cap >= 1<<32 {
 			return nil, fmt.Errorf("dewrite-serve: %d lines give shard %d %d, above the dedup tables' 2^32-1", cfg.Lines, i, w.cap)
 		}
-		w.ctrl = core.New(core.Options{DataLines: w.cap, Config: shardCfg})
-		d, id := s.dir, i
-		w.ctrl.Tables().SetPublish(func(h uint32, delta int) { d.Publish(id, h, delta) })
+		w.ctrl = core.New(core.Options{DataLines: w.cap, Config: s.shardCfg})
+		w.ctrl.Tables().SetPublish(s.dir.Publisher(i))
 		s.shards = append(s.shards, w)
 	}
 	return s, nil
@@ -409,7 +392,7 @@ func (w *shardWorker) handle(s *Server, req shardReq, line *[config.LineSize]byt
 		clear(line[:])
 		binary.BigEndian.PutUint16(line[:2], uint16(len(req.val)))
 		copy(line[2:], req.val)
-		if s.dir.HeldElsewhere(hashes.CRC32(line[:])&s.fingerMask, w.id) {
+		if s.dir.HeldElsewhere(w.ctrl.Fingerprint(line[:]), w.id) {
 			w.crossDup++
 		}
 		w.now = w.ctrl.Write(w.now, slot, line[:])

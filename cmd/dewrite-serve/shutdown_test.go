@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -37,17 +38,15 @@ func TestServeGracefulShutdown(t *testing.T) {
 		wg.Add(1)
 		go func(cl int) {
 			defer wg.Done()
-			c, err := Dial(srv.Addr())
-			if err != nil {
-				started.Done()
-				t.Errorf("client %d dial: %v", cl, err)
-				return
-			}
+			c := dial(srv.Addr())
 			defer c.Close()
 			first := true
 			for k := 0; ; k++ {
 				key := fmt.Sprintf("c%d:k%d", cl, k%50)
 				if err := c.Put(key, []byte(fmt.Sprintf("v%d", k))); err != nil {
+					if first { // the server closes only after every first put
+						t.Errorf("client %d first put: %v", cl, err)
+					}
 					break // transport teardown: the server is closing
 				}
 				okPuts.Add(1)
@@ -85,7 +84,8 @@ func TestServeGracefulShutdown(t *testing.T) {
 	wg.Wait()
 	srv.Close() // idempotent after the fact
 
-	if _, err := Dial(srv.Addr()); err == nil {
+	if conn, err := net.Dial("tcp", srv.Addr()); err == nil {
+		conn.Close()
 		t.Fatal("Dial succeeded after Close — listener still open")
 	}
 

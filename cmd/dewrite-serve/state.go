@@ -282,11 +282,10 @@ func (s *Server) recover() error {
 		// Re-arm the publish hook on the restored tables and rebuild this
 		// shard's rows in the cross-shard fingerprint directory: one +1 per
 		// live location, exactly what the original insertions published.
-		d, id := s.dir, w.id
-		ctrl.Tables().SetPublish(func(h uint32, delta int) { d.Publish(id, h, delta) })
+		ctrl.Tables().SetPublish(s.dir.Publisher(w.id))
 		for loc := uint64(0); loc < w.next; loc++ {
 			if h, live := ctrl.Tables().HashOf(loc); live {
-				d.Publish(id, h, 1)
+				s.dir.Publish(w.id, h, 1)
 			}
 		}
 		keys += uint64(len(slots))

@@ -21,10 +21,7 @@ func TestUnknownOpIsCounted(t *testing.T) {
 	}
 	defer srv.Close()
 
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := dial(srv.Addr())
 	defer c.Close()
 
 	// One known op to prove the per-op books still work, then two bogus
@@ -34,7 +31,7 @@ func TestUnknownOpIsCounted(t *testing.T) {
 	}
 	const bogusOp = 9
 	for i := 0; i < 2; i++ {
-		status, val, err := c.roundTrip(bogusOp, "k", nil)
+		status, val, err := c.try(bogusOp, "k", nil)
 		if err != nil {
 			t.Fatalf("round-tripping unknown op: %v", err)
 		}

@@ -369,6 +369,12 @@ func (c *Controller) updateTree(now units.Time, loc, counter uint64, ct []byte) 
 	return c.treeAccess(now, loc, true)
 }
 
+// Fingerprint returns the controller's fingerprint of a line: its CRC-32
+// truncated to the configured hash width. Callers outside the controller
+// (the cross-shard directory) use it to share the controller's equivalence
+// classes.
+func (c *Controller) Fingerprint(line []byte) uint32 { return hashes.CRC32(line) & c.hashMask }
+
 // hashMaskFor returns the fingerprint truncation mask for a width in bits.
 func hashMaskFor(bits int) uint32 {
 	if bits <= 0 || bits >= 32 {
@@ -410,12 +416,6 @@ func (c *Controller) Device() *nvm.Device { return c.dev }
 
 // Tables exposes the dedup metadata for statistics.
 func (c *Controller) Tables() *dedup.Tables { return c.tables }
-
-// Predictor exposes the duplication predictor for statistics.
-func (c *Controller) Predictor() *predict.Predictor { return c.pred }
-
-// Layout exposes the metadata layout.
-func (c *Controller) Layout() dedup.Layout { return c.layout }
 
 // MetaCaches returns the four metadata-cache partitions
 // (hash, address-mapping, inverted-hash, FSM).
@@ -526,7 +526,7 @@ func (c *Controller) Write(now units.Time, logical uint64, data []byte) units.Ti
 	// The stdlib CRC-32 lets its argument escape; fingerprinting a copy in
 	// controller-owned scratch keeps a caller's stack line off the heap.
 	copy(c.ctScratch[:], data)
-	h := hashes.CRC32(c.ctScratch[:]) & c.hashMask
+	h := c.Fingerprint(c.ctScratch[:])
 
 	// Hash-table probe through the metadata cache, with the PNA rule on a
 	// miss: only a predicted-duplicate justifies the in-NVM probe.

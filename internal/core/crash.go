@@ -9,7 +9,6 @@ import (
 	"dewrite/internal/config"
 	"dewrite/internal/dedup"
 	"dewrite/internal/fault"
-	"dewrite/internal/hashes"
 )
 
 // Crash-point recovery: the controller can snapshot exactly what the
@@ -154,7 +153,7 @@ func (c *Controller) Crash() (*Controller, *fault.RecoveryReport, error) {
 		pctr := c.pCtr[loc]
 		ct := nc.dev.Peek(loc)
 		nc.enc.DecryptLine(plain, ct, loc, pctr)
-		valid := hashes.CRC32(plain)&c.hashMask == meta.Hash &&
+		valid := c.Fingerprint(plain) == meta.Hash &&
 			config.IsZeroLine(plain) == meta.IsZero
 		if valid && c.tree != nil {
 			valid = c.tree.Verify(loc, c.tree.LeafDigest(loc, pctr, ct))

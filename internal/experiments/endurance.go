@@ -84,19 +84,17 @@ func Figure13(s *Suite) []*stats.Table {
 		}
 		m := &results[pi]
 
-		// Residency tracking for the DeWrite variant: a write is eliminated
-		// when its content is already live somewhere.
-		resident := newResidency()
-		reqs := s.Prepared(prof).Requests
-		for i := range reqs {
-			req := &reqs[i]
+		// The DeWrite variant eliminates a write whose content is already
+		// live somewhere: the prepared stream's recorded duplicate bit.
+		prep := s.Prepared(prof)
+		for i := range prep.Requests {
+			req := &prep.Requests[i]
 			if req.Op != trace.Write {
 				continue
 			}
 			m.writes++
 			isZero := config.IsZeroLine(req.Data)
-			isDup := resident.isResident(req.Data)
-			resident.install(req.Addr, req.Data)
+			isDup := prep.Duplicate(i)
 
 			for mi := 0; mi < nModels; mi++ {
 				m.flips[alone][mi] += uint64(models[alone][mi].Write(req.Addr, req.Data))
@@ -149,31 +147,4 @@ func Figure13(s *Suite) []*stats.Table {
 	}
 	ext.AddRow(extAvg...)
 	return []*stats.Table{t, ext}
-}
-
-// residency tracks which line contents are currently live in memory, keyed
-// by content; it is the ideal dedup oracle Figure 13's DeWrite variant uses.
-type residency struct {
-	byAddr map[uint64]string
-	counts map[string]int
-}
-
-func newResidency() *residency {
-	return &residency{byAddr: make(map[uint64]string), counts: make(map[string]int)}
-}
-
-func (r *residency) isResident(data []byte) bool {
-	return r.counts[string(data)] > 0
-}
-
-func (r *residency) install(addr uint64, data []byte) {
-	if old, ok := r.byAddr[addr]; ok {
-		r.counts[old]--
-		if r.counts[old] == 0 {
-			delete(r.counts, old)
-		}
-	}
-	key := string(data)
-	r.byAddr[addr] = key
-	r.counts[key]++
 }

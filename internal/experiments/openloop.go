@@ -30,15 +30,14 @@ func AblationOpenLoop(s *Suite) []*stats.Table {
 	var wspd, rspd []float64
 	for _, prof := range s.Opts.Profiles() {
 		var baseReqs, dwReqs []memctrl.Request
-		resident := newResidency()
 		var now units.Time
 		demand := make([]units.Duration, cfg.Banks) // baseline demand per bank
 		bankOf := func(addr uint64) int {
 			return int((addr / cfg.RowLines) % uint64(cfg.Banks))
 		}
-		reqs := s.Prepared(prof).Requests
-		for i := range reqs {
-			req := &reqs[i]
+		prep := s.Prepared(prof)
+		for i := range prep.Requests {
+			req := &prep.Requests[i]
 			now = now.Add(units.Duration(req.Gap+1) * cycle)
 			if req.Op == trace.Write {
 				demand[bankOf(req.Addr)] += cfg.Timing.NVMWrite
@@ -52,11 +51,9 @@ func AblationOpenLoop(s *Suite) []*stats.Table {
 				continue
 			}
 			baseReqs = append(baseReqs, memctrl.Request{Arrive: now, Op: memctrl.Write, Addr: req.Addr})
-			isDup := resident.isResident(req.Data)
-			isZero := config.IsZeroLine(req.Data)
-			resident.install(req.Addr, req.Data)
+			isDup := prep.Duplicate(i)
 			switch {
-			case isDup && isZero:
+			case isDup && config.IsZeroLine(req.Data):
 				// Zero fast path: no device traffic at all.
 			case isDup:
 				// The verify read of the candidate line.
@@ -88,8 +85,8 @@ func AblationOpenLoop(s *Suite) []*stats.Table {
 			}
 		}
 
-		base := memctrl.Summarize(memctrl.Simulate(baseReqs, cfg, memctrl.FRFCFS))
-		dw := memctrl.Summarize(memctrl.Simulate(dwReqs, cfg, memctrl.FRFCFS))
+		base := memctrl.Summarize(memctrl.Simulate(baseReqs, cfg))
+		dw := memctrl.Summarize(memctrl.Simulate(dwReqs, cfg))
 
 		// DeWrite's write latency covers the surviving writes plus the
 		// near-free eliminated ones (detection only, ≈16–92 ns); attribute

@@ -482,19 +482,6 @@ func (d *Device) WearOf(lineAddr uint64) uint64 {
 	return 0
 }
 
-// LifetimeYears estimates device lifetime under the observed write rate,
-// assuming the given cell endurance (e.g. 1e8 writes for PCM) and perfect
-// wear leveling. elapsed is the simulated time over which the writes landed.
-func (d *Device) LifetimeYears(endurance float64, elapsed units.Duration) float64 {
-	if d.writes.Value() == 0 || elapsed == 0 {
-		return 0
-	}
-	writesPerSecond := float64(d.writes.Value()) / elapsed.Seconds()
-	totalWritesBudget := endurance * float64(d.geom.Lines())
-	seconds := totalWritesBudget / writesPerSecond
-	return seconds / (365.25 * 24 * 3600)
-}
-
 // BitDistance returns the number of bit positions at which a and b differ:
 // the cells a write of b over a programs. It counts eight bytes at a time.
 // b must be at least as long as a.

@@ -284,31 +284,6 @@ func TestShortWritePanics(t *testing.T) {
 	d.Write(0, 0, make([]byte, 10))
 }
 
-func TestLifetimeEstimate(t *testing.T) {
-	d := testDevice()
-	line := make([]byte, config.LineSize)
-	var now units.Time
-	for i := 0; i < 100; i++ {
-		now = d.Write(now, uint64(i%16), line)
-	}
-	years := d.LifetimeYears(1e8, now.Sub(0))
-	if years <= 0 {
-		t.Fatalf("lifetime = %v, want > 0", years)
-	}
-	// Halving the write count should roughly double the lifetime.
-	d2 := testDevice()
-	now = 0
-	for i := 0; i < 50; i++ {
-		now2 := d2.Write(now, uint64(i%16), line)
-		now = now2
-	}
-	// Same elapsed time basis for comparability.
-	years2 := d2.LifetimeYears(1e8, units.Duration(2)*now.Sub(0))
-	if years2 <= years {
-		t.Fatalf("fewer writes over same elapsed window should extend lifetime: %v vs %v", years2, years)
-	}
-}
-
 func TestReadYourWritesProperty(t *testing.T) {
 	d := testDevice()
 	src := rng.New(42)

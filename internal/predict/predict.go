@@ -91,9 +91,3 @@ func (p *Predictor) Observe(actual bool) (predicted bool) {
 func (p *Predictor) Accuracy() float64 {
 	return p.correct.Ratio(&p.predictions)
 }
-
-// Predictions returns the number of Observe calls.
-func (p *Predictor) Predictions() uint64 { return p.predictions.Value() }
-
-// WindowBits returns the history window length.
-func (p *Predictor) WindowBits() int { return len(p.window) }

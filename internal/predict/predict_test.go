@@ -121,17 +121,8 @@ func TestObserveCountsAndAccuracy(t *testing.T) {
 	p.Observe(false) // empty window predicts false → correct
 	p.Observe(false) // window all-false → predicts false → correct
 	p.Observe(true)  // predicts false → wrong
-	if p.Predictions() != 3 {
-		t.Fatalf("Predictions = %d", p.Predictions())
-	}
 	if got := p.Accuracy(); got != 2.0/3.0 {
 		t.Fatalf("Accuracy = %v, want 2/3", got)
-	}
-}
-
-func TestWindowBits(t *testing.T) {
-	if New(3).WindowBits() != 3 {
-		t.Fatal("WindowBits wrong")
 	}
 }
 

@@ -162,15 +162,6 @@ func (s *Source) Fill(b []byte) {
 	}
 }
 
-// Shuffle pseudo-randomly permutes the first n elements using swap, in the
-// manner of sort.Slice's swap callback.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Zipf samples from a Zipf-like distribution over [0, n) with skew parameter
 // theta in [0, 1). theta = 0 degenerates to uniform; larger theta concentrates
 // probability on low indices. It uses the standard power-of-uniform

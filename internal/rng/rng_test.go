@@ -166,22 +166,6 @@ func TestFillDeterministic(t *testing.T) {
 	}
 }
 
-func TestShuffleIsPermutation(t *testing.T) {
-	s := New(29)
-	vals := make([]int, 50)
-	for i := range vals {
-		vals[i] = i
-	}
-	s.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-	seen := make(map[int]bool)
-	for _, v := range vals {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("not a permutation: %v", vals)
-		}
-		seen[v] = true
-	}
-}
-
 func TestZipfSkew(t *testing.T) {
 	s := New(31)
 	const n, draws = 1000, 100000

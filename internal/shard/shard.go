@@ -29,6 +29,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"dewrite/internal/config"
 )
 
 // Router stripes global line addresses across n shards.
@@ -70,6 +72,16 @@ func (r Router) LinesFor(shard int, totalLines uint64) uint64 {
 		return 1
 	}
 	return (totalLines - uint64(shard) + r.n - 1) / r.n
+}
+
+// BankSlice returns the device configuration of each of n shards that
+// divide cfg's device: an equal slice of its banks (at least one) on a
+// single rank. The partition divides the device; it does not replicate it.
+func BankSlice(cfg config.Config, n int) config.Config {
+	banks := max(cfg.NVM.Banks()/n, 1)
+	cfg.NVM.Ranks = 1
+	cfg.NVM.BanksPerRank = banks
+	return cfg
 }
 
 // numStripes is the lock-striping width of the directory. 64 stripes keeps
@@ -132,6 +144,13 @@ func NewDirectory(shards int) *Directory {
 
 // Shards returns the directory's shard count.
 func (d *Directory) Shards() int { return d.shards }
+
+// Publisher returns the publish hook a shard's dedup tables take
+// (dedup.Tables.SetPublish): every change to a fingerprint's live count
+// lands in the directory as that shard's delta.
+func (d *Directory) Publisher(shard int) func(h uint32, delta int) {
+	return func(h uint32, delta int) { d.Publish(shard, h, delta) }
+}
 
 func (d *Directory) stripeOf(h uint32) *stripe {
 	// Fingerprints are CRC-32 values; the low bits are well mixed, but fold

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"dewrite/internal/config"
 	"dewrite/internal/rng"
 )
 
@@ -58,6 +59,22 @@ func TestRouterLinesForPartitions(t *testing.T) {
 						n, total, addr, l, s, r.LinesFor(s, total))
 				}
 			}
+		}
+	}
+}
+
+// TestBankSlice: each shard gets an equal slice of the device's banks on one
+// rank, at least one bank however many shards there are.
+func TestBankSlice(t *testing.T) {
+	cfg := config.Default()
+	cfg.NVM.Ranks, cfg.NVM.BanksPerRank = 2, 4
+	for _, tc := range []struct{ n, banks int }{{1, 8}, {2, 4}, {3, 2}, {8, 1}, {16, 1}} {
+		got := BankSlice(cfg, tc.n)
+		if got.NVM.Ranks != 1 || got.NVM.BanksPerRank != tc.banks {
+			t.Errorf("%d shards: %d ranks x %d banks, want 1 x %d", tc.n, got.NVM.Ranks, got.NVM.BanksPerRank, tc.banks)
+		}
+		if got.Timing != cfg.Timing || got.Dedup != cfg.Dedup {
+			t.Errorf("%d shards: the slice changed more than the geometry", tc.n)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"dewrite/internal/cache"
 	"dewrite/internal/config"
+	"dewrite/internal/trace"
 	"dewrite/internal/workload"
 )
 
@@ -182,5 +183,50 @@ func TestPreparedDuplicateBits(t *testing.T) {
 	}
 	if (&Prepared{Requests: prep.Requests}).Duplicate(0) {
 		t.Fatal("a stream not built by Prepare reports a duplicate")
+	}
+}
+
+// TestPreparedDuplicateIsContentResidency: a prepared stream's duplicate bit
+// says whether a write's content was resident in memory when it was written,
+// which is what Figure 13 and abl-openloop read it as. The oracle is a map
+// from line content to the number of lines holding it. Every write of all
+// profiles is checked at two seeds, at the experiments' quick scale (15000
+// requests, working sets capped at 8 Ki lines) and full scale (30000
+// requests); no read carries the bit.
+func TestPreparedDuplicateIsContentResidency(t *testing.T) {
+	type scale struct {
+		requests int
+		wsCap    uint64 // 0: the profile's own working set
+	}
+	for _, sc := range []scale{{15000, 1 << 13}, {30000, 0}} {
+		for _, seed := range []uint64{42, 7} {
+			for _, prof := range workload.Profiles() {
+				if sc.wsCap != 0 && prof.WorkingSetLines > sc.wsCap {
+					prof.WorkingSetLines = sc.wsCap
+				}
+				prep := Prepare(prof, Options{Requests: sc.requests, Seed: seed})
+				byAddr := make(map[uint64]string)
+				holders := make(map[string]int)
+				for i := range prep.Requests {
+					req := &prep.Requests[i]
+					if req.Op != trace.Write {
+						if prep.Duplicate(i) {
+							t.Fatalf("%s seed %d: read %d carries a duplicate bit", prof.Name, seed, i)
+						}
+						continue
+					}
+					content := string(req.Data)
+					if got, want := prep.Duplicate(i), holders[content] > 0; got != want {
+						t.Fatalf("%s seed %d, %d requests: write %d duplicate bit %v, content resident %v",
+							prof.Name, seed, sc.requests, i, got, want)
+					}
+					if old, ok := byAddr[req.Addr]; ok {
+						holders[old]--
+					}
+					byAddr[req.Addr] = content
+					holders[content]++
+				}
+			}
+		}
 	}
 }

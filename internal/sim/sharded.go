@@ -9,7 +9,6 @@ import (
 	"dewrite/internal/config"
 	"dewrite/internal/core"
 	"dewrite/internal/cpu"
-	"dewrite/internal/hashes"
 	"dewrite/internal/nvm"
 	"dewrite/internal/shard"
 	"dewrite/internal/timeline"
@@ -106,6 +105,9 @@ type shardState struct {
 	lines    uint64
 	banks    int
 	crossDup uint64
+	// ctrl is the shard's DeWrite controller, nil under other schemes; it
+	// fingerprints writes for the cross-shard duplicate census.
+	ctrl *core.Controller
 }
 
 // RunSharded drives a prepared request stream through Shards partitioned
@@ -150,20 +152,7 @@ func RunSharded(s Scheme, prof workload.Profile, cfg config.Config, opts Sharded
 	}
 
 	router := shard.NewRouter(n)
-	// Each shard owns an equal slice of the device's banks (at least one),
-	// on a single rank: the partition divides the device, it does not
-	// replicate it.
-	shardCfg := cfg
-	shardCfg.NVM.Ranks = 1
-	shardCfg.NVM.BanksPerRank = cfg.NVM.Banks() / n
-	if shardCfg.NVM.BanksPerRank < 1 {
-		shardCfg.NVM.BanksPerRank = 1
-	}
-
-	fingerMask := ^uint32(0)
-	if bits := cfg.Dedup.HashSizeBits; bits > 0 && bits < 32 {
-		fingerMask = uint32(1)<<bits - 1
-	}
+	shardCfg := shard.BankSlice(cfg, n)
 
 	var dir *shard.Directory
 	shards := make([]*shardState, n)
@@ -180,8 +169,8 @@ func RunSharded(s Scheme, prof workload.Profile, cfg config.Config, opts Sharded
 			if dir == nil {
 				dir = shard.NewDirectory(n)
 			}
-			d, id := dir, i
-			ctrl.Tables().SetPublish(func(h uint32, delta int) { d.Publish(id, h, delta) })
+			ctrl.Tables().SetPublish(dir.Publisher(i))
+			sh.ctrl = ctrl
 		}
 		if opts.Attr.Enabled() {
 			sh.rec = attr.NewRecorder(int(opts.Attr.SamplePeriod()), opts.Seed+uint64(i))
@@ -206,8 +195,8 @@ func RunSharded(s Scheme, prof workload.Profile, cfg config.Config, opts Sharded
 				continue
 			}
 			measuring := i >= warmup
-			if dir != nil && measuring && req.Op == trace.Write &&
-				dir.HeldElsewhere(hashLine(req.Data)&fingerMask, sh.id) {
+			if sh.ctrl != nil && measuring && req.Op == trace.Write &&
+				dir.HeldElsewhere(sh.ctrl.Fingerprint(req.Data), sh.id) {
 				sh.crossDup++
 			}
 			sh.step(req, router.Local(req.Addr), measuring)
@@ -296,11 +285,6 @@ func RunSharded(s Scheme, prof workload.Profile, cfg config.Config, opts Sharded
 	return res
 }
 
-// hashLine fingerprints a write payload the way the controller does (CRC-32
-// before masking), so the cross-shard duplicate census uses the controller's
-// own equivalence classes.
-func hashLine(data []byte) uint32 { return hashes.CRC32(data) }
-
 // maxLastDone returns the latest completion time across shards — the merged
 // run's notion of "now" at a barrier.
 func maxLastDone(shards []*shardState) units.Time {
@@ -376,7 +360,6 @@ func mergeEpoch(e *timeline.Epoch, now units.Time, shards []*shardState, totalLi
 		e.EnergyPJ += se.EnergyPJ
 		e.BanksBusy += se.BanksBusy
 		e.NumBanks += se.NumBanks
-		e.QueueDepth += se.QueueDepth
 		if se.WearMax > e.WearMax {
 			e.WearMax = se.WearMax
 		}

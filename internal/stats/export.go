@@ -7,34 +7,6 @@ import (
 	"io"
 )
 
-// LatencySummary is the stable machine-readable shape of a Latency
-// aggregate: all durations in integer picoseconds, so serialized reports
-// round-trip exactly through encoding/json.
-type LatencySummary struct {
-	Count  uint64 `json:"count"`
-	MeanPs uint64 `json:"mean_ps"`
-	MinPs  uint64 `json:"min_ps"`
-	MaxPs  uint64 `json:"max_ps"`
-	SumPs  uint64 `json:"sum_ps"`
-	P50Ps  uint64 `json:"p50_ps"`
-	P95Ps  uint64 `json:"p95_ps"`
-	P99Ps  uint64 `json:"p99_ps"`
-}
-
-// Summary snapshots the aggregate for serialization.
-func (l *Latency) Summary() LatencySummary {
-	return LatencySummary{
-		Count:  l.Count(),
-		MeanPs: uint64(l.Mean()),
-		MinPs:  uint64(l.Min()),
-		MaxPs:  uint64(l.Max()),
-		SumPs:  uint64(l.Sum()),
-		P50Ps:  uint64(l.P50()),
-		P95Ps:  uint64(l.P95()),
-		P99Ps:  uint64(l.P99()),
-	}
-}
-
 // WriteCSV writes the table as RFC 4180 CSV: one header row of column names
 // followed by the data rows.
 func (t *Table) WriteCSV(w io.Writer) error {

@@ -17,10 +17,6 @@ func TestLatencyPercentileEmpty(t *testing.T) {
 			t.Fatalf("empty Percentile(%v) = %v, want 0", p, got)
 		}
 	}
-	s := l.Summary()
-	if s != (LatencySummary{}) {
-		t.Fatalf("empty Summary = %+v, want zero", s)
-	}
 }
 
 func TestLatencyPercentileSingleObservation(t *testing.T) {
@@ -107,36 +103,6 @@ func TestLatBucketRoundTrip(t *testing.T) {
 	}
 	if latBucket(math.MaxUint64) != latNumBuckets-1 {
 		t.Fatal("MaxUint64 should saturate into the top bucket")
-	}
-}
-
-func TestLatencySummaryJSONRoundTrip(t *testing.T) {
-	var l Latency
-	l.Observe(75 * units.Nanosecond)
-	l.Observe(300 * units.Nanosecond)
-	l.Observe(150 * units.Nanosecond)
-	s := l.Summary()
-	if s.Count != 3 || s.MinPs != uint64(75*units.Nanosecond) || s.MaxPs != uint64(300*units.Nanosecond) {
-		t.Fatalf("Summary = %+v", s)
-	}
-	if s.P50Ps == 0 || s.P99Ps < s.P50Ps {
-		t.Fatalf("percentiles inconsistent: %+v", s)
-	}
-	data, err := json.Marshal(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back LatencySummary
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back != s {
-		t.Fatalf("round trip changed summary: %+v != %+v", back, s)
-	}
-	for _, frag := range []string{`"count":3`, `"p50_ps"`, `"p95_ps"`, `"p99_ps"`} {
-		if !strings.Contains(string(data), frag) {
-			t.Fatalf("JSON %s missing %q", data, frag)
-		}
 	}
 }
 

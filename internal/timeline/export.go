@@ -27,8 +27,8 @@ type Record struct {
 	EpochPJ   float64 `json:"epoch_energy_pj"` // this epoch's share
 
 	BanksBusy  int     `json:"banks_busy"`
-	Occupancy  float64 `json:"occupancy"` // BanksBusy / NumBanks
-	QueueDepth int     `json:"queue_depth"`
+	Occupancy  float64 `json:"occupancy"`   // BanksBusy / NumBanks
+	QueueDepth int     `json:"queue_depth"` // always 0; the field keeps the format's shape
 
 	WearMax  uint64  `json:"wear_max"`
 	WearMean float64 `json:"wear_mean"`
@@ -96,7 +96,6 @@ func makeRecord(e, prev *Epoch) Record {
 		DevWrites:         e.DevWrites,
 		EnergyPJ:          e.EnergyPJ,
 		BanksBusy:         e.BanksBusy,
-		QueueDepth:        e.QueueDepth,
 		WearMax:           e.WearMax,
 		WearMean:          e.WearMean,
 		WearGini:          e.WearGini,

@@ -38,12 +38,11 @@ type Epoch struct {
 	Requests uint64     // cumulative requests retired
 
 	// Device state (filled by nvm.Device.SampleEpoch).
-	DevReads   uint64  // cumulative array reads
-	DevWrites  uint64  // cumulative array writes
-	EnergyPJ   float64 // cumulative memory-system energy
-	BanksBusy  int     // banks still servicing at EndTime (queue-depth gauge)
-	NumBanks   int     // device bank count (occupancy denominator)
-	QueueDepth int     // requests arrived but not completed (open-loop only)
+	DevReads  uint64  // cumulative array reads
+	DevWrites uint64  // cumulative array writes
+	EnergyPJ  float64 // cumulative memory-system energy
+	BanksBusy int     // banks still servicing at EndTime (queue-depth gauge)
+	NumBanks  int     // device bank count (occupancy denominator)
 
 	// Wear distribution over the sampled line region (data lines when the
 	// scheme knows its layout, the whole device otherwise).

@@ -125,8 +125,3 @@ func (c Clock) Cycles(n uint64) Duration { return Duration(n) * c.period }
 
 // CyclesIn reports how many whole cycles fit in d.
 func (c Clock) CyclesIn(d Duration) uint64 { return uint64(d / c.period) }
-
-// CyclesInCeil reports how many cycles are needed to cover d, rounding up.
-func (c Clock) CyclesInCeil(d Duration) uint64 {
-	return uint64((d + c.period - 1) / c.period)
-}

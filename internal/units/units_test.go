@@ -70,9 +70,6 @@ func TestClock2GHz(t *testing.T) {
 	if c.CyclesIn(2*Nanosecond) != 4 {
 		t.Fatalf("CyclesIn(2ns) = %d, want 4", c.CyclesIn(2*Nanosecond))
 	}
-	if c.CyclesInCeil(1100*Picosecond) != 3 {
-		t.Fatalf("CyclesInCeil = %d, want 3", c.CyclesInCeil(1100*Picosecond))
-	}
 }
 
 func TestClockPanics(t *testing.T) {
