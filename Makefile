@@ -11,9 +11,9 @@ test:
 	$(GO) test ./...
 
 # lint runs gofmt (fail on any unformatted file), go vet, and dewrite-vet,
-# the repository's custom analyzer suite (determinism, poolrecycle, nilsafe,
-# reportcompat, atomichygiene, lockdiscipline, goroutinelifecycle,
-# booksbalance — see DESIGN.md §10 and §15).
+# the repository's custom analyzer suite (determinism, nilsafe, reportcompat,
+# atomichygiene, lockdiscipline, goroutinelifecycle, booksbalance — see
+# DESIGN.md §10 and §15).
 lint: vet
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \

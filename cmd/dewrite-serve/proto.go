@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
@@ -57,14 +58,19 @@ const (
 	maxStatsLen = 1 << 20
 )
 
+// errUnframable marks a request writeRequest refuses to frame: a key over
+// MaxKeyLen or a value over ValueCap. It is refused before any byte is
+// written, so the connection stays in step.
+var errUnframable = errors.New("unframable request")
+
 // writeRequest frames one request onto w. deadlineMs is the per-request
 // budget in milliseconds (0 = none).
 func writeRequest(w io.Writer, op byte, key string, val []byte, deadlineMs uint16) error {
 	if len(key) > MaxKeyLen {
-		return fmt.Errorf("key length %d exceeds %d", len(key), MaxKeyLen)
+		return fmt.Errorf("%w: key length %d exceeds %d", errUnframable, len(key), MaxKeyLen)
 	}
 	if len(val) > ValueCap {
-		return fmt.Errorf("value length %d exceeds %d", len(val), ValueCap)
+		return fmt.Errorf("%w: value length %d exceeds %d", errUnframable, len(val), ValueCap)
 	}
 	hdr := make([]byte, 9, 9+len(key)+len(val))
 	hdr[0] = op

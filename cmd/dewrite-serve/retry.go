@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"time"
@@ -156,7 +157,9 @@ func (c *RetryClient) try(op byte, key string, val []byte) (byte, []byte, error)
 
 // roundTrip runs one request through the retry loop, returning the first
 // non-retryable response. BUSY and DEADLINE are retryable by protocol
-// contract; transport errors retry on a fresh connection.
+// contract; transport errors retry on a fresh connection. A request that
+// cannot be framed fails at once and keeps the connection: no byte of it was
+// sent, and every attempt would fail the same way.
 func (c *RetryClient) roundTrip(op byte, key string, val []byte) (byte, []byte, error) {
 	var lastErr error
 	for attempt := 0; attempt < c.opts.MaxAttempts; attempt++ {
@@ -167,6 +170,9 @@ func (c *RetryClient) roundTrip(op byte, key string, val []byte) (byte, []byte, 
 			}
 		}
 		status, resp, err := c.try(op, key, val)
+		if errors.Is(err, errUnframable) {
+			return 0, nil, fmt.Errorf("%s %q: %w", opName(op), key, err)
+		}
 		if err != nil {
 			c.stats.TransportErrors++
 			c.dropConn()

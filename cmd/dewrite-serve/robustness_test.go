@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -574,4 +575,35 @@ func TestSnapshotPeriodicTrigger(t *testing.T) {
 	if gens > 2 {
 		t.Fatalf("%d generations retained, SnapshotKeep=2", gens)
 	}
+}
+
+// TestRetryClientRefusesUnframable: a request the client cannot frame (a
+// value over ValueCap, a key over MaxKeyLen) fails on its one attempt, with
+// no backoff, no transport error and no reconnect, and the connection it
+// leaves serves the next request.
+func TestRetryClientRefusesUnframable(t *testing.T) {
+	srv := startTestServer(t, 2)
+	cl := NewRetryClient(RetryOptions{Addr: srv.Addr(), Seed: 5})
+	defer cl.Close()
+	if err := cl.Put("k", []byte("v0")); err != nil {
+		t.Fatal(err)
+	}
+	conn := cl.conn
+	if err := cl.Put("big", make([]byte, ValueCap+1)); !errors.Is(err, errUnframable) {
+		t.Fatalf("oversized value: %v, want an unframable-request error", err)
+	}
+	if _, _, err := cl.Get(strings.Repeat("k", MaxKeyLen+1)); !errors.Is(err, errUnframable) {
+		t.Fatalf("oversized key: %v, want an unframable-request error", err)
+	}
+	if err := cl.Put("k", []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	if cl.conn != conn {
+		t.Error("the client replaced a healthy connection")
+	}
+	want := RetryStats{Received: 2, OK: 2}
+	if st := cl.Stats(); st != want {
+		t.Errorf("stats %+v, want %+v", st, want)
+	}
+	checkBooks(t, srv, 2)
 }

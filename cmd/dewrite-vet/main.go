@@ -1,8 +1,8 @@
 // Command dewrite-vet runs the repository's custom static-analysis suite
-// (internal/lint) over Go packages: determinism, poolrecycle, nilsafe,
-// reportcompat, and the serving layer's concurrency contracts —
-// atomichygiene, lockdiscipline, goroutinelifecycle, booksbalance. It is
-// the multichecker CI runs as a required step.
+// (internal/lint) over Go packages: determinism, nilsafe, reportcompat, and
+// the serving layer's concurrency contracts — atomichygiene, lockdiscipline,
+// goroutinelifecycle, booksbalance. It is the multichecker CI runs as a
+// required step.
 //
 // Usage:
 //

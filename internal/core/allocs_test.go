@@ -17,8 +17,7 @@ import (
 // working set is touched nothing should allocate; the bound leaves room for
 // a rare doubling of the fingerprint index. Requests are generated a
 // batch at a time outside the counted calls, so only the controller is
-// measured (the generator's pooled buffers allocate under the race
-// detector, which drops a quarter of sync.Pool Puts).
+// measured (the generator, with recycle off, allocates payload blocks).
 func TestControllerAllocationsSteadyState(t *testing.T) {
 	for _, app := range []string{"mcf", "vips", "lbm"} {
 		prof, ok := workload.ByName(app)

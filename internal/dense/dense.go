@@ -1,9 +1,9 @@
 // Package dense holds the growth rule of the simulator's address-indexed
 // tables: the dedup mapping and location tables, the encryption counters,
-// the device's contents and wear, and the workload generator's shadow. Each
-// is a slice indexed by line address whose zero value means "absent", so a
-// table need not be sized when its owner is built: it grows on first touch,
-// and never past its owner's line count.
+// and the device's contents and wear. Each is a slice indexed by line
+// address whose zero value means "absent", so a table need not be sized when
+// its owner is built: it grows on first touch, and never past its owner's
+// line count.
 package dense
 
 import "fmt"

@@ -17,8 +17,8 @@ import (
 //   - every simulation is hermetic: fresh memory, its own seeded RNG (or the
 //     shared immutable prepared stream), no host-time dependence;
 //   - shared state between workers is confined to the Suite's per-key
-//     sync.Once memo cells (and the inert sync.Pool buffer recycling), so a
-//     memoized value is identical no matter which worker computes it;
+//     sync.Once memo cells, so a memoized value is identical no matter which
+//     worker computes it;
 //   - results are collected into slots indexed by the input order, so output
 //     ordering is canonical regardless of completion order.
 //

@@ -1,7 +1,6 @@
 // Package lint is the dewrite-vet analyzer suite: custom static checks that
 // mechanically enforce the simulator's cross-cutting invariants — seeded
-// determinism, the sync.Pool recycle contract, nil-safe instrumentation,
-// frozen report schemas — and the serving layer's concurrency contracts:
+// determinism, nil-safe instrumentation, frozen report schemas — and the serving layer's concurrency contracts:
 // all-or-nothing atomic field access, lock ordering and balanced unlocks,
 // goroutine shutdown paths, and books-balance accounting on every response
 // path. cmd/dewrite-vet drives the suite from CI; see DESIGN.md sections 10
@@ -30,7 +29,7 @@ import (
 // Analyzers returns the full dewrite-vet suite in stable order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		Determinism, PoolRecycle, NilSafe, ReportCompat,
+		Determinism, NilSafe, ReportCompat,
 		AtomicHygiene, LockDiscipline, GoroutineLifecycle, BooksBalance,
 	}
 }

@@ -1,7 +1,11 @@
 package lint_test
 
 import (
+	"io/fs"
+	"os"
 	"os/exec"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -24,14 +28,6 @@ func TestDeterminismFixtures(t *testing.T) {
 		"testdata/src/determinism/shard",
 		"testdata/src/determinism/chaos",
 		"testdata/src/determinism/other",
-	)
-}
-
-func TestPoolRecycleFixtures(t *testing.T) {
-	analysistest.Run(t, "../..", lint.PoolRecycle,
-		"testdata/src/poolrecycle/workload",
-		"testdata/src/poolrecycle/dedup",
-		"testdata/src/poolrecycle/other",
 	)
 }
 
@@ -127,6 +123,45 @@ func TestInternalPackagesReached(t *testing.T) {
 	for _, p := range list("./internal/...") {
 		if !reached[p] {
 			t.Errorf("%s is imported by no command or example", p)
+		}
+	}
+}
+
+// TestDocsNameExistingTests fails when README.md, DESIGN.md, EXPERIMENTS.md
+// or benchmark/README.md cites a Test or Fuzz function that no _test.go file
+// in the repository defines.
+func TestDocsNameExistingTests(t *testing.T) {
+	defined := map[string]bool{}
+	funcRe := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
+	err := filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "../.." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range funcRe.FindAllSubmatch(src, -1) {
+			defined[string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	citeRe := regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z]\w*`)
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "benchmark/README.md"} {
+		src, err := os.ReadFile(filepath.Join("../..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range citeRe.FindAllString(string(src), -1) {
+			if !defined[name] {
+				t.Errorf("%s cites %s, which no test file defines", doc, name)
+			}
 		}
 	}
 }

@@ -346,8 +346,9 @@ func Run(app string, schemeName string, mem Memory, prof workload.Profile, opts 
 		reqs = prep.Requests
 	} else {
 		gen := workload.NewGenerator(prof, opts.Seed)
-		// Without a hierarchy no payload outlives its chunk, so the
-		// generator can recycle displaced line buffers.
+		// Without a hierarchy no payload outlives its chunk, so the stream
+		// copies payloads into its chunks' reused blocks instead of keeping
+		// one copy per write.
 		gen.SetRecycle(opts.Hierarchy == nil)
 		stream = workload.NewStream(gen, opts.Requests, opts.Warmup)
 		// Deferred, so a run that panics (a crash point on an untracked

@@ -3,12 +3,14 @@ package workload
 import (
 	"runtime"
 	"testing"
+
+	"dewrite/internal/trace"
 )
 
 // TestNextAllocationsRecycled pins the generator's steady-state allocation
-// rate in recycle mode at zero: once the working set's shadow lines exist,
-// every new line buffer comes from the pool (fed by the buffers that later
-// requests displace), and the bookkeeping maps have reached their final size.
+// rate in recycle mode at zero: every write builds its content in place in
+// the shadow and returns that line, and the address log's growth is
+// amortized away.
 func TestNextAllocationsRecycled(t *testing.T) {
 	prof, ok := ByName("mcf")
 	if !ok {
@@ -25,18 +27,11 @@ func TestNextAllocationsRecycled(t *testing.T) {
 	}
 }
 
-// raceEnabled is set under the race detector (race_test.go).
-var raceEnabled bool
-
 // TestStreamAllocationsRecycled: requests taken through a Stream in recycle
 // mode allocate nothing once warm, on either goroutine. The chunks and their
-// hold lists are reused, and every held buffer returns to the pool when its
-// chunk comes back. Mallocs are counted exactly (AllocsPerRun truncates its
-// average and would also resize the pool by changing GOMAXPROCS).
+// payload blocks are reused when they come back. Mallocs are counted exactly
+// (AllocsPerRun truncates its average).
 func TestStreamAllocationsRecycled(t *testing.T) {
-	if raceEnabled {
-		t.Skip("under the race detector sync.Pool drops a random share of Puts")
-	}
 	prof, ok := ByName("mcf")
 	if !ok {
 		t.Fatal("mcf profile missing")
@@ -58,5 +53,30 @@ func TestStreamAllocationsRecycled(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if avg := float64(after.Mallocs-before.Mallocs) / (counted * streamChunk); avg > 0.001 {
 		t.Errorf("steady-state streamed request: %.4f mallocs/op, want <= 0.001", avg)
+	}
+}
+
+// TestGenerateAllocationsPerBlock pins materialization's payload cost: with
+// recycle off, Generate copies payloads into blocks of blockLines lines, so
+// it makes one malloc per block, not one per write. The rest, 31 mallocs at
+// this size, are the trace, the generator, its shadow, and the growth of its
+// address log and block list.
+func TestGenerateAllocationsPerBlock(t *testing.T) {
+	prof, ok := ByName("lbm")
+	if !ok {
+		t.Fatal("lbm profile missing")
+	}
+	const n = 20000
+	writes := 0
+	for _, r := range Generate(prof, 42, n).Requests {
+		if r.Op == trace.Write {
+			writes++
+		}
+	}
+	blocks := (writes + blockLines - 1) / blockLines
+	avg := testing.AllocsPerRun(3, func() { Generate(prof, 42, n) })
+	t.Logf("%d writes, %d blocks, %.0f mallocs", writes, blocks, avg)
+	if max := float64(blocks + 40); avg > max {
+		t.Errorf("Generate of %d requests (%d writes): %.0f mallocs, want <= %.0f", n, writes, avg, max)
 	}
 }

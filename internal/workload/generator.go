@@ -2,22 +2,36 @@ package workload
 
 import (
 	"fmt"
-	"sync"
 
 	"dewrite/internal/config"
-	"dewrite/internal/dense"
 	"dewrite/internal/rng"
 	"dewrite/internal/trace"
 )
 
-// lineBuf is one cache line of payload. Buffers circulate through linePool so
-// the steady-state write path allocates nothing.
+// lineBuf is one cache line of payload.
 type lineBuf [config.LineSize]byte
 
-// linePool recycles line buffers across generators. A *lineBuf fits in an
-// interface word, so Get/Put never allocate; pooled buffers hold stale
-// contents and every code path must fully overwrite what it takes out.
-var linePool = sync.Pool{New: func() interface{} { return new(lineBuf) }}
+// blockLines is how many payload lines one allocation holds: 64 KiB.
+const blockLines = 256
+
+// lineBlocks hands out payload lines blockLines at a time, so copies cost
+// one allocation per block instead of one per line.
+type lineBlocks struct {
+	blocks [][]lineBuf
+	used   int // lines handed out; zeroed to reuse the blocks
+}
+
+// copyLine copies l into the next free line and returns the copy.
+func (b *lineBlocks) copyLine(l *lineBuf) []byte {
+	i := b.used / blockLines
+	if i == len(b.blocks) {
+		b.blocks = append(b.blocks, make([]lineBuf, blockLines))
+	}
+	dst := &b.blocks[i][b.used%blockLines]
+	*dst = *l
+	b.used++
+	return dst[:]
+}
 
 // Generator produces an endless memory-request stream matching a Profile.
 // It maintains a shadow memory of line contents so that a "duplicate" write
@@ -27,18 +41,15 @@ type Generator struct {
 	prof Profile
 	src  *rng.Source
 
-	// shadow holds the live plaintext per written logical line, indexed by
-	// address and grown on first touch up to WorkingSetLines; nil means
-	// never written.
-	shadow  []*lineBuf
-	written []uint64 // write-ordered addresses (recency-weighted picks)
-	zeroRes uint64   // how many lines currently hold the zero line
-	recycle bool     // return replaced shadow buffers to linePool
-	// hold, when set, collects the buffers that recycle mode displaces
-	// instead of returning them to linePool at once: a Stream points it at
-	// the chunk being generated and recycles the list when the consumer
-	// releases that chunk.
-	hold *[]*lineBuf
+	// shadow holds the live plaintext of every logical line, built in place
+	// by each write; live marks the lines ever written. Both are allocated
+	// at the first write.
+	shadow  []lineBuf
+	live    []bool
+	written []uint32   // write-ordered addresses (recency-weighted picks)
+	zeroRes uint64     // how many written lines hold the zero line
+	recycle bool       // hand out shadow lines instead of copies (SetRecycle)
+	kept    lineBlocks // payload copies with recycle off, never reused
 
 	dupState bool
 	p11, p00 float64 // Markov stay probabilities for dup / non-dup states
@@ -61,6 +72,9 @@ type Generator struct {
 func NewGenerator(p Profile, seed uint64) *Generator {
 	if p.WorkingSetLines == 0 {
 		panic("workload: profile with zero working set")
+	}
+	if p.WorkingSetLines >= 1<<32 {
+		panic("workload: working set of 2^32 lines or more")
 	}
 	if p.Threads < 1 {
 		p.Threads = 1
@@ -165,27 +179,17 @@ func clamp01(v float64) float64 {
 // Profile returns the generator's profile.
 func (g *Generator) Profile() Profile { return g.prof }
 
-// SetRecycle switches the generator into recycle mode: when a shadow line is
-// overwritten its old buffer goes back to the line pool for reuse, making the
-// steady-state write path allocation-free. Because a Request's Data aliases
-// the installed shadow buffer, recycling is only safe when the consumer is
-// done with a payload before it needs a later one. Called directly, Next
-// recycles at once, so Data is valid only until a later request rewrites the
-// same logical line; driven by a Stream, a displaced buffer waits for the
-// chunk that displaced it, so Data stays valid until the next Stream.Next.
-// Consumers that retain payloads (trace materialization, cache-hierarchy
-// write-back shadowing) must leave it off.
+// SetRecycle sets who owns a write's payload. In recycle mode Data is the
+// line's shadow content itself, so Next allocates nothing, but Data is valid
+// only until a later request rewrites the same logical line; a Stream copies
+// it into its chunk, where it stays valid until the next Stream.Next. With
+// recycle off (the default) Data is a copy in a block of payload lines the
+// generator never reuses, valid for good: consumers that retain payloads
+// (trace materialization, cache-hierarchy write-back shadowing) leave it off.
 func (g *Generator) SetRecycle(on bool) { g.recycle = on }
 
-// newLine takes a buffer from the pool. Its contents are stale; every caller
-// fully overwrites it.
-func (g *Generator) newLine() *lineBuf {
-	return linePool.Get().(*lineBuf)
-}
-
-// Next produces the next memory request. A write payload aliases the line's
-// shadow buffer: callers must not mutate it, and in recycle mode (see
-// SetRecycle) it is only valid until the line is next rewritten.
+// Next produces the next memory request. Callers must not mutate a write's
+// payload; how long it stays valid depends on SetRecycle.
 func (g *Generator) Next() trace.Request {
 	thread := int(g.seq % uint64(g.prof.Threads))
 	g.seq++
@@ -200,7 +204,7 @@ func (g *Generator) Next() trace.Request {
 	// pattern that makes reads queue behind in-flight writes.
 	addr := g.pickRecent()
 	if g.src.Bool(0.5) {
-		last := g.written[len(g.written)-1]
+		last := uint64(g.written[len(g.written)-1])
 		addr = last + g.src.Uint64n(4)
 		if addr >= g.prof.WorkingSetLines {
 			addr = last
@@ -243,21 +247,26 @@ func (g *Generator) nextWrite(thread int, gap uint64) trace.Request {
 	wantDup := out && len(g.written) > 0
 
 	addr := g.pickTarget()
-	var data *lineBuf
+	if g.shadow == nil {
+		g.shadow = make([]lineBuf, g.prof.WorkingSetLines)
+		g.live = make([]bool, g.prof.WorkingSetLines)
+	}
+	line := &g.shadow[addr]
+	live := g.live[addr]
+	wasZero := live && config.IsZeroLine(line[:])
 	resident := false
 	switch {
 	case wantDup && g.shouldWriteZero():
-		data = g.newLine()
-		clear(data[:])
 		// The zero line is a duplicate only once some line already holds it.
 		resident = g.zeroRes > 0
-	case wantDup && g.canSilentStore(addr) && g.src.Bool(0.5):
+		clear(line[:])
+	case wantDup && live && !wasZero && g.src.Bool(0.5):
 		// A silent store: rewriting the line with its own current content
 		// (programs frequently store unchanged values). Still a duplicate —
 		// the content is resident at the target itself — and the case that
-		// keeps DEUCE's modified-word count low on duplicate traffic.
-		data = g.newLine()
-		*data = *g.shadow[addr]
+		// keeps DEUCE's modified-word count low on duplicate traffic. Zero
+		// targets are left to the explicit zero path so the zero fraction
+		// stays calibrated.
 		resident = true
 	case wantDup:
 		// Copying a live line's content makes this write a duplicate by
@@ -272,50 +281,42 @@ func (g *Generator) nextWrite(thread int, gap uint64) trace.Request {
 			src = g.pickWritten(0.4)
 		}
 		if config.IsZeroLine(g.shadow[src][:]) {
-			data = g.freshContent(addr)
+			g.freshContent(line, live)
 		} else {
-			data = g.newLine()
-			*data = *g.shadow[src]
+			*line = g.shadow[src]
 			resident = true
 		}
 	default:
 		// A fresh content collides with a resident line with negligible
 		// probability (random 16-bit words over a 2048-bit line).
-		data = g.freshContent(addr)
+		g.freshContent(line, live)
 	}
 
 	if resident {
 		g.dups++
 	}
-	if config.IsZeroLine(data[:]) {
-		g.zeroWrites++
+	if wasZero {
+		g.zeroRes--
 	}
-	g.installShadow(addr, data)
+	if config.IsZeroLine(line[:]) {
+		g.zeroWrites++
+		g.zeroRes++
+	}
+	g.live[addr] = true
+	g.written = append(g.written, uint32(addr))
 	g.writes++
 
+	data := line[:]
+	if !g.recycle {
+		data = g.kept.copyLine(line)
+	}
 	return trace.Request{
 		Op:     trace.Write,
 		Addr:   addr,
-		Data:   data[:],
+		Data:   data,
 		Thread: thread,
 		Gap:    gap,
 	}
-}
-
-// canSilentStore reports whether addr holds non-zero content that a silent
-// store could rewrite (zero targets are left to the explicit zero path so
-// the zero fraction stays calibrated).
-func (g *Generator) canSilentStore(addr uint64) bool {
-	old := g.line(addr)
-	return old != nil && !config.IsZeroLine(old[:])
-}
-
-// line returns addr's live content, nil if it was never written.
-func (g *Generator) line(addr uint64) *lineBuf {
-	if addr < uint64(len(g.shadow)) {
-		return g.shadow[addr]
-	}
-	return nil
 }
 
 // shouldWriteZero decides whether a duplicate write should be the zero line,
@@ -357,21 +358,19 @@ func (g *Generator) pickRecent() uint64 {
 func (g *Generator) pickWritten(theta float64) uint64 {
 	n := uint64(len(g.written))
 	idx := n - 1 - g.src.Zipf(n, theta)
-	return g.written[idx]
+	return uint64(g.written[idx])
 }
 
-// freshContent builds a non-duplicate payload: a partial rewrite of the
-// line's previous content when one exists (modifying RewriteWords 16-bit
-// words — the sparse-update pattern DEUCE exploits), or a fully random line
-// on first touch.
-func (g *Generator) freshContent(addr uint64) *lineBuf {
-	old := g.line(addr)
-	data := g.newLine()
-	if old == nil || g.prof.RewriteWords >= config.LineSize/2 {
-		g.src.Fill(data[:])
-		return data
+// freshContent rewrites line with non-duplicate content: a partial rewrite
+// of its previous content when it was written before (modifying RewriteWords
+// 16-bit words — the sparse-update pattern DEUCE exploits), or a fully
+// random line on first touch.
+func (g *Generator) freshContent(line *lineBuf, live bool) {
+	if !live || g.prof.RewriteWords >= config.LineSize/2 {
+		g.src.Fill(line[:])
+		return
 	}
-	*data = *old
+	old := *line
 	words := g.prof.RewriteWords
 	if words < 1 {
 		words = 1
@@ -379,37 +378,12 @@ func (g *Generator) freshContent(addr uint64) *lineBuf {
 	for k := 0; k < words; k++ {
 		w := g.src.Intn(config.LineSize / 2)
 		v := uint16(g.src.Uint64())
-		data[2*w] = byte(v)
-		data[2*w+1] = byte(v >> 8)
+		line[2*w] = byte(v)
+		line[2*w+1] = byte(v >> 8)
 	}
 	// Guarantee the content actually changed.
-	if *data == *old {
-		data[0] ^= 0x01
-	}
-	return data
-}
-
-// installShadow makes data the live content of addr. The buffer is shared
-// with the Request returned to the caller; in recycle mode the displaced
-// buffer goes back to the pool, or onto the hold list when a Stream's
-// consumer may still be reading the request that owns it.
-func (g *Generator) installShadow(addr uint64, data *lineBuf) {
-	g.shadow = dense.Grow(g.shadow, addr, g.prof.WorkingSetLines)
-	old := g.shadow[addr]
-	if old != nil && config.IsZeroLine(old[:]) {
-		g.zeroRes--
-	}
-	g.shadow[addr] = data
-	if config.IsZeroLine(data[:]) {
-		g.zeroRes++
-	}
-	g.written = append(g.written, addr)
-	if g.recycle && old != nil {
-		if g.hold != nil {
-			*g.hold = append(*g.hold, old)
-		} else {
-			linePool.Put(old)
-		}
+	if *line == old {
+		line[0] ^= 0x01
 	}
 }
 

@@ -8,26 +8,28 @@ import (
 
 // A Stream generates streamChunk requests at a time, with streamDepth chunks
 // in circulation: the producer fills one while the consumer reads the other.
-// The producer is faster, so it sleeps on a full window and wakes for each
-// released chunk. A wake-up can land its thread on the consumer's CPU, and
-// the kernel moves one of them only if it sees both runnable at a scheduler
-// tick. A chunk of 16 Ki requests keeps the producer busy for 6-10 ms (two
-// or more ticks of a 250 Hz kernel), so that happens within the chunk; with
-// 1 Ki chunks (under 1 ms per wake-up) the pair could share one CPU of a
-// 2-vCPU VM for seconds, and throughput varied by a third from run to run.
-// Each chunk in circulation adds about 3.5 MB of peak RSS (its requests and
-// their payloads, doubled by the garbage collector's headroom), so the
-// window is no deeper than double buffering needs.
+// The producer is the faster side, about twice as fast as the DeWrite
+// controller on lbm and four times on vips, whose writes mostly take the
+// unique path, so it sleeps on a full window and wakes for each released
+// chunk. A wake-up can land its thread on the consumer's CPU, and the kernel
+// moves one of them only if it sees both runnable at a scheduler tick. A
+// chunk of 16 Ki requests keeps the producer busy for 4-6 ms (a tick or more
+// of a 250 Hz kernel), so that happens within the chunk; with 1 Ki chunks
+// (under 1 ms per wake-up) the pair could share one CPU of a 2-vCPU VM for
+// seconds, and throughput varied by a third from run to run. Each chunk in
+// circulation holds its requests (56 B each) and, in recycle mode, a 256 B
+// payload copy per write: about 3.2 MB at lbm's 55 % writes, reused rather
+// than collected, so the window is no deeper than double buffering needs.
 const (
 	streamChunk = 16384
 	streamDepth = 2
 )
 
-// chunk is a batch of requests plus the line buffers their generation
-// displaced, which may be recycled only once the consumer releases it.
+// chunk is a batch of requests plus, in recycle mode, the copies of their
+// write payloads, whose blocks are reused once the consumer releases it.
 type chunk struct {
-	reqs []trace.Request
-	held []*lineBuf
+	reqs  []trace.Request
+	lines lineBlocks
 }
 
 // Stream runs a generator on its own goroutine, so that generating requests
@@ -35,11 +37,11 @@ type chunk struct {
 // generator never reads the consumer's state, so the requests are exactly
 // the ones the generator's Next returns in a loop, whatever the scheduling.
 //
-// In recycle mode a displaced line buffer is held with the chunk whose
-// generation displaced it and goes back to the pool when the consumer
-// releases that chunk, and so every earlier one: a request's Data stays
-// valid until the next call to Next. All pool traffic stays on the
-// producer's goroutine. A Stream has one consumer.
+// In recycle mode the producer copies each write payload out of the
+// generator's shadow into its chunk's payload blocks, which it reuses only
+// when the consumer has released the chunk: a request's Data stays valid
+// until the next call to Next. With recycle off the payloads are the
+// generator's own copies and stay valid for good. A Stream has one consumer.
 type Stream struct {
 	full  chan *chunk // generated chunks, in order
 	empty chan *chunk // chunks the consumer has released
@@ -73,7 +75,6 @@ func NewStream(g *Generator, n, warmup int) *Stream {
 func (s *Stream) produce(g *Generator, n, warmup int) {
 	defer close(s.done)
 	defer close(s.full)
-	defer func() { g.hold = nil }()
 	for i := 0; i < n; {
 		var c *chunk
 		select {
@@ -81,17 +82,18 @@ func (s *Stream) produce(g *Generator, n, warmup int) {
 		case <-s.stop:
 			return
 		}
-		for _, b := range c.held {
-			linePool.Put(b)
-		}
-		c.held = c.held[:0]
 		c.reqs = c.reqs[:0]
-		g.hold = &c.held
+		c.lines.used = 0
 		for ; i < n && len(c.reqs) < streamChunk; i++ {
 			if i == warmup {
 				s.warm = g.Stats()
 			}
-			c.reqs = append(c.reqs, g.Next())
+			r := g.Next()
+			if g.recycle && r.Op == trace.Write {
+				// The shadow line changes with the line's next write.
+				r.Data = c.lines.copyLine((*lineBuf)(r.Data))
+			}
+			c.reqs = append(c.reqs, r)
 		}
 		if i == n {
 			s.final = g.Stats()

@@ -255,13 +255,22 @@ func TestGenerateTrace(t *testing.T) {
 	}
 }
 
+// TestGeneratorPanicsOnZeroWorkingSet also covers the other working set the
+// generator cannot address: 2^32 lines or more, since it logs addresses as
+// uint32. NewGenerator allocates nothing per line, so the largest valid size
+// is cheap to check.
 func TestGeneratorPanicsOnZeroWorkingSet(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewGenerator(Profile{}, 1)
+	for _, ws := range []uint64{0, 1 << 32, 1 << 40} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("working set of %d lines: expected panic", ws)
+				}
+			}()
+			NewGenerator(Profile{WorkingSetLines: ws}, 1)
+		}()
+	}
+	NewGenerator(Profile{WorkingSetLines: 1<<32 - 1}, 1)
 }
 
 func TestPhasedProfileSwitchesBehaviour(t *testing.T) {
