@@ -52,13 +52,9 @@ type scanResult struct {
 	Attribution []attr.CauseStat `json:"attribution,omitempty"`
 }
 
-// scanBanks and scanBankInterleave mirror the default simulated device
-// geometry (2 ranks x 4 banks, 16-line row interleave), so the per-bank
-// spread of would-be unique placements is comparable to simulator output.
-const (
-	scanBanks          = 8
-	scanBankInterleave = 16
-)
+// scanDevice is the experiment device, whose bank rule places the would-be
+// unique writes, so their per-bank spread is comparable to simulator output.
+var scanDevice = config.Experiment().NVM
 
 // scan reads r to EOF, accumulating line statistics. The final partial line,
 // if any, is zero-padded to line size (as a memory image would be). A
@@ -73,7 +69,7 @@ func scan(r io.Reader, every uint64, withAttr bool) (scanResult, error) {
 	var tl *timeline.Collector
 	var src timeline.Sampler
 	if every > 0 {
-		tl = timeline.NewByRequests(every, 0)
+		tl = timeline.NewByRequests(every)
 		src = timeline.SamplerFunc(func(e *timeline.Epoch, _ units.Time) {
 			e.Writes = res.Lines
 			e.DupEliminated = res.Duplicates
@@ -108,7 +104,7 @@ func scan(r io.Reader, every uint64, withAttr bool) (scanResult, error) {
 			if !zero {
 				// The nil ledger (scan without -attr) drops the record.
 				led.RecordWrite(attr.CauseUnique,
-					int((res.Lines-1)/scanBankInterleave%scanBanks), 0)
+					config.BankOf(res.Lines-1, scanDevice.RowLines, scanDevice.Banks()), 0)
 			}
 		}
 		if zero {

@@ -105,8 +105,6 @@ type Config struct {
 	// AdvanceEvery advances the cross-shard directory after this many
 	// served requests (approximately); <= 0 defaults to 1024.
 	AdvanceEvery uint64
-	// NVM overrides the simulator config; zero value uses config.Default().
-	NVM config.Config
 	// Logger, when non-nil, receives structured events (connection
 	// open/close, epoch advances, slow requests, shutdown). nil disables
 	// logging with zero per-request cost.
@@ -114,8 +112,6 @@ type Config struct {
 	// SlowK is the capacity of the slow-request ring (/debug/slow);
 	// <= 0 defaults to 32.
 	SlowK int
-	// SlowWindow is the ring's recency window in frames; 0 defaults to 65536.
-	SlowWindow uint64
 
 	// QueueDepth bounds the requests waiting for each shard's lock, not
 	// counting the one running; <= 0 defaults to 64. A request that finds
@@ -238,17 +234,12 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.SnapshotKeep <= 0 {
 		cfg.SnapshotKeep = 3
 	}
-	nvmCfg := cfg.NVM
-	if nvmCfg.NVM.Banks() == 0 {
-		nvmCfg = config.Default()
-	}
-
 	s := &Server{
 		cfg:         cfg,
 		router:      shard.NewRouter(cfg.Shards),
 		dir:         shard.NewDirectory(cfg.Shards),
 		reg:         monitor.NewRegistry(),
-		slow:        newSlowRing(cfg.SlowK, cfg.SlowWindow),
+		slow:        newSlowRing(cfg.SlowK, slowWindow),
 		log:         cfg.Logger,
 		plan:        cfg.Chaos,
 		quit:        make(chan struct{}),
@@ -262,7 +253,7 @@ func NewServer(cfg Config) (*Server, error) {
 		s.highWater = 1
 	}
 	s.lowWater = int(cfg.ShedLowWater * float64(cfg.QueueDepth))
-	s.shardCfg = shard.BankSlice(nvmCfg, cfg.Shards)
+	s.shardCfg = shard.BankSlice(config.Default(), cfg.Shards)
 
 	for i := 0; i < cfg.Shards; i++ {
 		w := &shardWorker{

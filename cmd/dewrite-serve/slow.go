@@ -31,12 +31,15 @@ type slowRing struct {
 	entries []slowEntry
 }
 
+// slowWindow is the server's slow-ring recency window in frames.
+const slowWindow = 1 << 16
+
 func newSlowRing(k int, window uint64) *slowRing {
 	if k < 1 {
 		k = 1
 	}
 	if window == 0 {
-		window = 1 << 16
+		window = slowWindow
 	}
 	return &slowRing{k: k, window: window}
 }

@@ -206,9 +206,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	cfg := config.Default()
-	cfg.NVM.Ranks = 2
-	cfg.NVM.BanksPerRank = 4
+	cfg := config.Experiment()
 
 	// Fault model: a -faults JSON file sets the base config; the individual
 	// flags override its fields.
@@ -268,7 +266,7 @@ func main() {
 	recs := make([]*attr.Recorder, len(jobs))
 	experiments.ForEach(*parallel, len(jobs), func(i int) {
 		j := jobs[i]
-		tl := timeline.NewByRequests(every, 0)
+		tl := timeline.NewByRequests(every)
 		prefix := j.prof.Name + "/" + j.sch.String()
 		if reg != nil {
 			tl.OnEpoch = func(e *timeline.Epoch) { reg.PublishEpoch(prefix, e) }

@@ -17,9 +17,7 @@ import (
 
 func main() {
 	const endurance = 1e8 // PCM cell write endurance
-	cfg := config.Default()
-	cfg.NVM.Ranks = 2
-	cfg.NVM.BanksPerRank = 4
+	cfg := config.Experiment()
 
 	fmt.Println("Lifetime under the write stream of each application (relative years,")
 	fmt.Println("assuming perfect wear leveling and 10^8 cell endurance):")

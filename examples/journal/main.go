@@ -50,9 +50,7 @@ func main() {
 		logLines = 8192
 		txs      = 2000
 	)
-	cfg := config.Default()
-	cfg.NVM.Ranks = 2
-	cfg.NVM.BanksPerRank = 4
+	cfg := config.Experiment()
 
 	// A transaction: 1-4 payload records + a commit marker. Payloads repeat
 	// heavily (the same small set of operations dominates most logs).

@@ -16,9 +16,7 @@ import (
 )
 
 func main() {
-	cfg := config.Default()
-	cfg.NVM.Ranks = 2
-	cfg.NVM.BanksPerRank = 4
+	cfg := config.Experiment()
 
 	// Record: materialize one run of the streamcluster profile.
 	prof, _ := workload.ByName("streamcluster")

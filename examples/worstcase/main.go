@@ -15,9 +15,7 @@ import (
 
 func main() {
 	prof := workload.WorstCase()
-	cfg := config.Default()
-	cfg.NVM.Ranks = 2
-	cfg.NVM.BanksPerRank = 4
+	cfg := config.Experiment()
 	opts := sim.Options{Requests: 24000, Warmup: 6000, Seed: 99}
 
 	dw, _ := sim.RunScheme(sim.SchemeDeWrite, prof, cfg, opts)

@@ -183,8 +183,6 @@ const (
 	OpProbe
 	// OpAESPad is one counter-mode OTP (pad) generation for a full line.
 	OpAESPad
-	// OpAESDirect is one direct (metadata) line encryption or decryption.
-	OpAESDirect
 	// OpCompare is one full-line byte compare.
 	OpCompare
 
@@ -201,8 +199,6 @@ func (o Op) String() string {
 		return "probe"
 	case OpAESPad:
 		return "aes-pad"
-	case OpAESDirect:
-		return "aes-direct"
 	case OpCompare:
 		return "compare"
 	default:

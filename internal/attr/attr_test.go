@@ -16,7 +16,7 @@ func TestNilSafety(t *testing.T) {
 	if r.Enabled() {
 		t.Fatal("nil recorder reports enabled")
 	}
-	if r.SamplePeriod() != 0 || r.SampleOffset() != 0 {
+	if r.SamplePeriod() != 0 {
 		t.Fatal("nil recorder reports a sampling period")
 	}
 	r.CaptureSpans(8)
@@ -65,9 +65,6 @@ func TestSamplingDeterministic(t *testing.T) {
 	const period, seed = 8, 42
 	r := NewRecorder(period, seed)
 	want := rng.New(seed).Uint64n(period)
-	if r.SampleOffset() != want {
-		t.Fatalf("offset = %d, want %d", r.SampleOffset(), want)
-	}
 	var sampledIdx []uint64
 	for i := uint64(0); i < 64; i++ {
 		r.Begin(KindWrite, 0, i, units.Time(i))

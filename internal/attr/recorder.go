@@ -97,14 +97,6 @@ func (r *Recorder) SamplePeriod() uint64 {
 	return r.period
 }
 
-// SampleOffset returns the deterministic sampling offset in [0, period).
-func (r *Recorder) SampleOffset() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.offset
-}
-
 // CaptureSpans turns span capture on: every sampled request and every phase
 // recorded inside it is also kept as a span for WriteChromeTrace, up to
 // maxSpans spans (DefaultMaxSpans when maxSpans <= 0); later spans are

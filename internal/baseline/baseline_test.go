@@ -6,6 +6,7 @@ import (
 
 	"dewrite/internal/config"
 	"dewrite/internal/rng"
+	"dewrite/internal/timeline"
 	"dewrite/internal/units"
 )
 
@@ -114,16 +115,16 @@ func TestShredderEliminatesZeroLines(t *testing.T) {
 	now = sh.Write(now, 1, zero)
 	now = sh.Write(now, 2, fillLine(src))
 	now = sh.Write(now, 3, zero)
-	if sh.Eliminated() != 2 {
-		t.Fatalf("Eliminated = %d, want 2", sh.Eliminated())
+	var e timeline.Epoch
+	sh.SampleEpoch(&e, now)
+	if e.Writes != 3 || e.DupEliminated != 2 {
+		t.Fatalf("epoch writes %d eliminated %d, want 3 and 2", e.Writes, e.DupEliminated)
 	}
 	if got := sh.Inner().Device().Stats().Writes; got != 1 {
 		t.Fatalf("device writes = %d, want 1", got)
 	}
-	if wr := sh.WriteReduction(); wr != 2.0/3.0 {
-		t.Fatalf("WriteReduction = %v", wr)
-	}
-	got, _ := sh.Read(now, 1)
+	got := fillLine(src)
+	sh.ReadInto(now, 1, got)
 	if !config.IsZeroLine(got) {
 		t.Fatal("shredded line did not read zero")
 	}
@@ -139,7 +140,8 @@ func TestShredderOverwriteClearsShred(t *testing.T) {
 	var now units.Time
 	now = sh.Write(now, 5, zero)
 	now = sh.Write(now, 5, line)
-	got, _ := sh.Read(now, 5)
+	got := make([]byte, config.LineSize)
+	sh.ReadInto(now, 5, got)
 	if !bytes.Equal(got, line) {
 		t.Fatal("overwrite of shredded line lost data")
 	}
@@ -160,7 +162,7 @@ func TestDCWFlipsAboutHalfOnRewrite(t *testing.T) {
 }
 
 func TestFNWBoundsFlipsBelowDCW(t *testing.T) {
-	dcw, fnw := NewDCW(8), NewFNW(8)
+	dcw, fnw := NewDCW(8), NewBitModels(8)[1]
 	src := rng.New(9)
 	line := fillLine(src)
 	dcw.Write(0, line)
@@ -187,7 +189,7 @@ func TestFNWBoundsFlipsBelowDCW(t *testing.T) {
 }
 
 func TestFNWNeverExceedsHalfPlusFlagsPerWord(t *testing.T) {
-	f := NewFNW(8)
+	f := NewBitModels(8)[1]
 	src := rng.New(10)
 	line := fillLine(src)
 	for i := 0; i < 50; i++ {
@@ -202,7 +204,7 @@ func TestFNWNeverExceedsHalfPlusFlagsPerWord(t *testing.T) {
 }
 
 func TestDEUCEPartialRewriteCheaperThanDCW(t *testing.T) {
-	deuce, dcw := NewDEUCE(8), NewDCW(8)
+	deuce, dcw := NewBitModels(8)[2], NewDCW(8)
 	src := rng.New(11)
 	line := fillLine(src)
 	deuce.Write(0, line)
@@ -226,7 +228,7 @@ func TestDEUCEPartialRewriteCheaperThanDCW(t *testing.T) {
 }
 
 func TestDEUCEUntouchedWordsFlipNothingWithinEpoch(t *testing.T) {
-	d := NewDEUCE(8)
+	d := NewBitModels(8)[2]
 	line := make([]byte, config.LineSize)
 	d.Write(0, line) // write 1
 	// Write 2: modify exactly one word. Untouched words must contribute 0.
@@ -239,7 +241,7 @@ func TestDEUCEUntouchedWordsFlipNothingWithinEpoch(t *testing.T) {
 }
 
 func TestDEUCEEpochBoundaryFullReencrypt(t *testing.T) {
-	d := NewDEUCE(8)
+	d := NewBitModels(8)[2]
 	line := make([]byte, config.LineSize)
 	var flipsPerWrite []int
 	for i := 0; i < DEUCEEpoch; i++ {
@@ -258,7 +260,7 @@ func TestDEUCEEpochBoundaryFullReencrypt(t *testing.T) {
 }
 
 func TestBitModelNames(t *testing.T) {
-	for _, m := range []BitModel{NewDCW(8), NewFNW(8), NewDEUCE(8), NewSECRET(8)} {
+	for _, m := range NewBitModels(8) {
 		if m.Name() == "" {
 			t.Fatal("empty model name")
 		}
@@ -266,7 +268,7 @@ func TestBitModelNames(t *testing.T) {
 }
 
 func TestBitModelsRejectShortLines(t *testing.T) {
-	for _, m := range []BitModel{NewDCW(8), NewFNW(8), NewDEUCE(8), NewSECRET(8)} {
+	for _, m := range NewBitModels(8) {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -279,7 +281,8 @@ func TestBitModelsRejectShortLines(t *testing.T) {
 }
 
 func TestSECRETBeatsDEUCEOnZeroHeavyData(t *testing.T) {
-	secret, deuce := NewSECRET(8), NewDEUCE(8)
+	models := NewBitModels(8)
+	secret, deuce := models[3], models[2]
 	src := rng.New(21)
 	// Lines whose updates frequently write zero words (sparse matrices,
 	// shredded buffers): SECRET elides them, DEUCE re-encrypts them.
@@ -306,7 +309,7 @@ func TestSECRETBeatsDEUCEOnZeroHeavyData(t *testing.T) {
 }
 
 func TestSECRETZeroLineNearFree(t *testing.T) {
-	s := NewSECRET(8)
+	s := NewBitModels(8)[3]
 	zero := make([]byte, config.LineSize)
 	s.Write(0, zero) // first write sets the flags
 	var flips int
@@ -324,5 +327,5 @@ func TestSECRETRejectsShortLines(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewSECRET(8).Write(0, make([]byte, 3))
+	NewBitModels(8)[3].Write(0, make([]byte, 3))
 }

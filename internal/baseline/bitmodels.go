@@ -120,10 +120,6 @@ type fnwLine struct {
 // FNWWordsPerLine is the number of inversion words per 256 B line.
 const FNWWordsPerLine = config.LineBits / FNWWordBits
 
-// NewFNW returns an FNW model of line addresses below lines, with its own
-// encryption state.
-func NewFNW(lines uint64) *FNW { return newFNW(cme.MustNewEngine(baselineKey), lines) }
-
 func newFNW(enc *cme.Engine, lines uint64) *FNW {
 	return &FNW{enc: enc, ctrs: cme.NewCounterStore(lines), lines: lines}
 }
@@ -198,10 +194,6 @@ type DEUCE struct {
 	next  [config.LineSize]byte // scratch: the cells after this write
 }
 
-// NewDEUCE returns a DEUCE model of line addresses below lines, with its own
-// encryption state.
-func NewDEUCE(lines uint64) *DEUCE { return newDEUCE(cme.MustNewEngine(baselineKey), lines) }
-
 func newDEUCE(enc *cme.Engine, lines uint64) *DEUCE {
 	return &DEUCE{enc: enc, ctrs: cme.NewCounterStore(lines), lines: lines}
 }
@@ -256,10 +248,6 @@ type SECRET struct {
 	pad   [config.LineSize]byte // scratch: this write's one-time pad
 	next  [config.LineSize]byte // scratch: the cells after this write
 }
-
-// NewSECRET returns a SECRET model of line addresses below lines, with its own
-// encryption state.
-func NewSECRET(lines uint64) *SECRET { return newSECRET(cme.MustNewEngine(baselineKey), lines) }
 
 func newSECRET(enc *cme.Engine, lines uint64) *SECRET {
 	return &SECRET{enc: enc, ctrs: cme.NewCounterStore(lines), lines: lines}

@@ -249,9 +249,10 @@ func newOracleModels(lines uint64) [4]BitModel {
 	}
 }
 
-// newLoneModels returns the four models, each with its own engine.
+// newLoneModels returns the four models, each with its own engine: each is
+// taken from a set of its own.
 func newLoneModels(lines uint64) [4]BitModel {
-	return [4]BitModel{NewDCW(lines), NewFNW(lines), NewDEUCE(lines), NewSECRET(lines)}
+	return [4]BitModel{NewBitModels(lines)[0], NewBitModels(lines)[1], NewBitModels(lines)[2], NewBitModels(lines)[3]}
 }
 
 // bitProgramLines are the line addresses a program writes: two neighbours,

@@ -44,7 +44,6 @@ func (sh *Shredder) SampleEpoch(e *timeline.Epoch, now units.Time) {
 	sh.inner.SampleEpoch(e, now)
 	e.Writes = sh.writes.Value()
 	e.DupEliminated = sh.eliminated.Value()
-	e.ZeroWrites = sh.eliminated.Value()
 }
 
 // Write eliminates all-zero lines; everything else takes the SecureNVM path.
@@ -65,17 +64,9 @@ func (sh *Shredder) Write(now units.Time, logical uint64, data []byte) units.Tim
 	return sh.inner.Write(now, logical, data)
 }
 
-// Read returns zeros for shredded lines with only a counter-cache access;
-// other lines take the SecureNVM path. The returned slice is freshly
-// allocated and owned by the caller; hot loops use ReadInto instead.
-func (sh *Shredder) Read(now units.Time, logical uint64) ([]byte, units.Time) {
-	out := make([]byte, config.LineSize)
-	done := sh.ReadInto(now, logical, out)
-	return out, done
-}
-
-// ReadInto is Read without the per-call allocation: the plaintext is copied
-// into dst, which must hold one line.
+// ReadInto copies the plaintext of a line into dst, which must hold one
+// line: zeros for a shredded line, with only a counter-cache access; other
+// lines take the SecureNVM path.
 func (sh *Shredder) ReadInto(now units.Time, logical uint64, dst []byte) units.Time {
 	if sh.shredded[logical] {
 		if len(dst) != config.LineSize {
@@ -86,12 +77,4 @@ func (sh *Shredder) ReadInto(now units.Time, logical uint64, dst []byte) units.T
 		return done
 	}
 	return sh.inner.ReadInto(now, logical, dst)
-}
-
-// Eliminated returns the number of zero-line writes avoided.
-func (sh *Shredder) Eliminated() uint64 { return sh.eliminated.Value() }
-
-// WriteReduction returns the fraction of writes eliminated.
-func (sh *Shredder) WriteReduction() float64 {
-	return stats.Ratio(sh.eliminated.Value(), sh.writes.Value())
 }

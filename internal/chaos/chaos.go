@@ -85,14 +85,6 @@ func Default(seed uint64) *Plan {
 	}
 }
 
-// Enabled reports whether any mechanism can fire.
-func (p *Plan) Enabled() bool {
-	if p == nil {
-		return false
-	}
-	return p.ConnResetRate > 0 || p.SlowReadRate > 0 || p.StallRate > 0 || p.SnapshotAbortRate > 0
-}
-
 // draw returns a fresh source for one decision, keyed by the decision kind
 // and up to two ordinals. splitmix-style mixing keeps adjacent ordinals'
 // streams independent.

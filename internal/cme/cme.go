@@ -75,8 +75,7 @@ type padTag struct{ addr, ctr1 uint64 }
 
 // SetAttr attaches (or, with nil, detaches) the attribution recorder. The
 // engine counts one aes-pad op per OTP the modelled hardware generates (memo
-// hits included) and one aes-direct op per metadata-line pass against the
-// open sampled request.
+// hits included) against the open sampled request.
 func (e *Engine) SetAttr(rec *attr.Recorder) { e.rec = rec }
 
 // NewEngine returns an engine using the given 16-byte secret key.
@@ -158,28 +157,6 @@ func (e *Engine) xorPad(dst, src []byte, addr, counter uint64) {
 	subtle.XORBytes(dst, src, e.genPad(addr, counter)[:])
 }
 
-// DirectEncryptLine encrypts a metadata line block-by-block with the raw
-// cipher (Section III-B1: metadata is direct-encrypted so it needs no
-// counters of its own). dst and src must be config.LineSize bytes and may be
-// the same slice. Unlike the counter-mode paths it hands dst and src to the
-// cipher, so they escape; no simulated write path calls it.
-func (e *Engine) DirectEncryptLine(dst, src []byte) {
-	checkLine(dst, src)
-	e.rec.Op(attr.OpAESDirect)
-	for b := 0; b < len(src); b += aes.BlockSize {
-		e.cipher.Encrypt(dst[b:b+aes.BlockSize], src[b:b+aes.BlockSize])
-	}
-}
-
-// DirectDecryptLine inverts DirectEncryptLine.
-func (e *Engine) DirectDecryptLine(dst, src []byte) {
-	checkLine(dst, src)
-	e.rec.Op(attr.OpAESDirect)
-	for b := 0; b < len(src); b += aes.BlockSize {
-		e.cipher.Decrypt(dst[b:b+aes.BlockSize], src[b:b+aes.BlockSize])
-	}
-}
-
 func checkLine(dst, src []byte) {
 	if len(dst) != config.LineSize || len(src) != config.LineSize {
 		panic(fmt.Sprintf("cme: line length %d/%d, want %d", len(dst), len(src), config.LineSize))
@@ -218,9 +195,6 @@ func (s *CounterStore) Bump(addr uint64) uint64 {
 	s.counters[addr]++
 	return s.counters[addr]
 }
-
-// Len returns the number of addresses with a nonzero counter.
-func (s *CounterStore) Len() int { return s.nonzero }
 
 // SaveTo serializes the counters in deterministic address order.
 func (s *CounterStore) SaveTo(w io.Writer) error {

@@ -180,11 +180,6 @@ func DefaultMetaCache() MetaCacheConfig {
 	}
 }
 
-// TotalBytes returns the combined capacity of the four partitions.
-func (c MetaCacheConfig) TotalBytes() int {
-	return c.HashBytes + c.AddrMapBytes + c.InvHashBytes + c.FSMBytes
-}
-
 // DedupConfig holds the deduplication-scheme parameters.
 type DedupConfig struct {
 	HistoryBits   int  // duplication-state history window length (3 in the paper)
@@ -247,6 +242,29 @@ func Default() Config {
 		Dedup:     DefaultDedup(),
 		Hierarchy: DefaultHierarchy(),
 	}
+}
+
+// Experiment returns the machine the experiments, the commands and the
+// examples simulate: Default's timing, energy, caches and dedup parameters
+// over a device of 2 ranks × 4 banks with 16-line rows. The bank count is
+// scaled to the reduced working sets, so per-bank pressure (and therefore
+// queueing) resembles the full-size system.
+func Experiment() Config {
+	cfg := Default()
+	cfg.NVM.Ranks = 2
+	cfg.NVM.BanksPerRank = 4
+	return cfg
+}
+
+// BankOf returns the bank that services line address lineAddr on a device
+// of banks banks with rows of rowLines lines. Rows are interleaved across
+// banks, so the lines of one row share a bank; a rowLines of 0 or 1 means
+// one-line rows.
+func BankOf(lineAddr, rowLines uint64, banks int) int {
+	if rowLines > 1 {
+		lineAddr /= rowLines
+	}
+	return int(lineAddr % uint64(banks))
 }
 
 // SmallNVM shrinks the device for unit tests and fast experiments while

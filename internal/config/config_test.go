@@ -54,10 +54,11 @@ func TestNVMGeometry(t *testing.T) {
 func TestMetaCacheTotalWithinBudget(t *testing.T) {
 	// Section IV-E2: 512KB*3 + 128KB = 1664KB < 2MB.
 	c := DefaultMetaCache()
-	if got := c.TotalBytes(); got != 1664*units.KB {
-		t.Errorf("TotalBytes = %d, want 1664KB", got)
+	total := c.HashBytes + c.AddrMapBytes + c.InvHashBytes + c.FSMBytes
+	if total != 1664*units.KB {
+		t.Errorf("four partitions hold %d bytes, want 1664KB", total)
 	}
-	if c.TotalBytes() >= 2*units.MB {
+	if total >= 2*units.MB {
 		t.Error("metadata cache exceeds the 2MB budget")
 	}
 }

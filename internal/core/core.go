@@ -112,8 +112,6 @@ type Options struct {
 	Config config.Config
 	// Mode selects the detection/encryption interleaving. Default ModeDeWrite.
 	Mode Mode
-	// Key is the 16-byte memory-encryption key. Defaults to a fixed key.
-	Key []byte
 	// Persist selects the metadata persistence scheme. Default
 	// PersistBatteryBacked (the paper's assumption).
 	Persist PersistMode
@@ -232,7 +230,8 @@ type pMapping struct {
 	loc, tag uint64
 }
 
-var defaultKey = []byte("dewrite-sim-key!")
+// memoryKey is every controller's 16-byte memory-encryption key.
+var memoryKey = []byte("dewrite-sim-key!")
 
 // New returns a controller over a fresh NVM device sized to hold DataLines
 // data lines plus the metadata region.
@@ -244,10 +243,6 @@ func New(opts Options) *Controller {
 	if cfg.Timing == (config.Timing{}) {
 		cfg = config.Default()
 	}
-	key := opts.Key
-	if key == nil {
-		key = defaultKey
-	}
 	layout := dedup.NewLayout(opts.DataLines)
 	// The device inherits the configured organization (banks, rows,
 	// channels); only the capacity is resized to data + metadata (+ the
@@ -257,7 +252,7 @@ func New(opts Options) *Controller {
 	var tree *integrity.Tree
 	var treeLines uint64
 	if opts.Integrity {
-		tree = integrity.New(opts.DataLines, key)
+		tree = integrity.New(opts.DataLines, memoryKey)
 		// 8-byte digests, 32 per NVM line; every level lives in the region.
 		var nodes uint64
 		n := opts.DataLines
@@ -280,7 +275,7 @@ func New(opts Options) *Controller {
 		dev:      nvm.New(geom, cfg.Timing, cfg.Energy),
 		tables:   dedup.NewTables(opts.DataLines, cfg.Dedup.MaxReference),
 		layout:   layout,
-		enc:      cme.MustNewEngine(key),
+		enc:      cme.MustNewEngine(memoryKey),
 		ctrs:     cme.NewCounterStore(opts.DataLines),
 		pred:     predict.New(cfg.Dedup.HistoryBits),
 		hashMask: hashMaskFor(cfg.Dedup.HashSizeBits),
@@ -924,9 +919,6 @@ type Report struct {
 	Device        nvm.Stats
 }
 
-// Persist returns the configured metadata-persistence scheme.
-func (c *Controller) Persist() PersistMode { return c.persist }
-
 // FlushMetadata writes every dirty metadata line back to NVM — the ordered
 // shutdown (or battery-drain) path for the battery-backed scheme. It
 // returns the number of lines flushed; under write-through persistence the
@@ -979,9 +971,4 @@ func (c *Controller) Report() Report {
 		Dedup:         c.tables.Snapshot(),
 		Device:        c.dev.Stats(),
 	}
-}
-
-// WriteReduction returns the fraction of CPU writes eliminated by dedup.
-func (r Report) WriteReduction() float64 {
-	return stats.Ratio(r.DupEliminated, r.Writes)
 }

@@ -133,9 +133,3 @@ func TestPersistModesFunctionallyEquivalent(t *testing.T) {
 		}
 	}
 }
-
-func TestPersistAccessor(t *testing.T) {
-	if persistController(PersistWriteThrough).Persist() != PersistWriteThrough {
-		t.Fatal("Persist accessor wrong")
-	}
-}

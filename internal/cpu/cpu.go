@@ -57,9 +57,6 @@ func NewMachine(threads int) *Machine {
 	}
 }
 
-// Threads returns the hardware thread count.
-func (m *Machine) Threads() int { return len(m.threads) }
-
 // Now returns thread t's current simulated time.
 func (m *Machine) Now(t int) units.Time { return m.threads[t].now }
 
@@ -173,13 +170,3 @@ func (m *Machine) Elapsed() units.Duration {
 
 // Cycles returns the elapsed wall-clock cycles.
 func (m *Machine) Cycles() uint64 { return m.clock.CyclesIn(m.Elapsed()) }
-
-// IPC returns aggregate instructions per wall-clock cycle (can exceed 1 with
-// multiple threads).
-func (m *Machine) IPC() float64 {
-	cycles := m.Cycles()
-	if cycles == 0 {
-		return 0
-	}
-	return float64(m.Instructions()) / float64(cycles)
-}

@@ -15,9 +15,6 @@ func TestExecuteAdvancesAtOneIPC(t *testing.T) {
 	if m.Cycles() != 1000 {
 		t.Fatalf("cycles = %d", m.Cycles())
 	}
-	if got := m.IPC(); got != 1 {
-		t.Fatalf("IPC = %v", got)
-	}
 }
 
 func TestWriteStallLowersIPC(t *testing.T) {
@@ -38,10 +35,7 @@ func TestWriteStallLowersIPC(t *testing.T) {
 		t.Fatalf("instructions = %d", m.Instructions())
 	}
 	if m.Cycles() != 1600 {
-		t.Fatalf("cycles = %d", m.Cycles())
-	}
-	if ipc := m.IPC(); ipc >= 1 {
-		t.Fatalf("IPC = %v, want < 1 after stall", ipc)
+		t.Fatalf("cycles = %d, want 1600: IPC below 1 after the stall", m.Cycles())
 	}
 }
 
@@ -61,9 +55,10 @@ func TestMultiThreadElapsedIsMax(t *testing.T) {
 	if m.Cycles() != 500 {
 		t.Fatalf("cycles = %d, want slowest thread's 500", m.Cycles())
 	}
-	// Aggregate IPC exceeds 1 with parallel threads.
-	if ipc := m.IPC(); ipc <= 1 {
-		t.Fatalf("IPC = %v, want > 1", ipc)
+	// 650 instructions in 500 cycles: aggregate IPC exceeds 1 with
+	// parallel threads.
+	if m.Instructions() != 650 {
+		t.Fatalf("instructions = %d, want all threads' 650", m.Instructions())
 	}
 }
 
@@ -85,10 +80,4 @@ func TestZeroThreadsPanics(t *testing.T) {
 		}
 	}()
 	NewMachine(0)
-}
-
-func TestIPCZeroCycles(t *testing.T) {
-	if NewMachine(1).IPC() != 0 {
-		t.Fatal("fresh machine IPC not 0")
-	}
 }

@@ -103,9 +103,6 @@ func NewTables(lines uint64, maxRef uint) *Tables {
 	return &Tables{lines: lines, maxRef: maxRef}
 }
 
-// Lines returns the number of data lines the tables cover.
-func (t *Tables) Lines() uint64 { return t.lines }
-
 func (t *Tables) checkAddr(a uint64) {
 	if a >= t.lines {
 		panic(fmt.Sprintf("dedup: address %#x beyond %d lines", a, t.lines))

@@ -7,9 +7,9 @@
 // Scale note: the paper simulates 4 billion instructions per application on
 // a 16 GB device with 64 banks. This reproduction runs tens of thousands of
 // memory requests per application over working sets of 2^14–2^16 lines, and
-// scales the device to 16 banks so the lines-per-bank ratio (and therefore
-// the queueing behaviour) is preserved. Relative shapes, not absolute
-// numbers, are the reproduction target.
+// scales the device to 8 banks (config.Experiment) so the lines-per-bank
+// ratio (and therefore the queueing behaviour) is preserved. Relative
+// shapes, not absolute numbers, are the reproduction target.
 package experiments
 
 import (
@@ -73,18 +73,6 @@ func (o Options) Profiles() []workload.Profile {
 		}
 	}
 	return out
-}
-
-// Config returns the experiment machine configuration: the paper's timing
-// and energy constants over a bank count scaled to the reduced working sets
-// (see the package comment).
-func (o Options) Config() config.Config {
-	cfg := config.Default()
-	// Scale the bank count with the reduced working sets so per-bank
-	// pressure (and therefore queueing) resembles the full-size system.
-	cfg.NVM.Ranks = 2
-	cfg.NVM.BanksPerRank = 4
-	return cfg
 }
 
 // Experiment is one reproducible table or figure.
@@ -199,7 +187,7 @@ func NewSuite(opts Options) *Suite {
 	}
 	return &Suite{
 		Opts:    opts,
-		cfg:     opts.Config(),
+		cfg:     config.Experiment(),
 		runs:    make(map[string]*memo[sim.Result]),
 		reports: make(map[string]*memo[replay]),
 		preps:   make(map[string]*memo[*sim.Prepared]),

@@ -130,7 +130,7 @@ func pinnedRuns(s *Suite) map[string]sim.RunReport {
 	}
 	opts := func() sim.Options {
 		o := s.simOptions()
-		o.Timeline = timeline.NewByRequests(uint64(o.Requests/64), 0)
+		o.Timeline = timeline.NewByRequests(uint64(o.Requests / 64))
 		o.Attr = attr.NewRecorder(64, o.Seed)
 		return o
 	}

@@ -32,17 +32,15 @@ func AblationOpenLoop(s *Suite) []*stats.Table {
 		var baseReqs, dwReqs []memctrl.Request
 		var now units.Time
 		demand := make([]units.Duration, cfg.Banks) // baseline demand per bank
-		bankOf := func(addr uint64) int {
-			return int((addr / cfg.RowLines) % uint64(cfg.Banks))
-		}
 		prep := s.Prepared(prof)
 		for i := range prep.Requests {
 			req := &prep.Requests[i]
 			now = now.Add(units.Duration(req.Gap+1) * cycle)
+			bank := config.BankOf(req.Addr, cfg.RowLines, cfg.Banks)
 			if req.Op == trace.Write {
-				demand[bankOf(req.Addr)] += cfg.Timing.NVMWrite
+				demand[bank] += cfg.Timing.NVMWrite
 			} else {
-				demand[bankOf(req.Addr)] += cfg.Timing.NVMRead
+				demand[bank] += cfg.Timing.NVMRead
 			}
 			if req.Op == trace.Read {
 				r := memctrl.Request{Arrive: now, Op: memctrl.Read, Addr: req.Addr}

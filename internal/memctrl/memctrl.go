@@ -54,10 +54,11 @@ type Config struct {
 	Timing   config.Timing
 }
 
-// DefaultConfig mirrors the experiment device: 8 banks, 16-line rows, the
-// paper's latencies.
+// DefaultConfig is the experiment device (config.Experiment): 8 banks,
+// 16-line rows, the paper's latencies.
 func DefaultConfig() Config {
-	return Config{Banks: 8, RowLines: 16, Timing: config.DefaultTiming()}
+	cfg := config.Experiment()
+	return Config{Banks: cfg.NVM.Banks(), RowLines: cfg.NVM.RowLines, Timing: cfg.Timing}
 }
 
 // Simulate services every request under FR-FCFS and returns completions in
@@ -76,7 +77,7 @@ func Simulate(reqs []Request, cfg Config) []Completion {
 	// its own.
 	perBank := make([][]indexed, cfg.Banks)
 	for i, r := range reqs {
-		b := int((r.Addr / cfg.RowLines) % uint64(cfg.Banks))
+		b := config.BankOf(r.Addr, cfg.RowLines, cfg.Banks)
 		perBank[b] = append(perBank[b], indexed{r, i})
 	}
 

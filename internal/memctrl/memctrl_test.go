@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"dewrite/internal/config"
 	"dewrite/internal/fault"
 	"dewrite/internal/rng"
 	"dewrite/internal/units"
@@ -117,7 +118,7 @@ func TestBankNeverOverlapsProperty(t *testing.T) {
 	type iv struct{ s, d units.Time }
 	banks := map[int][]iv{}
 	for _, c := range cs {
-		b := int((c.Addr / cfg.RowLines) % uint64(cfg.Banks))
+		b := config.BankOf(c.Addr, cfg.RowLines, cfg.Banks)
 		banks[b] = append(banks[b], iv{c.Start, c.Done})
 	}
 	for b, ivs := range banks {

@@ -79,19 +79,6 @@ func (g *Gauge) Set(v float64) {
 	atomic.StoreUint64(g.cell, floatBits(v))
 }
 
-// Add atomically adds delta to the gauge.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := atomic.LoadUint64(g.cell)
-		if atomic.CompareAndSwapUint64(g.cell, old, floatBits(bitsFloat(old)+delta)) {
-			return
-		}
-	}
-}
-
 // Value returns the gauge's current value (0 on the nil gauge).
 func (g *Gauge) Value() float64 {
 	if g == nil {

@@ -117,9 +117,6 @@ func (d *Device) row(lineAddr uint64) uint64 {
 	return lineAddr
 }
 
-// Lines returns the number of addressable lines.
-func (d *Device) Lines() uint64 { return d.geom.Lines() }
-
 // physLines bounds physical line addresses: the addressable lines plus the
 // spare region, which only the fault layer provisions.
 func (d *Device) physLines() uint64 {
@@ -141,11 +138,7 @@ func (d *Device) line(phys uint64) *[config.LineSize]byte {
 // lines) are interleaved across banks, so lines within one row share a bank
 // — spatially local read-after-write traffic contends there.
 func (d *Device) Bank(lineAddr uint64) int {
-	row := lineAddr
-	if d.geom.RowLines > 1 {
-		row = lineAddr / d.geom.RowLines
-	}
-	return int(row % uint64(len(d.banks)))
+	return config.BankOf(lineAddr, d.geom.RowLines, len(d.banks))
 }
 
 func (d *Device) checkAddr(lineAddr uint64) {
@@ -349,12 +342,6 @@ func (d *Device) storedLine(phys uint64) []byte {
 	}
 	return d.store[phys][:]
 }
-
-// ReadLatency returns the array read latency.
-func (d *Device) ReadLatency() units.Duration { return d.readLat }
-
-// WriteLatency returns the array write latency.
-func (d *Device) WriteLatency() units.Duration { return d.writeLat }
 
 // Stats is a snapshot of the device counters. The wait aggregates
 // (mean/p99 queueing delay) are whole-run values.

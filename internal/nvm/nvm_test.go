@@ -13,6 +13,9 @@ import (
 	"dewrite/internal/units"
 )
 
+// testLines is the line count of testDevice.
+var testLines = config.SmallNVM(1 * units.MB).Lines()
+
 func testDevice() *Device {
 	return New(config.SmallNVM(1*units.MB), config.DefaultTiming(), config.DefaultEnergy())
 }
@@ -271,7 +274,7 @@ func TestOutOfRangePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	d.Read(0, d.Lines())
+	d.Read(0, testLines)
 }
 
 func TestShortWritePanics(t *testing.T) {
@@ -290,7 +293,7 @@ func TestReadYourWritesProperty(t *testing.T) {
 	shadow := make(map[uint64][]byte)
 	var now units.Time
 	f := func(addrRaw uint16, fill byte) bool {
-		addr := uint64(addrRaw) % d.Lines()
+		addr := uint64(addrRaw) % testLines
 		line := bytes.Repeat([]byte{fill}, config.LineSize)
 		if src.Bool(0.5) {
 			now = d.Write(now, addr, line)
@@ -315,7 +318,7 @@ func TestTimeMonotoneProperty(t *testing.T) {
 	var now units.Time
 	line := make([]byte, config.LineSize)
 	for i := 0; i < 1000; i++ {
-		addr := src.Uint64n(d.Lines())
+		addr := src.Uint64n(testLines)
 		var done units.Time
 		if src.Bool(0.3) {
 			done = d.Write(now, addr, line)
@@ -331,12 +334,13 @@ func TestTimeMonotoneProperty(t *testing.T) {
 }
 
 func BenchmarkDeviceWrite(b *testing.B) {
-	d := New(config.SmallNVM(16*units.MB), config.DefaultTiming(), config.DefaultEnergy())
+	geom := config.SmallNVM(16 * units.MB)
+	d := New(geom, config.DefaultTiming(), config.DefaultEnergy())
 	line := make([]byte, config.LineSize)
 	rng.New(1).Fill(line)
 	var now units.Time
 	for i := 0; i < b.N; i++ {
-		now = d.Write(now, uint64(i)%d.Lines(), line)
+		now = d.Write(now, uint64(i)%geom.Lines(), line)
 	}
 }
 

@@ -11,7 +11,7 @@ package rng
 import "math"
 
 // Source is a deterministic pseudo-random source. It is not safe for
-// concurrent use; derive one Source per goroutine with Split.
+// concurrent use; give each goroutine a Source of its own.
 type Source struct {
 	s [4]uint64
 }
@@ -56,13 +56,6 @@ func (s *Source) Uint64() uint64 {
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
-// Split derives an independent child source. The child's stream is
-// deterministic given the parent's state, and drawing it advances the parent
-// so successive Splits yield distinct children.
-func (s *Source) Split() *Source {
-	return New(s.Uint64())
-}
 
 // Uint64n returns a uniform value in [0, n). It panics if n == 0.
 // Uses Lemire's multiply-shift rejection method for unbiased bounded values.

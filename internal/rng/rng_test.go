@@ -42,15 +42,6 @@ func TestReseedRestoresStream(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	parent := New(9)
-	c1 := parent.Split()
-	c2 := parent.Split()
-	if c1.Uint64() == c2.Uint64() && c1.Uint64() == c2.Uint64() {
-		t.Fatal("sibling children produced identical streams")
-	}
-}
-
 func TestUint64nBounds(t *testing.T) {
 	s := New(3)
 	for _, n := range []uint64{1, 2, 3, 7, 10, 1000, 1 << 32} {

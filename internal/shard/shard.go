@@ -46,9 +46,6 @@ func NewRouter(n int) Router {
 	return Router{n: uint64(n)}
 }
 
-// Shards returns the shard count.
-func (r Router) Shards() int { return int(r.n) }
-
 // ShardOf returns the shard owning the global line address.
 func (r Router) ShardOf(addr uint64) int { return int(addr % r.n) }
 
@@ -141,9 +138,6 @@ func NewDirectory(shards int) *Directory {
 	}
 	return d
 }
-
-// Shards returns the directory's shard count.
-func (d *Directory) Shards() int { return d.shards }
 
 // Publisher returns the publish hook a shard's dedup tables take
 // (dedup.Tables.SetPublish): every change to a fingerprint's live count
@@ -249,9 +243,6 @@ func (d *Directory) HeldElsewhere(h uint32, self int) bool {
 	}
 	return false
 }
-
-// Generation returns how many times the directory has advanced.
-func (d *Directory) Generation() uint64 { return d.advances }
 
 // Stats is a census of the frozen generation.
 type Stats struct {

@@ -12,9 +12,6 @@ import (
 func TestRouterRoundTrip(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 8} {
 		r := NewRouter(n)
-		if r.Shards() != n {
-			t.Fatalf("Shards() = %d, want %d", r.Shards(), n)
-		}
 		for addr := uint64(0); addr < 1000; addr++ {
 			s, l := r.ShardOf(addr), r.Local(addr)
 			if s < 0 || s >= n {
@@ -123,8 +120,8 @@ func TestDirectoryVisibilityAtBarrier(t *testing.T) {
 	if st.Fingerprints != 0 || st.Locations != 0 {
 		t.Fatalf("post-removal Snapshot = %+v, want empty", st)
 	}
-	if st.Advances != 2 || d.Generation() != 2 {
-		t.Fatalf("Advances = %d / Generation = %d, want 2", st.Advances, d.Generation())
+	if st.Advances != 2 {
+		t.Fatalf("Advances = %d, want 2", st.Advances)
 	}
 }
 

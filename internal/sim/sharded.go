@@ -60,9 +60,6 @@ type ShardedOptions struct {
 	// Workers bounds the goroutines driving shards within an epoch; <= 0
 	// uses runtime.GOMAXPROCS(0). The result is identical for any value.
 	Workers int
-	// EpochRequests is the barrier period in global request indices; <= 0
-	// selects DefaultEpochRequests.
-	EpochRequests int
 }
 
 // ShardStat is one shard's slice of a sharded run, reported so the balance
@@ -146,11 +143,6 @@ func RunSharded(s Scheme, prof workload.Profile, cfg config.Config, opts Sharded
 	} else {
 		prep.check(opts.Options)
 	}
-	epochLen := opts.EpochRequests
-	if epochLen <= 0 {
-		epochLen = DefaultEpochRequests
-	}
-
 	router := shard.NewRouter(n)
 	shardCfg := shard.BankSlice(cfg, n)
 
@@ -212,8 +204,8 @@ func RunSharded(s Scheme, prof workload.Profile, cfg config.Config, opts Sharded
 	}
 
 	var epochs uint64
-	for start := 0; start < len(prep.Requests); start += epochLen {
-		end := start + epochLen
+	for start := 0; start < len(prep.Requests); start += DefaultEpochRequests {
+		end := start + DefaultEpochRequests
 		if end > len(prep.Requests) {
 			end = len(prep.Requests)
 		}
@@ -256,7 +248,7 @@ func RunSharded(s Scheme, prof workload.Profile, cfg config.Config, opts Sharded
 	}
 	res.fill(drivers...)
 
-	rep := &ShardingReport{Shards: n, EpochRequests: epochLen, Epochs: epochs}
+	rep := &ShardingReport{Shards: n, EpochRequests: DefaultEpochRequests, Epochs: epochs}
 	attrReports := make([]*attr.Report, 0, n)
 	for _, sh := range shards {
 		rep.CrossShardDupHits += sh.crossDup

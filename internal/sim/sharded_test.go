@@ -67,7 +67,7 @@ func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) []byte {
 		opts := ShardedOptions{Options: base, Shards: 4, Workers: workers}
 		opts.Prepared = prep
-		opts.Timeline = timeline.NewByRequests(500, 0)
+		opts.Timeline = timeline.NewByRequests(500)
 		opts.Attr = attr.NewRecorder(64, base.Seed)
 		res := RunSharded(SchemeDeWrite, prof, cfg, opts)
 		return reportBytes(t, NewRunReport(res, nil))
@@ -204,25 +204,17 @@ func TestShardedRejectsSpanCapture(t *testing.T) {
 	RunSharded(SchemeDeWrite, shardedProfile(t), config.Default(), opts)
 }
 
-// TestShardedEpochGranularity: a custom epoch length changes only the
-// barrier cadence, never the merged counters at shard count 1, and drives
-// the reported epoch count.
+// TestShardedEpochGranularity: the barrier period, DefaultEpochRequests,
+// drives the reported epoch count, and the report states it.
 func TestShardedEpochGranularity(t *testing.T) {
-	prof := shardedProfile(t)
-	cfg := config.Default()
-	base := Options{Requests: 2000, Warmup: 200, Seed: 11}
-	prep := Prepare(prof, base)
-	base.Prepared = prep
-
-	for _, epoch := range []int{256, 1000} {
-		opts := ShardedOptions{Options: base, Shards: 2, EpochRequests: epoch}
-		res := RunSharded(SchemeDeWrite, prof, cfg, opts)
-		wantEpochs := uint64((2000 + epoch - 1) / epoch)
-		if res.Sharding.Epochs != wantEpochs {
-			t.Fatalf("epoch=%d: %d epochs, want %d", epoch, res.Sharding.Epochs, wantEpochs)
-		}
-		if res.Sharding.EpochRequests != epoch {
-			t.Fatalf("epoch=%d: block says %d", epoch, res.Sharding.EpochRequests)
-		}
+	const requests = 3000
+	opts := ShardedOptions{Options: Options{Requests: requests, Warmup: 200, Seed: 11}, Shards: 2}
+	res := RunSharded(SchemeDeWrite, shardedProfile(t), config.Default(), opts)
+	wantEpochs := uint64((requests + DefaultEpochRequests - 1) / DefaultEpochRequests)
+	if res.Sharding.Epochs != wantEpochs {
+		t.Fatalf("%d epochs, want %d", res.Sharding.Epochs, wantEpochs)
+	}
+	if res.Sharding.EpochRequests != DefaultEpochRequests {
+		t.Fatalf("block says %d requests per epoch, want %d", res.Sharding.EpochRequests, DefaultEpochRequests)
 	}
 }

@@ -23,13 +23,12 @@ import (
 )
 
 // Memory is the request interface every secure-NVM scheme implements
-// (core.Controller, baseline.SecureNVM, baseline.Shredder). ReadInto is Read
-// without the allocation: the plaintext lands in dst, which must hold one
-// line. The harness reads through it into one reusable buffer, which keeps
-// the simulation loop allocation-free.
+// (core.Controller, baseline.SecureNVM, baseline.Shredder). ReadInto copies
+// the plaintext into dst, which must hold one line. The harness reads
+// through it into one reusable buffer, which keeps the simulation loop
+// allocation-free.
 type Memory interface {
 	Write(now units.Time, logical uint64, data []byte) units.Time
-	Read(now units.Time, logical uint64) ([]byte, units.Time)
 	ReadInto(now units.Time, logical uint64, dst []byte) units.Time
 }
 

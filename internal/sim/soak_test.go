@@ -14,6 +14,12 @@ import (
 	"dewrite/internal/units"
 )
 
+// readLine reads line addr of mem into a fresh buffer.
+func readLine(mem Memory, now units.Time, addr uint64) ([]byte, units.Time) {
+	got := make([]byte, config.LineSize)
+	return got, mem.ReadInto(now, addr, got)
+}
+
 // soakGrid returns the crash-point grid for TestSoakCrashRecoverResume: one
 // entry per segment, each the number of steps to run before the next crash.
 // The DEWRITE_SOAK_GRID environment variable (comma-separated positive step
@@ -101,7 +107,7 @@ func TestSoakAllSchemesStayConsistent(t *testing.T) {
 				continue
 			}
 			for i := range mems {
-				got, done := mems[i].Read(nows[i], addr)
+				got, done := readLine(mems[i], nows[i], addr)
 				nows[i] = done
 				if !bytes.Equal(got, want) {
 					t.Fatalf("step %d: %v returned wrong data for line %d", step, schemes[i], addr)
@@ -127,7 +133,7 @@ func TestSoakAllSchemesStayConsistent(t *testing.T) {
 			continue
 		}
 		for i := range mems {
-			got, done := mems[i].Read(nows[i], addr)
+			got, done := readLine(mems[i], nows[i], addr)
 			nows[i] = done
 			if !bytes.Equal(got, want) {
 				t.Fatalf("final sweep: %v wrong at line %d", schemes[i], addr)
@@ -200,7 +206,7 @@ func TestSoakCrashRecoverResume(t *testing.T) {
 						now = mem.Write(now, addr, data)
 						record(addr, data)
 					} else if want, ok := shadow[addr]; ok {
-						got, done := mem.Read(now, addr)
+						got, done := readLine(mem, now, addr)
 						now = done
 						if !bytes.Equal(got, want) {
 							t.Fatalf("seg %d step %d: wrong data for line %d", seg, step, addr)
@@ -258,7 +264,7 @@ func TestSoakCrashRecoverResume(t *testing.T) {
 				record(addr, data)
 			}
 			for addr := uint64(0); addr < lines; addr++ {
-				got, done := mem.Read(now, addr)
+				got, done := readLine(mem, now, addr)
 				now = done
 				if !bytes.Equal(got, shadow[addr]) {
 					t.Fatalf("post-recovery rewrite: wrong data at line %d", addr)

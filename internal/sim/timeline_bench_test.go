@@ -21,7 +21,7 @@ func benchRun(b *testing.B, prep *Prepared, prof workload.Profile, every uint64)
 			Prepared: prep,
 		}
 		if every > 0 {
-			opts.Timeline = timeline.NewByRequests(every, 0)
+			opts.Timeline = timeline.NewByRequests(every)
 		}
 		mem := NewMemory(SchemeDeWrite, prof.WorkingSetLines, config.Default())
 		res := Run(prof.Name, SchemeDeWrite.String(), mem, prof, opts)

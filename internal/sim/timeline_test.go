@@ -18,7 +18,7 @@ func timelineRun(t *testing.T, s Scheme, prep *Prepared, prof workload.Profile, 
 		Requests: len(prep.Requests),
 		Warmup:   prep.Warmup,
 		Prepared: prep,
-		Timeline: timeline.NewByRequests(every, 0),
+		Timeline: timeline.NewByRequests(every),
 	}
 	mem := NewMemory(s, prof.WorkingSetLines, config.Default())
 	res := Run(prof.Name, s.String(), mem, prof, opts)
@@ -93,7 +93,7 @@ func TestTimelineObservational(t *testing.T) {
 		return buf.Bytes()
 	}
 	off := run(nil)
-	on := run(timeline.NewByRequests(500, 0))
+	on := run(timeline.NewByRequests(500))
 	if !bytes.Equal(off, on) {
 		t.Fatalf("collector changed the report:\n--- off ---\n%s\n--- on ---\n%s", off, on)
 	}
@@ -103,7 +103,7 @@ func TestTimelineObservational(t *testing.T) {
 // DecodeRunReport accepts v2, accepts v1, and rejects anything else.
 func TestTimelineInRunReport(t *testing.T) {
 	prof, _ := workload.ByName("mcf")
-	opts := Options{Requests: 2000, Warmup: 200, Seed: 11, Timeline: timeline.NewByRequests(400, 0)}
+	opts := Options{Requests: 2000, Warmup: 200, Seed: 11, Timeline: timeline.NewByRequests(400)}
 	mem := NewMemory(SchemeShredder, prof.WorkingSetLines, config.Default())
 	res := Run(prof.Name, SchemeShredder.String(), mem, prof, opts)
 	rep := NewRunReport(res, mem)

@@ -36,13 +36,13 @@ func TestLatencyPercentileUniform(t *testing.T) {
 	}
 	// Bucketed estimates must land within the documented 6.25 % of truth.
 	for p, want := range map[float64]float64{0.50: 500, 0.95: 950, 0.99: 990} {
-		got := l.Percentile(p).Nanoseconds()
+		got := float64(l.Percentile(p)) / float64(units.Nanosecond)
 		if math.Abs(got-want)/want > 0.0625 {
 			t.Errorf("P%v = %vns, want within 6.25%% of %vns", p*100, got, want)
 		}
 	}
-	if l.Percentile(0) != l.Min() {
-		t.Errorf("P0 = %v, want min %v", l.Percentile(0), l.Min())
+	if l.Percentile(0) != l.min {
+		t.Errorf("P0 = %v, want min %v", l.Percentile(0), l.min)
 	}
 	if l.Percentile(1) < l.Percentile(0.99) {
 		t.Error("percentiles not monotone")
@@ -74,7 +74,7 @@ func TestLatencyBucketsSaturate(t *testing.T) {
 	var l Latency
 	l.Observe(units.Duration(math.MaxUint64)) // beyond the top bucket boundary
 	l.Observe(10 * units.Nanosecond)
-	if l.Max() != units.Duration(math.MaxUint64) {
+	if l.max != units.Duration(math.MaxUint64) {
 		t.Fatal("max not tracked exactly")
 	}
 	// The saturated observation still lands in the top bucket, and the

@@ -163,15 +163,9 @@ func (l *Latency) Mean() units.Duration {
 	return l.sum / units.Duration(l.count)
 }
 
-// Min returns the smallest observation, or 0 with no observations.
-func (l *Latency) Min() units.Duration { return l.min }
-
-// Max returns the largest observation.
-func (l *Latency) Max() units.Duration { return l.max }
-
 // Percentile returns the smallest bucketed duration x such that at least p
 // (in [0,1]) of the observations are <= x, clamped to the exact observed
-// [Min, Max] range. With no observations it returns 0. The estimate is exact
+// [min, max] range. With no observations it returns 0. The estimate is exact
 // below 16 ps and within 6.25 % above (see the bucket geometry).
 func (l *Latency) Percentile(p float64) units.Duration {
 	if l.count == 0 {
@@ -231,7 +225,6 @@ func (l *Latency) String() string {
 type Histogram struct {
 	buckets map[uint64]uint64
 	count   uint64
-	sum     uint64
 	max     uint64
 }
 
@@ -242,7 +235,6 @@ func (h *Histogram) Observe(v uint64) {
 	}
 	h.buckets[v]++
 	h.count++
-	h.sum += v
 	if v > h.max {
 		h.max = v
 	}
@@ -251,19 +243,8 @@ func (h *Histogram) Observe(v uint64) {
 // Count returns the total number of observations.
 func (h *Histogram) Count() uint64 { return h.count }
 
-// Mean returns the mean observation, or 0 with no observations.
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
 // Max returns the largest observation.
 func (h *Histogram) Max() uint64 { return h.max }
-
-// Bucket returns the number of observations equal to v.
-func (h *Histogram) Bucket(v uint64) uint64 { return h.buckets[v] }
 
 // FractionAtMost returns the fraction of observations <= v.
 func (h *Histogram) FractionAtMost(v uint64) float64 {

@@ -104,7 +104,6 @@ type Collector struct {
 	next  uint64 // request count at which the next epoch closes
 
 	ring   []Epoch
-	max    int
 	closed uint64 // total epochs ever closed (ring may hold fewer)
 
 	// OnEpoch, when non-nil, observes each epoch immediately after it closes
@@ -114,15 +113,12 @@ type Collector struct {
 }
 
 // NewByRequests returns a collector closing an epoch every `every` requests,
-// keeping at most maxEpochs (DefaultMaxEpochs when maxEpochs <= 0).
-func NewByRequests(every uint64, maxEpochs int) *Collector {
+// keeping at most DefaultMaxEpochs.
+func NewByRequests(every uint64) *Collector {
 	if every == 0 {
 		every = 1
 	}
-	if maxEpochs <= 0 {
-		maxEpochs = DefaultMaxEpochs
-	}
-	return &Collector{every: every, next: every, max: maxEpochs}
+	return &Collector{every: every, next: every}
 }
 
 // Enabled reports whether the collector actually records.
@@ -171,11 +167,11 @@ func (c *Collector) Finish(now units.Time, requests uint64, src Sampler) {
 // lets the source fill component state.
 func (c *Collector) close(now units.Time, requests uint64, src Sampler) {
 	var e *Epoch
-	if len(c.ring) < c.max {
+	if len(c.ring) < DefaultMaxEpochs {
 		c.ring = append(c.ring, Epoch{})
 		e = &c.ring[len(c.ring)-1]
 	} else {
-		e = &c.ring[c.closed%uint64(c.max)]
+		e = &c.ring[c.closed%DefaultMaxEpochs]
 		e.reset()
 	}
 	e.Index = c.closed
@@ -198,14 +194,6 @@ func (c *Collector) Len() int {
 	return len(c.ring)
 }
 
-// Closed returns the total number of epochs ever closed.
-func (c *Collector) Closed() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.closed
-}
-
 // Dropped returns how many early epochs the ring has overwritten.
 func (c *Collector) Dropped() uint64 {
 	if c == nil {
@@ -218,23 +206,9 @@ func (c *Collector) Dropped() uint64 {
 func (c *Collector) at(i int) *Epoch {
 	if uint64(len(c.ring)) < c.closed {
 		// Ring wrapped: the oldest slot is the one close would claim next.
-		return &c.ring[(c.closed+uint64(i))%uint64(c.max)]
+		return &c.ring[(c.closed+uint64(i))%DefaultMaxEpochs]
 	}
 	return &c.ring[i]
-}
-
-// Epochs returns a copy of the held epochs in chronological order.
-func (c *Collector) Epochs() []Epoch {
-	if c == nil {
-		return nil
-	}
-	out := make([]Epoch, c.Len())
-	for i := range out {
-		e := c.at(i)
-		out[i] = *e
-		out[i].BankWear = append([]uint64(nil), e.BankWear...)
-	}
-	return out
 }
 
 // Dist summarizes a set of per-line wear counts: the maximum, mean, Gini

@@ -31,11 +31,8 @@ func TestNilCollectorSafe(t *testing.T) {
 	}
 	c.Tick(0, 1, nil)
 	c.Finish(0, 1, nil)
-	if c.Len() != 0 || c.Closed() != 0 || c.Dropped() != 0 {
+	if c.Len() != 0 || c.Dropped() != 0 {
 		t.Fatal("nil collector has state")
-	}
-	if c.Epochs() != nil {
-		t.Fatal("nil collector returned epochs")
 	}
 	if c.Report() != nil {
 		t.Fatal("nil collector returned a report")
@@ -46,26 +43,26 @@ func TestNilCollectorSafe(t *testing.T) {
 }
 
 func TestByRequestsBoundaries(t *testing.T) {
-	c := NewByRequests(10, 0)
+	c := NewByRequests(10)
 	s := &countingSampler{}
 	for req := uint64(1); req <= 35; req++ {
 		c.Tick(units.Time(req*100), req, s)
 	}
-	if c.Closed() != 3 {
-		t.Fatalf("closed = %d, want 3", c.Closed())
+	if c.closed != 3 {
+		t.Fatalf("closed = %d, want 3", c.closed)
 	}
 	c.Finish(units.Time(3500), 35, s)
-	if c.Closed() != 4 {
-		t.Fatalf("after Finish closed = %d, want 4", c.Closed())
+	if c.closed != 4 {
+		t.Fatalf("after Finish closed = %d, want 4", c.closed)
 	}
-	eps := c.Epochs()
+	eps := c.Report().Epochs
 	wantReq := []uint64{10, 20, 30, 35}
 	for i, e := range eps {
 		if e.Requests != wantReq[i] {
 			t.Errorf("epoch %d Requests = %d, want %d", i, e.Requests, wantReq[i])
 		}
-		if e.Index != uint64(i) {
-			t.Errorf("epoch %d Index = %d", i, e.Index)
+		if e.Epoch != uint64(i) {
+			t.Errorf("epoch %d Index = %d", i, e.Epoch)
 		}
 		if e.Writes != e.Requests {
 			t.Errorf("epoch %d sampler did not run", i)
@@ -73,50 +70,50 @@ func TestByRequestsBoundaries(t *testing.T) {
 	}
 	// Finish again is a no-op: the last epoch already covers request 35.
 	c.Finish(units.Time(3500), 35, s)
-	if c.Closed() != 4 {
-		t.Fatalf("double Finish closed an extra epoch: %d", c.Closed())
+	if c.closed != 4 {
+		t.Fatalf("double Finish closed an extra epoch: %d", c.closed)
 	}
 }
 
 func TestFinishCoincidingBoundary(t *testing.T) {
-	c := NewByRequests(10, 0)
+	c := NewByRequests(10)
 	for req := uint64(1); req <= 20; req++ {
 		c.Tick(units.Time(req), req, nil)
 	}
 	c.Finish(units.Time(20), 20, nil)
-	if c.Closed() != 2 {
-		t.Fatalf("closed = %d, want 2 (final boundary coincided)", c.Closed())
+	if c.closed != 2 {
+		t.Fatalf("closed = %d, want 2 (final boundary coincided)", c.closed)
 	}
 }
 
 func TestFinishEmptyRun(t *testing.T) {
-	c := NewByRequests(10, 0)
+	c := NewByRequests(10)
 	c.Finish(0, 0, nil)
-	if c.Closed() != 0 {
+	if c.closed != 0 {
 		t.Fatal("Finish closed an epoch on an empty run")
 	}
 }
 
 func TestRingWrapAndReuse(t *testing.T) {
-	c := NewByRequests(1, 3)
+	c := NewByRequests(1)
 	s := &countingSampler{}
-	for req := uint64(1); req <= 10; req++ {
+	const n = DefaultMaxEpochs + 7
+	for req := uint64(1); req <= n; req++ {
 		c.Tick(units.Time(req), req, s)
 	}
-	if c.Closed() != 10 {
-		t.Fatalf("closed = %d", c.Closed())
+	if c.closed != n {
+		t.Fatalf("closed = %d", c.closed)
 	}
-	if c.Len() != 3 {
-		t.Fatalf("len = %d, want ring cap 3", c.Len())
+	if c.Len() != DefaultMaxEpochs {
+		t.Fatalf("len = %d, want ring cap %d", c.Len(), DefaultMaxEpochs)
 	}
 	if c.Dropped() != 7 {
 		t.Fatalf("dropped = %d, want 7", c.Dropped())
 	}
-	eps := c.Epochs()
-	wantReq := []uint64{8, 9, 10}
+	eps := c.Report().Epochs
 	for i, e := range eps {
-		if e.Requests != wantReq[i] {
-			t.Errorf("held epoch %d Requests = %d, want %d", i, e.Requests, wantReq[i])
+		if want := uint64(8 + i); e.Requests != want {
+			t.Errorf("held epoch %d Requests = %d, want %d", i, e.Requests, want)
 		}
 		// Slot reuse must not leak the prior occupant's BankWear.
 		if len(e.BankWear) != 2 {
@@ -126,7 +123,7 @@ func TestRingWrapAndReuse(t *testing.T) {
 }
 
 func TestOnEpochHook(t *testing.T) {
-	c := NewByRequests(5, 0)
+	c := NewByRequests(5)
 	var seen []uint64
 	c.OnEpoch = func(e *Epoch) { seen = append(seen, e.Requests) }
 	for req := uint64(1); req <= 12; req++ {
@@ -177,7 +174,7 @@ func TestDist(t *testing.T) {
 }
 
 func TestReportDeltas(t *testing.T) {
-	c := NewByRequests(10, 0)
+	c := NewByRequests(10)
 	s := &countingSampler{}
 	for req := uint64(1); req <= 30; req++ {
 		c.Tick(units.Time(req*100), req, s)
@@ -220,7 +217,7 @@ func TestReportDeltas(t *testing.T) {
 }
 
 func TestCSVAndHeatmap(t *testing.T) {
-	c := NewByRequests(10, 0)
+	c := NewByRequests(10)
 	s := &countingSampler{}
 	for req := uint64(1); req <= 25; req++ {
 		c.Tick(units.Time(req*100), req, s)
@@ -278,11 +275,11 @@ func TestNilReportWriters(t *testing.T) {
 }
 
 func TestSteadyStateAllocs(t *testing.T) {
-	c := NewByRequests(10, 8)
+	c := NewByRequests(1)
 	s := &countingSampler{}
 	// Warm the ring past its capacity so every further close reuses slots.
 	var req uint64
-	for ; req <= 2000; req++ {
+	for ; req <= DefaultMaxEpochs+100; req++ {
 		c.Tick(units.Time(req), req, s)
 	}
 	avg := testing.AllocsPerRun(200, func() {

@@ -62,12 +62,6 @@ func Min(a, b Time) Time {
 	return b
 }
 
-// Nanoseconds reports the duration as a float64 number of nanoseconds.
-func (d Duration) Nanoseconds() float64 { return float64(d) / float64(Nanosecond) }
-
-// Seconds reports the duration as a float64 number of seconds.
-func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
-
 // String formats the duration with an adaptive unit, e.g. "75ns" or "1.25us".
 func (d Duration) String() string {
 	switch {

@@ -74,9 +74,6 @@ func New(dev Device, base, n uint64, psi int) *StartGap {
 	}
 }
 
-// Lines returns the number of logical lines the region exposes.
-func (s *StartGap) Lines() uint64 { return s.n }
-
 // Physical returns the physical slot currently holding logical line la.
 //
 // The lines occupy the m-slot ring in fixed circular order 0..n-1 with the
@@ -155,6 +152,3 @@ func (s *StartGap) Stats() Stats {
 		Overhead:  stats.Ratio(s.moves.Value(), s.writes.Value()),
 	}
 }
-
-// SlotsNeeded returns the physical slots a region of n lines occupies.
-func SlotsNeeded(n uint64) uint64 { return n + 1 }

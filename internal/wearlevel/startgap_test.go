@@ -43,7 +43,7 @@ func TestMappingIsInjectiveAndSkipsGap(t *testing.T) {
 		seen := map[uint64]bool{}
 		for la := uint64(0); la < 7; la++ {
 			pa := sg.Physical(la)
-			if pa >= SlotsNeeded(7) {
+			if pa >= 7+1 {
 				t.Fatalf("step %d: slot %d out of range", step, pa)
 			}
 			if seen[pa] {
@@ -117,7 +117,7 @@ func TestHotLineWearSpreadsAcrossSlots(t *testing.T) {
 	}
 	touched := 0
 	var max uint64
-	for slot := uint64(0); slot < SlotsNeeded(n); slot++ {
+	for slot := uint64(0); slot < n+1; slot++ {
 		w := dev.WearOf(slot)
 		if w > 0 {
 			touched++
@@ -126,8 +126,8 @@ func TestHotLineWearSpreadsAcrossSlots(t *testing.T) {
 			max = w
 		}
 	}
-	if touched != int(SlotsNeeded(n)) {
-		t.Fatalf("hot line touched only %d of %d slots", touched, SlotsNeeded(n))
+	if touched != int(n+1) {
+		t.Fatalf("hot line touched only %d of %d slots", touched, n+1)
 	}
 	// Without leveling, one slot would carry all 4000 writes.
 	if max >= 4000 {
@@ -140,7 +140,7 @@ func TestRegionBaseOffset(t *testing.T) {
 	sg := New(dev, 100, 4, 1)
 	sg.Write(0, 0, lineFor(1))
 	for a := range dev.slots {
-		if a < 100 || a >= 100+SlotsNeeded(4) {
+		if a < 100 || a >= 100+4+1 {
 			t.Fatalf("touched slot %d outside region", a)
 		}
 	}
@@ -150,7 +150,7 @@ func TestMappingMatchesExplicitModelProperty(t *testing.T) {
 	// Model: explicitly track which logical line each slot holds, applying
 	// the same copy the implementation performs, and check Physical agrees.
 	const n = 6
-	m := SlotsNeeded(n)
+	m := uint64(n + 1)      // the region plus its gap
 	slots := make([]int, m) // logical line per slot, -1 = gap
 	for i := 0; i < int(n); i++ {
 		slots[i] = i

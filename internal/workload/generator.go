@@ -176,9 +176,6 @@ func clamp01(v float64) float64 {
 	return v
 }
 
-// Profile returns the generator's profile.
-func (g *Generator) Profile() Profile { return g.prof }
-
 // SetRecycle sets who owns a write's payload. In recycle mode Data is the
 // line's shadow content itself, so Next allocates nothing, but Data is valid
 // only until a later request rewrites the same logical line; a Stream copies
