@@ -51,7 +51,9 @@ const (
 	// the result and the stored contents never change.
 	CauseVerify
 	// CauseWearLevel is a Start-Gap rotation write: the gap-move copy that
-	// spreads wear across the region.
+	// spreads wear across the region. Start-Gap runs only over SecureNVM,
+	// which books every write it takes as demand, so this counter stays
+	// zero today; the cause keeps its slot and name in reports.
 	CauseWearLevel
 	// CauseRemap is a relocation write: the device programming a line into
 	// the spare region after ECP exhaustion, or the controller re-placing

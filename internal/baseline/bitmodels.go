@@ -19,8 +19,8 @@ import (
 // is measured, not assumed.
 //
 // A model keeps its scratch lines in its own struct and each line's state in
-// one struct allocated on the line's first write, indexed by line address
-// (internal/dense), so a write to a line written before allocates nothing.
+// a lineStates table, so a write to a line written before allocates nothing
+// and a first write allocates once per stateChunk lines.
 type BitModel interface {
 	// Name returns the technique's display name.
 	Name() string
@@ -49,15 +49,28 @@ func checkModelLine(data []byte) {
 	}
 }
 
-// lineState returns loc's entry in a table of per-line state indexed by line
-// address, growing the table up to lines and allocating the entry on the
-// line's first write.
-func lineState[T any](table *[]*T, loc, lines uint64) *T {
-	*table = dense.Grow(*table, loc, lines)
-	st := (*table)[loc]
+// stateChunk is how many lines' state a lineStates table allocates at once.
+const stateChunk = 64
+
+// lineStates is a table of per-line state indexed by line address
+// (internal/dense), growing up to lines. A line's state is zero until its
+// first write, which takes the next unclaimed slot of a chunk of stateChunk.
+type lineStates[T any] struct {
+	table []*T
+	chunk []T // unclaimed slots
+	lines uint64
+}
+
+// get returns loc's state, claiming a zero slot on the line's first write.
+func (s *lineStates[T]) get(loc uint64) *T {
+	s.table = dense.Grow(s.table, loc, s.lines)
+	st := s.table[loc]
 	if st == nil {
-		st = new(T)
-		(*table)[loc] = st
+		if len(s.chunk) == 0 {
+			s.chunk = make([]T, stateChunk)
+		}
+		st, s.chunk = &s.chunk[0], s.chunk[1:]
+		s.table[loc] = st
 	}
 	return st
 }
@@ -70,9 +83,8 @@ func lineState[T any](table *[]*T, loc, lines uint64) *T {
 type DCW struct {
 	enc   *cme.Engine
 	ctrs  *cme.CounterStore
-	lines uint64
-	cells []*[config.LineSize]byte // stored ciphertext by line address
-	ct    [config.LineSize]byte    // scratch: the new ciphertext
+	cells lineStates[[config.LineSize]byte] // stored ciphertext
+	ct    [config.LineSize]byte             // scratch: the new ciphertext
 }
 
 // NewDCW returns a DCW model of line addresses below lines, with its own
@@ -80,7 +92,7 @@ type DCW struct {
 func NewDCW(lines uint64) *DCW { return newDCW(cme.MustNewEngine(baselineKey), lines) }
 
 func newDCW(enc *cme.Engine, lines uint64) *DCW {
-	return &DCW{enc: enc, ctrs: cme.NewCounterStore(lines), lines: lines}
+	return &DCW{enc: enc, ctrs: cme.NewCounterStore(lines), cells: lineStates[[config.LineSize]byte]{lines: lines}}
 }
 
 // Name implements BitModel.
@@ -89,7 +101,7 @@ func (d *DCW) Name() string { return "DCW" }
 // Write implements BitModel.
 func (d *DCW) Write(loc uint64, newPlain []byte) int {
 	checkModelLine(newPlain)
-	cells := lineState(&d.cells, loc, d.lines)
+	cells := d.cells.get(loc)
 	d.enc.EncryptLine(d.ct[:], newPlain, loc, d.ctrs.Bump(loc))
 	flips := nvm.BitDistance(cells[:], d.ct[:])
 	*cells = d.ct
@@ -107,8 +119,7 @@ const FNWWordBits = 32
 type FNW struct {
 	enc   *cme.Engine
 	ctrs  *cme.CounterStore
-	lines uint64
-	cells []*fnwLine
+	cells lineStates[fnwLine]
 	ct    [config.LineSize]byte // scratch: the new ciphertext
 }
 
@@ -121,7 +132,7 @@ type fnwLine struct {
 const FNWWordsPerLine = config.LineBits / FNWWordBits
 
 func newFNW(enc *cme.Engine, lines uint64) *FNW {
-	return &FNW{enc: enc, ctrs: cme.NewCounterStore(lines), lines: lines}
+	return &FNW{enc: enc, ctrs: cme.NewCounterStore(lines), cells: lineStates[fnwLine]{lines: lines}}
 }
 
 // Name implements BitModel.
@@ -130,7 +141,7 @@ func (f *FNW) Name() string { return "FNW" }
 // Write implements BitModel.
 func (f *FNW) Write(loc uint64, newPlain []byte) int {
 	checkModelLine(newPlain)
-	line := lineState(&f.cells, loc, f.lines)
+	line := f.cells.get(loc)
 	f.enc.EncryptLine(f.ct[:], newPlain, loc, f.ctrs.Bump(loc))
 	flips := 0
 	for w := range line.words {
@@ -188,14 +199,13 @@ func deuceWord(line []byte, w int) uint16 {
 type DEUCE struct {
 	enc   *cme.Engine
 	ctrs  *cme.CounterStore
-	lines uint64
-	state []*partialLine
+	state lineStates[partialLine]
 	pad   [config.LineSize]byte // scratch: this write's one-time pad
 	next  [config.LineSize]byte // scratch: the cells after this write
 }
 
 func newDEUCE(enc *cme.Engine, lines uint64) *DEUCE {
-	return &DEUCE{enc: enc, ctrs: cme.NewCounterStore(lines), lines: lines}
+	return &DEUCE{enc: enc, ctrs: cme.NewCounterStore(lines), state: lineStates[partialLine]{lines: lines}}
 }
 
 // Name implements BitModel.
@@ -204,7 +214,7 @@ func (d *DEUCE) Name() string { return "DEUCE" }
 // Write implements BitModel.
 func (d *DEUCE) Write(loc uint64, newPlain []byte) int {
 	checkModelLine(newPlain)
-	line := lineState(&d.state, loc, d.lines)
+	line := d.state.get(loc)
 	line.writes++
 	d.enc.Pad(d.pad[:], loc, d.ctrs.Bump(loc))
 	if line.writes%DEUCEEpoch == 0 {
@@ -243,14 +253,13 @@ func (d *DEUCE) Write(loc uint64, newPlain []byte) int {
 type SECRET struct {
 	enc   *cme.Engine
 	ctrs  *cme.CounterStore
-	lines uint64
-	state []*partialLine        // modified counts non-zero words only
-	pad   [config.LineSize]byte // scratch: this write's one-time pad
-	next  [config.LineSize]byte // scratch: the cells after this write
+	state lineStates[partialLine] // modified counts non-zero words only
+	pad   [config.LineSize]byte   // scratch: this write's one-time pad
+	next  [config.LineSize]byte   // scratch: the cells after this write
 }
 
 func newSECRET(enc *cme.Engine, lines uint64) *SECRET {
-	return &SECRET{enc: enc, ctrs: cme.NewCounterStore(lines), lines: lines}
+	return &SECRET{enc: enc, ctrs: cme.NewCounterStore(lines), state: lineStates[partialLine]{lines: lines}}
 }
 
 // Name implements BitModel.
@@ -259,7 +268,7 @@ func (d *SECRET) Name() string { return "SECRET" }
 // Write implements BitModel.
 func (d *SECRET) Write(loc uint64, newPlain []byte) int {
 	checkModelLine(newPlain)
-	line := lineState(&d.state, loc, d.lines)
+	line := d.state.get(loc)
 	line.writes++
 	// An epoch boundary re-encrypts every non-zero word and empties the
 	// modified-word set.

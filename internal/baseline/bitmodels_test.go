@@ -3,6 +3,7 @@ package baseline
 import (
 	"encoding/binary"
 	"math/bits"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -477,6 +478,28 @@ func TestBitModelWriteAllocations(t *testing.T) {
 		})
 		if n != 0 {
 			t.Errorf("%s: %v allocations per write to a written line, want 0", m.Name(), n)
+		}
+	}
+}
+
+// TestBitModelFirstWriteAllocations bounds first writes: each model claims
+// a line's state from a chunk of stateChunk, so writing 4096 fresh lines
+// costs each model its chunks, the logarithmic growth of its two
+// address-indexed tables (state and counters) and its engine's pad memo:
+// fewer than one malloc per 32 lines, not one per line.
+func TestBitModelFirstWriteAllocations(t *testing.T) {
+	const lines = 4096
+	line := make([]byte, config.LineSize)
+	rng.New(22).Fill(line)
+	for _, m := range newLoneModels(lines) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for loc := uint64(0); loc < lines; loc++ {
+			m.Write(loc, line)
+		}
+		runtime.ReadMemStats(&after)
+		if got, limit := after.Mallocs-before.Mallocs, uint64(lines/32); got > limit {
+			t.Errorf("%s: %d mallocs over %d first writes, want at most %d", m.Name(), got, lines, limit)
 		}
 	}
 }

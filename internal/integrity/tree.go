@@ -15,6 +15,7 @@ package integrity
 
 import (
 	"crypto/sha1"
+	"encoding/binary"
 	"fmt"
 )
 
@@ -34,7 +35,11 @@ type Tree struct {
 	leaves uint64
 	// levels[0] = leaves, levels[last] = the single root digest.
 	levels [][]Digest
-	key    []byte
+	keyLen int
+	// in holds the key in its first keyLen bytes; each digest appends its
+	// input after them, so a digest allocates nothing once in has grown to
+	// a leaf's input.
+	in []byte
 }
 
 // New returns a tree covering the given number of leaves (one per NVM line).
@@ -43,7 +48,8 @@ func New(leaves uint64, key []byte) *Tree {
 	if leaves == 0 {
 		panic("integrity: zero leaves")
 	}
-	t := &Tree{leaves: leaves, key: append([]byte(nil), key...)}
+	in := make([]byte, 0, len(key)+8+Arity*DigestSize)
+	t := &Tree{leaves: leaves, keyLen: len(key), in: append(in, key...)}
 	n := leaves
 	for {
 		t.levels = append(t.levels, make([]Digest, n))
@@ -70,12 +76,9 @@ func (t *Tree) Root() Digest { return t.levels[len(t.levels)-1][0] }
 
 // LeafDigest computes the authentication digest of one line.
 func (t *Tree) LeafDigest(addr, counter uint64, ciphertext []byte) Digest {
-	buf := make([]byte, 0, len(t.key)+16+len(ciphertext))
-	buf = append(buf, t.key...)
-	buf = appendU64(buf, addr)
-	buf = appendU64(buf, counter)
-	buf = append(buf, ciphertext...)
-	return truncate(sha1.Sum(buf))
+	in := binary.LittleEndian.AppendUint64(t.in[:t.keyLen], addr)
+	t.in = append(binary.LittleEndian.AppendUint64(in, counter), ciphertext...)
+	return truncate(sha1.Sum(t.in))
 }
 
 // nodeDigest computes the parent digest over the children of node i at the
@@ -87,13 +90,11 @@ func (t *Tree) nodeDigest(childLevel int, parentIdx uint64) Digest {
 	if end > uint64(len(children)) {
 		end = uint64(len(children))
 	}
-	buf := make([]byte, 0, len(t.key)+8+int(end-start)*DigestSize)
-	buf = append(buf, t.key...)
-	buf = appendU64(buf, parentIdx)
+	t.in = binary.LittleEndian.AppendUint64(t.in[:t.keyLen], parentIdx)
 	for i := start; i < end; i++ {
-		buf = append(buf, children[i][:]...)
+		t.in = append(t.in, children[i][:]...)
 	}
-	return truncate(sha1.Sum(buf))
+	return truncate(sha1.Sum(t.in))
 }
 
 // Update installs a new leaf digest and refreshes the path to the root. It
@@ -143,13 +144,6 @@ func (t *Tree) check(leaf uint64) {
 	if leaf >= t.leaves {
 		panic(fmt.Sprintf("integrity: leaf %#x beyond %d", leaf, t.leaves))
 	}
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	for i := 0; i < 8; i++ {
-		b = append(b, byte(v>>(8*i)))
-	}
-	return b
 }
 
 func truncate(full [20]byte) Digest {

@@ -1,6 +1,9 @@
 package integrity
 
 import (
+	"bytes"
+	"crypto/sha1"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
@@ -145,5 +148,34 @@ func TestBoundsPanic(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestDigestAllocations pins the digests to the tree's own input buffer:
+// once it has grown to a line's input, LeafDigest, Update and Verify
+// allocate nothing. The leaf digest still reads as the truncated SHA-1 of
+// key, little-endian address and counter, and ciphertext.
+func TestDigestAllocations(t *testing.T) {
+	key := []byte("tree-key")
+	tr := New(4096, key)
+	var line [256]byte
+	var addr uint64
+	step := func() {
+		line[0]++
+		d := tr.LeafDigest(addr%4096, addr, line[:])
+		tr.Update(addr%4096, d)
+		if !tr.Verify(addr%4096, d) {
+			t.Fatal("fresh update failed verification")
+		}
+		addr += 37
+	}
+	if avg := testing.AllocsPerRun(500, step); avg != 0 {
+		t.Errorf("LeafDigest+Update+Verify: %.2f allocs/op, want 0", avg)
+	}
+
+	in := append(append([]byte(nil), key...), binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 9), 3)...)
+	full := sha1.Sum(append(in, line[:]...))
+	if got := tr.LeafDigest(9, 3, line[:]); !bytes.Equal(got[:], full[:DigestSize]) {
+		t.Errorf("LeafDigest = %x, want %x", got, full[:DigestSize])
 	}
 }

@@ -35,8 +35,6 @@ type Analyzer struct {
 	Run func(pass *Pass) (interface{}, error)
 }
 
-func (a *Analyzer) String() string { return a.Name }
-
 // A Pass provides one type-checked package to an analyzer's Run function
 // and carries the diagnostic sink.
 type Pass struct {

@@ -1,7 +1,8 @@
 package lint_test
 
 import (
-	"fmt"
+	"go/ast"
+	"go/token"
 	"go/types"
 	"io/fs"
 	"maps"
@@ -9,6 +10,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -156,20 +158,22 @@ var unreachedOK = map[string]string{
 	"cmd/dewrite-serve.RetryClient.ServerStats": "checker: tests read the daemon's books through the client",
 }
 
-// stdInterfaces are the standard interfaces whose methods count as reached
-// on every type that implements them, beside the module's own interfaces.
-var stdInterfaces = []struct{ pkg, name string }{
-	{"fmt", "Stringer"}, {"sort", "Interface"}, {"io", "Reader"}, {"io", "Writer"},
-	{"net/http", "Handler"}, {"encoding/json", "Marshaler"},
+// dynamicInterfaces are the standard interfaces a callee finds by a type
+// assertion on a value it took as an interface (fmt's Stringer and error,
+// json's Marshaler). A type converted to any interface reaches their
+// methods, and those of every interface the same load asserts to.
+var dynamicInterfaces = []struct{ pkg, name string }{
+	{"", "error"}, {"fmt", "Stringer"}, {"encoding/json", "Marshaler"},
 }
 
 // TestExportedNamesReached fails when an exported package-level function,
 // method, type or constant of the root module is referred to by no non-test
 // file of the module or of the benchmark: API only tests call. A method
-// also counts as reached when its receiver implements an interface that
-// declares it, one of the module's or error or one of stdInterfaces. The
-// two modules are loaded separately, so names match by package path,
-// receiver and name, and method signatures by their printed form.
+// also counts as reached when a non-test file converts its receiver to an
+// interface that declares it, or to any interface when the method is one
+// of dynamicInterfaces' or of an interface a non-test file of the same
+// load asserts to. The two modules are loaded separately, so names match by
+// package path, receiver and name.
 func TestExportedNamesReached(t *testing.T) {
 	root, err := packages.Load("../..", "./...")
 	if err != nil {
@@ -180,33 +184,19 @@ func TestExportedNamesReached(t *testing.T) {
 		t.Fatalf("loading benchmark: %v", err)
 	}
 	reached := map[string]bool{}
-	for _, pkg := range append(root, bench...) {
-		for _, obj := range pkg.TypesInfo.Uses {
-			if key := exportedKey(obj); key != "" {
+	for _, load := range [][]*packages.Package{root, bench} {
+		for _, pkg := range load {
+			for _, obj := range pkg.TypesInfo.Uses {
+				if key := exportedKey(obj); key != "" {
+					reached[key] = true
+				}
+			}
+		}
+		for _, m := range methodsThroughInterfaces(load) {
+			if key := exportedKey(m); key != "" {
 				reached[key] = true
 			}
 		}
-	}
-
-	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
-	imported := map[string]*types.Package{}
-	for _, pkg := range root {
-		for _, imp := range pkg.Types.Imports() {
-			imported[imp.Path()] = imp
-		}
-		scope := pkg.Types.Scope()
-		for _, name := range scope.Names() {
-			if tn, ok := scope.Lookup(name).(*types.TypeName); ok && types.IsInterface(tn.Type()) {
-				ifaces = append(ifaces, tn.Type().Underlying().(*types.Interface))
-			}
-		}
-	}
-	for _, s := range stdInterfaces {
-		p := imported[s.pkg]
-		if p == nil || p.Scope().Lookup(s.name) == nil {
-			t.Fatalf("no package of the module imports %s.%s; drop it from stdInterfaces", s.pkg, s.name)
-		}
-		ifaces = append(ifaces, p.Scope().Lookup(s.name).Type().Underlying().(*types.Interface))
 	}
 
 	var unreached []string
@@ -225,12 +215,9 @@ func TestExportedNamesReached(t *testing.T) {
 				continue
 			}
 			for i := 0; i < named.NumMethods(); i++ {
-				m := named.Method(i)
-				key := exportedKey(m)
-				if key == "" || reached[key] || implementsDeclaring(named, m.Name(), ifaces) {
-					continue
+				if key := exportedKey(named.Method(i)); key != "" && !reached[key] {
+					unreached = append(unreached, key)
 				}
-				unreached = append(unreached, key)
 			}
 		}
 	}
@@ -244,6 +231,176 @@ func TestExportedNamesReached(t *testing.T) {
 	for key := range stale {
 		t.Errorf("allowlisted %s is reached or gone; drop it from unreachedOK", key)
 	}
+}
+
+// methodsThroughInterfaces returns the methods that load's files reach
+// through an interface: those of each interface a concrete type is
+// converted to, and, for a type converted to any interface, those of each
+// dynamicInterfaces entry or asserted interface the type implements.
+func methodsThroughInterfaces(load []*packages.Package) []types.Object {
+	var convs []conversion
+	var dynamic []*types.Interface
+	imported := map[string]*types.Package{}
+	for _, pkg := range load {
+		for _, imp := range pkg.Types.Imports() {
+			imported[imp.Path()] = imp
+		}
+		c, asserted := conversions(pkg)
+		convs, dynamic = append(convs, c...), append(dynamic, asserted...)
+	}
+	for _, d := range dynamicInterfaces {
+		if d.pkg == "" {
+			dynamic = append(dynamic, types.Universe.Lookup(d.name).Type().Underlying().(*types.Interface))
+		} else if p := imported[d.pkg]; p != nil {
+			dynamic = append(dynamic, p.Scope().Lookup(d.name).Type().Underlying().(*types.Interface))
+		}
+	}
+	var methods []types.Object
+	for _, c := range convs {
+		targets := []*types.Interface{c.to}
+		for _, d := range dynamic {
+			if types.Implements(c.from, d) {
+				targets = append(targets, d)
+			}
+		}
+		mset := types.NewMethodSet(c.from)
+		for _, it := range targets {
+			for i := 0; i < it.NumMethods(); i++ {
+				if sel := mset.Lookup(it.Method(i).Pkg(), it.Method(i).Name()); sel != nil {
+					methods = append(methods, sel.Obj())
+				}
+			}
+		}
+	}
+	return methods
+}
+
+// A conversion is a concrete type converted to an interface.
+type conversion struct {
+	from types.Type
+	to   *types.Interface
+}
+
+// conversions returns each concrete type that pkg's files convert to an
+// interface, with that interface: in an assignment, a typed variable's
+// initial value, a call's argument, an explicit conversion, a return, a
+// composite literal's element or a channel send. It also returns the
+// interfaces the files assert to, in a type assertion or a type switch.
+func conversions(pkg *packages.Package) (convs []conversion, asserted []*types.Interface) {
+	info := pkg.TypesInfo
+	assert := func(e ast.Expr) {
+		if it, ok := info.TypeOf(e).Underlying().(*types.Interface); ok {
+			asserted = append(asserted, it)
+		}
+	}
+	conv := func(to types.Type, e ast.Expr) {
+		from := info.TypeOf(e)
+		if to == nil || from == nil || types.IsInterface(from) {
+			return
+		}
+		if _, tuple := from.(*types.Tuple); tuple {
+			return
+		}
+		if it, ok := to.Underlying().(*types.Interface); ok {
+			convs = append(convs, conversion{from, it})
+		}
+	}
+	var results *types.Tuple // the enclosing function's
+	var visit func(n ast.Node) bool
+	within := func(sig types.Type, body *ast.BlockStmt) {
+		outer := results
+		results = sig.(*types.Signature).Results()
+		ast.Inspect(body, visit)
+		results = outer
+	}
+	visit = func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			if n.Body != nil {
+				within(info.Defs[n.Name].Type(), n.Body)
+			}
+			return false
+		case *ast.FuncLit:
+			within(info.TypeOf(n), n.Body)
+			return false
+		case *ast.ReturnStmt:
+			if results != nil && len(n.Results) == results.Len() {
+				for i, e := range n.Results {
+					conv(results.At(i).Type(), e)
+				}
+			}
+		case *ast.AssignStmt:
+			if n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs) {
+				for i, e := range n.Rhs {
+					conv(info.TypeOf(n.Lhs[i]), e)
+				}
+			}
+		case *ast.ValueSpec:
+			for _, e := range n.Values {
+				conv(info.TypeOf(n.Type), e)
+			}
+		case *ast.TypeAssertExpr:
+			if n.Type != nil {
+				assert(n.Type)
+			}
+		case *ast.CaseClause:
+			for _, e := range n.List {
+				if tv := info.Types[e]; tv.IsType() {
+					assert(e)
+				}
+			}
+		case *ast.SendStmt:
+			if ch, ok := info.TypeOf(n.Chan).Underlying().(*types.Chan); ok {
+				conv(ch.Elem(), n.Value)
+			}
+		case *ast.CallExpr:
+			fn := info.Types[n.Fun]
+			sig, ok := fn.Type.Underlying().(*types.Signature)
+			switch {
+			case fn.IsType() && len(n.Args) == 1:
+				conv(fn.Type, n.Args[0])
+			case ok && !fn.IsBuiltin():
+				params, last := sig.Params(), sig.Params().Len()-1
+				for i, e := range n.Args {
+					if sig.Variadic() && i >= last && !n.Ellipsis.IsValid() {
+						conv(params.At(last).Type().(*types.Slice).Elem(), e)
+					} else if i <= last {
+						conv(params.At(i).Type(), e)
+					}
+				}
+			}
+		case *ast.CompositeLit:
+			var elem types.Type
+			switch lit := info.TypeOf(n).Underlying().(type) {
+			case *types.Struct:
+				for i, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						conv(info.Uses[kv.Key.(*ast.Ident)].Type(), kv.Value)
+					} else {
+						conv(lit.Field(i).Type(), e)
+					}
+				}
+				return true
+			case *types.Slice:
+				elem = lit.Elem()
+			case *types.Array:
+				elem = lit.Elem()
+			case *types.Map:
+				elem = lit.Elem()
+			}
+			for _, e := range n.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					e = kv.Value
+				}
+				conv(elem, e)
+			}
+		}
+		return true
+	}
+	for _, f := range pkg.Files {
+		ast.Inspect(f, visit)
+	}
+	return convs, asserted
 }
 
 // exportedKey names an exported package-level function, method, type or
@@ -278,41 +435,11 @@ func exportedKey(obj types.Object) string {
 	return ""
 }
 
-// implementsDeclaring reports whether *named implements one of ifaces that
-// declares a method called method. Signatures compare by the printed form
-// of their parameter and result types, since an interface and its
-// implementation may come from different loads.
-func implementsDeclaring(named *types.Named, method string, ifaces []*types.Interface) bool {
-	mset := types.NewMethodSet(types.NewPointer(named))
-	sig := func(fn *types.Func) string {
-		s := fn.Type().(*types.Signature)
-		str := fmt.Sprint(s.Variadic())
-		for _, tup := range []*types.Tuple{s.Params(), s.Results()} {
-			for i := 0; i < tup.Len(); i++ {
-				str += "," + types.TypeString(tup.At(i).Type(), (*types.Package).Path)
-			}
-			str += ";"
-		}
-		return str
-	}
-	for _, it := range ifaces {
-		declares, implements := false, true
-		for i := 0; i < it.NumMethods() && implements; i++ {
-			want := it.Method(i)
-			declares = declares || want.Name() == method
-			sel := mset.Lookup(named.Obj().Pkg(), want.Name())
-			implements = sel != nil && sig(sel.Obj().(*types.Func)) == sig(want)
-		}
-		if declares && implements {
-			return true
-		}
-	}
-	return false
-}
-
-// TestDocsNameExistingTests fails when README.md, DESIGN.md, EXPERIMENTS.md
-// or benchmark/README.md cites a Test or Fuzz function that no _test.go file
-// in the repository defines.
+// TestDocsNameExistingTests fails when README.md, DESIGN.md, EXPERIMENTS.md,
+// PAPER.md or benchmark/README.md cites a Test or Fuzz function that no
+// _test.go file in the repository defines, or when one of the top-level
+// documents, which describe the tree as it is, names an internal/ path that
+// does not exist (benchmark/README.md also names a planned package).
 func TestDocsNameExistingTests(t *testing.T) {
 	defined := map[string]bool{}
 	funcRe := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
@@ -336,7 +463,8 @@ func TestDocsNameExistingTests(t *testing.T) {
 		t.Fatal(err)
 	}
 	citeRe := regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z]\w*`)
-	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "benchmark/README.md"} {
+	pathRe := regexp.MustCompile(`\binternal/[\w/.-]*\w`)
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "PAPER.md", "benchmark/README.md"} {
 		src, err := os.ReadFile(filepath.Join("../..", doc))
 		if err != nil {
 			t.Fatal(err)
@@ -344,6 +472,14 @@ func TestDocsNameExistingTests(t *testing.T) {
 		for _, name := range citeRe.FindAllString(string(src), -1) {
 			if !defined[name] {
 				t.Errorf("%s cites %s, which no test file defines", doc, name)
+			}
+		}
+		if strings.Contains(doc, "/") {
+			continue
+		}
+		for _, path := range pathRe.FindAllString(string(src), -1) {
+			if _, err := os.Stat(filepath.Join("../..", path)); err != nil {
+				t.Errorf("%s names %s, which does not exist", doc, path)
 			}
 		}
 	}
@@ -358,5 +494,35 @@ func TestByName(t *testing.T) {
 	}
 	if lint.ByName("nosuch") != nil {
 		t.Error("ByName of an unknown analyzer should return nil")
+	}
+}
+
+// TestMethodsThroughInterfacesFixture pins the conversion rule on a
+// fixture: a method counts as reached through an interface the type is
+// returned, passed, assigned, stored or sent as, through an interface code
+// asserts to or names in a type switch, and through fmt's Stringer for a
+// type held as any interface. Shredder.Read, which only happens to satisfy
+// Device, and Quiet.String, whose type is never held as an interface, are
+// not reached.
+func TestMethodsThroughInterfacesFixture(t *testing.T) {
+	pkgs, err := packages.LoadDirs("../..", filepath.Join("testdata", "src", "reach"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, m := range methodsThroughInterfaces(pkgs) {
+		recv := m.Type().(*types.Signature).Recv().Type()
+		if p, ok := recv.(*types.Pointer); ok {
+			recv = p.Elem()
+		}
+		got = append(got, recv.(*types.Named).Obj().Name()+"."+m.Name())
+	}
+	slices.Sort(got)
+	got = slices.Compact(got)
+	want := []string{"Assigned.Write", "Controller.Read", "Controller.Write", "Counter.Read",
+		"Counter.Write", "Declared.Write", "Label.String", "Sent.Write", "Shredder.Close",
+		"Shredder.Set", "Shredder.String", "Shredder.Write"}
+	if !slices.Equal(got, want) {
+		t.Errorf("reached through interfaces %v, want %v", got, want)
 	}
 }

@@ -24,10 +24,11 @@ import (
 // Cache is one partition of the metadata cache (hash, address mapping,
 // inverted hash or FSM). Not safe for concurrent use.
 type Cache struct {
-	name string
-	sets [][]entry
-	ways int
-	tick uint64
+	name    string
+	entries []entry // set s holds entries[s*ways : (s+1)*ways]
+	nsets   uint64
+	ways    int
+	tick    uint64
 
 	hits       stats.Counter
 	misses     stats.Counter
@@ -54,21 +55,18 @@ func New(name string, capacityBytes, blockBytes, ways int) *Cache {
 			name, capacityBytes, blocks, ways))
 	}
 	nsets := blocks / ways
-	sets := make([][]entry, nsets)
-	for i := range sets {
-		sets[i] = make([]entry, ways)
-	}
-	return &Cache{name: name, sets: sets, ways: ways}
+	return &Cache{name: name, entries: make([]entry, nsets*ways), nsets: uint64(nsets), ways: ways}
 }
 
 // Name returns the partition name given at construction.
 func (c *Cache) Name() string { return c.name }
 
 // Blocks returns the total number of blocks the cache can hold.
-func (c *Cache) Blocks() int { return len(c.sets) * c.ways }
+func (c *Cache) Blocks() int { return len(c.entries) }
 
 func (c *Cache) set(block uint64) []entry {
-	return c.sets[block%uint64(len(c.sets))]
+	s := int(block%c.nsets) * c.ways
+	return c.entries[s : s+c.ways : s+c.ways]
 }
 
 // Lookup probes for block without modifying miss statistics side effects
@@ -215,12 +213,10 @@ func (c *Cache) Replay(probes []Probe, prefetch int, limit uint64) {
 // dirty, modelling a full metadata writeback (e.g. at power-down).
 func (c *Cache) FlushAll() []uint64 {
 	var dirty []uint64
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			if c.sets[s][i].valid && c.sets[s][i].dirty {
-				dirty = append(dirty, c.sets[s][i].block)
-				c.sets[s][i].dirty = false
-			}
+	for i := range c.entries {
+		if e := &c.entries[i]; e.valid && e.dirty {
+			dirty = append(dirty, e.block)
+			e.dirty = false
 		}
 	}
 	c.writebacks.Add(uint64(len(dirty)))
@@ -276,11 +272,9 @@ func (c *Cache) SampleEpoch(e *timeline.Epoch, _ units.Time) {
 // that never reached NVM.
 func (c *Cache) DirtyBlocks() []uint64 {
 	var dirty []uint64
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			if c.sets[s][i].valid && c.sets[s][i].dirty {
-				dirty = append(dirty, c.sets[s][i].block)
-			}
+	for _, e := range c.entries {
+		if e.valid && e.dirty {
+			dirty = append(dirty, e.block)
 		}
 	}
 	sort.Slice(dirty, func(i, j int) bool { return dirty[i] < dirty[j] })

@@ -368,3 +368,14 @@ func TestLookupFillReplayAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestNewAllocations pins construction at two allocations, the Cache and
+// one slice holding every set's ways, whatever the set count: a slice per
+// set made building a DeWrite memory cost one malloc per set.
+func TestNewAllocations(t *testing.T) {
+	for _, sets := range []int{1, 64, 1024} {
+		if avg := testing.AllocsPerRun(20, func() { New("a", sets*8*256, 256, 8) }); avg != 2 {
+			t.Errorf("New with %d sets: %.0f allocs, want 2", sets, avg)
+		}
+	}
+}

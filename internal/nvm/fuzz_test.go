@@ -26,7 +26,7 @@ func FuzzLoadContents(f *testing.F) {
 		for j := range line {
 			line[j] = byte(i + 1)
 		}
-		d1.Write(0, i, line[:])
+		demandWrite(d1, 0, i, line[:])
 	}
 	var v1 bytes.Buffer
 	if err := d1.SaveContents(&v1); err != nil {

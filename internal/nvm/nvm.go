@@ -48,7 +48,7 @@ type Device struct {
 	// line-count histogram over the data region (addresses below wearBound;
 	// 0 = whole device). The histogram is built lazily on the first
 	// SampleEpoch — runs that never sample pay nothing — then kept current
-	// by Write; LoadContents invalidates it.
+	// by writes; LoadContents invalidates it.
 	bankWear  []uint64
 	wearHist  map[uint64]uint64
 	wearBound uint64
@@ -147,19 +147,12 @@ func (d *Device) checkAddr(lineAddr uint64) {
 	}
 }
 
-// Read performs a timed read of one line: a fast row-buffer hit when the
+// ReadInto performs a timed read of one line: a fast row-buffer hit when the
 // bank's open row matches, otherwise a full array access that opens the row.
-// It returns a copy of the line contents (zero line if never written) and
-// the completion time.
-func (d *Device) Read(now units.Time, lineAddr uint64) ([]byte, units.Time) {
-	out := make([]byte, config.LineSize)
-	return out, d.readInto(now, lineAddr, true, out)
-}
-
-// ReadInto is Read without the per-call allocation: the line contents are
-// copied into dst (which must hold LineSize bytes), or discarded when dst is
-// nil — the timing-only form metadata fills use, where the functional
-// contents live elsewhere. It returns the completion time.
+// The line contents (a zero line if never written) are copied into dst,
+// which must hold LineSize bytes, or discarded when dst is nil — the
+// timing-only form metadata fills use, where the functional contents live
+// elsewhere. It returns the completion time.
 func (d *Device) ReadInto(now units.Time, lineAddr uint64, dst []byte) units.Time {
 	return d.readInto(now, lineAddr, true, dst)
 }
@@ -229,22 +222,16 @@ func (d *Device) readInto(now units.Time, lineAddr uint64, open bool, dst []byte
 	return done
 }
 
-// Write performs a timed array write of one line and returns the completion
-// time. The device records the number of bits that actually flipped relative
-// to the previous contents, which the bit-level write-reduction experiments
-// consume. With the fault layer armed, a write that the degradation ladder
-// cannot place fails silently here — callers that can relocate data should
-// use WriteChecked instead. Provenance-wise the write is a demand write;
-// callers writing for another reason use WriteTagged.
-func (d *Device) Write(now units.Time, lineAddr uint64, data []byte) units.Time {
-	done, _ := d.writeChecked(now, lineAddr, data, attr.CauseDemand)
-	return done
-}
-
-// WriteTagged is Write with the provenance cause made explicit: metadata
-// writebacks, unique-line placements, wear-leveling moves and the like tag
-// their array writes so the attribution ledger can decompose the device's
-// write total by cause. Without an attached recorder the tag is inert.
+// WriteTagged performs a timed array write of one line and returns the
+// completion time. The device records the number of bits that actually
+// flipped relative to the previous contents, which the bit-level
+// write-reduction experiments consume. With the fault layer armed, a write
+// that the degradation ladder cannot place fails silently here — callers
+// that can relocate data use WriteChecked instead. cause is the write's
+// provenance: demand writes, metadata writebacks, unique-line placements,
+// wear-leveling moves and the like tag their array writes so the
+// attribution ledger can decompose the device's write total by cause.
+// Without an attached recorder the tag is inert.
 func (d *Device) WriteTagged(now units.Time, lineAddr uint64, data []byte, cause attr.Cause) units.Time {
 	done, _ := d.writeChecked(now, lineAddr, data, cause)
 	return done
@@ -392,7 +379,7 @@ func (d *Device) SetAttr(rec *attr.Recorder) {
 // writebacks don't pollute the data-wear comparison. The schemes call this
 // from their own SampleEpoch with their layout's data bound.
 //
-// Both views are maintained incrementally by Write, so sampling costs
+// Both views are maintained incrementally by writes, so sampling costs
 // O(banks + distinct wear values), not O(touched lines); only the first
 // call (or a change of dataLines, which never happens within a run) pays
 // one full scan to seed the histogram.

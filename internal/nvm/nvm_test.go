@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dewrite/internal/attr"
 	"dewrite/internal/config"
 	"dewrite/internal/rng"
 	"dewrite/internal/timeline"
@@ -22,7 +23,7 @@ func testDevice() *Device {
 
 func TestReadUnwrittenIsZero(t *testing.T) {
 	d := testDevice()
-	data, done := d.Read(0, 5)
+	data, done := readLine(d, 0, 5)
 	if done != units.Time(75*units.Nanosecond) {
 		t.Fatalf("done = %v, want 75ns", done)
 	}
@@ -37,11 +38,11 @@ func TestWriteThenRead(t *testing.T) {
 	d := testDevice()
 	line := make([]byte, config.LineSize)
 	rng.New(1).Fill(line)
-	done := d.Write(0, 9, line)
+	done := demandWrite(d, 0, 9, line)
 	if done != units.Time(300*units.Nanosecond) {
 		t.Fatalf("write done = %v, want 300ns", done)
 	}
-	got, _ := d.Read(done, 9)
+	got, _ := readLine(d, done, 9)
 	if !bytes.Equal(got, line) {
 		t.Fatal("read does not return written data")
 	}
@@ -51,7 +52,7 @@ func TestReadReturnsCopy(t *testing.T) {
 	d := testDevice()
 	line := bytes.Repeat([]byte{0xaa}, config.LineSize)
 	d.Poke(3, line)
-	got, _ := d.Read(0, 3)
+	got, _ := readLine(d, 0, 3)
 	got[0] = 0x55
 	again := d.Peek(3)
 	if again[0] != 0xaa {
@@ -62,7 +63,7 @@ func TestReadReturnsCopy(t *testing.T) {
 func TestWriteCopiesInput(t *testing.T) {
 	d := testDevice()
 	line := make([]byte, config.LineSize)
-	d.Write(0, 4, line)
+	demandWrite(d, 0, 4, line)
 	line[0] = 0xff
 	if d.Peek(4)[0] != 0 {
 		t.Fatal("Write aliased caller's buffer")
@@ -75,14 +76,14 @@ func TestBankBlocking(t *testing.T) {
 
 	// Two writes to the same row (lines 0 and 1 with 16-line rows) share a
 	// bank and serialize.
-	d.Write(0, 0, line)
-	done := d.Write(0, 1, line)
+	demandWrite(d, 0, 0, line)
+	done := demandWrite(d, 0, 1, line)
 	if done != units.Time(600*units.Nanosecond) {
 		t.Fatalf("second same-row write done = %v, want 600ns", done)
 	}
 
 	// A write to the next row lands on a different bank and does not wait.
-	done2 := d.Write(0, 16, line)
+	done2 := demandWrite(d, 0, 16, line)
 	if done2 != units.Time(300*units.Nanosecond) {
 		t.Fatalf("different-bank write done = %v, want 300ns", done2)
 	}
@@ -93,10 +94,10 @@ func TestReadBlockedByWrite(t *testing.T) {
 	// bank waits the full write latency.
 	d := testDevice()
 	line := make([]byte, config.LineSize)
-	d.Write(0, 0, line)
+	demandWrite(d, 0, 0, line)
 	// The write leaves its row open, so the blocked read is a row hit:
 	// 300 ns wait + 15 ns buffer read.
-	_, done := d.Read(0, 0)
+	_, done := readLine(d, 0, 0)
 	if done != units.Time(315*units.Nanosecond) {
 		t.Fatalf("read behind write done = %v, want 315ns", done)
 	}
@@ -113,9 +114,9 @@ func TestWearTracking(t *testing.T) {
 	d := testDevice()
 	line := make([]byte, config.LineSize)
 	for i := 0; i < 5; i++ {
-		d.Write(0, 7, line)
+		demandWrite(d, 0, 7, line)
 	}
-	d.Write(0, 8, line)
+	demandWrite(d, 0, 8, line)
 	if d.WearOf(7) != 5 || d.WearOf(8) != 1 {
 		t.Fatalf("wear = %d/%d", d.WearOf(7), d.WearOf(8))
 	}
@@ -170,7 +171,7 @@ func TestBitsFlippedMatchesByteOracle(t *testing.T) {
 			old = zero
 		}
 		want += uint64(byteFlips(old, line))
-		d.Write(0, addr, line)
+		demandWrite(d, 0, addr, line)
 		stored[addr] = append([]byte(nil), line...)
 		if got := d.Stats().BitsFlipped; got != want {
 			t.Fatalf("line %d: BitsFlipped = %d, oracle %d", addr, got, want)
@@ -210,7 +211,7 @@ func TestWriteAllocations(t *testing.T) {
 	step := func() {
 		var line [config.LineSize]byte
 		line[i%config.LineSize] = byte(i)
-		now = d.Write(now, i%64, line[:])
+		now = demandWrite(d, now, i%64, line[:])
 		now = d.ReadBypassInto(now, i%64, line[:])
 		i++
 	}
@@ -234,13 +235,13 @@ func TestBitFlipAccounting(t *testing.T) {
 	d := testDevice()
 	line := make([]byte, config.LineSize)
 	line[0] = 0x0f // 4 bits set
-	d.Write(0, 1, line)
+	demandWrite(d, 0, 1, line)
 	st := d.Stats()
 	if st.BitsFlipped != 4 {
 		t.Fatalf("BitsFlipped = %d, want 4 (first write vs zero)", st.BitsFlipped)
 	}
 	line[0] = 0x03 // flips 2 bits relative to 0x0f
-	d.Write(0, 1, line)
+	demandWrite(d, 0, 1, line)
 	st = d.Stats()
 	if st.BitsFlipped != 6 {
 		t.Fatalf("BitsFlipped = %d, want 6", st.BitsFlipped)
@@ -254,9 +255,9 @@ func TestEnergyAccounting(t *testing.T) {
 	d := testDevice()
 	e := config.DefaultEnergy()
 	line := make([]byte, config.LineSize)
-	d.Write(0, 0, line)
-	d.Read(0, 0)  // row hit: the write opened the row
-	d.Read(0, 20) // different row: array read
+	demandWrite(d, 0, 0, line)
+	readLine(d, 0, 0)  // row hit: the write opened the row
+	readLine(d, 0, 20) // different row: array read
 	want := e.NVMWriteLine + e.RowHitRead + e.NVMReadLine
 	if got := d.Stats().EnergyPJ; got != want {
 		t.Fatalf("EnergyPJ = %v, want %v", got, want)
@@ -274,7 +275,7 @@ func TestOutOfRangePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	d.Read(0, testLines)
+	readLine(d, 0, testLines)
 }
 
 func TestShortWritePanics(t *testing.T) {
@@ -284,7 +285,7 @@ func TestShortWritePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	d.Write(0, 0, make([]byte, 10))
+	demandWrite(d, 0, 0, make([]byte, 10))
 }
 
 func TestReadYourWritesProperty(t *testing.T) {
@@ -296,10 +297,10 @@ func TestReadYourWritesProperty(t *testing.T) {
 		addr := uint64(addrRaw) % testLines
 		line := bytes.Repeat([]byte{fill}, config.LineSize)
 		if src.Bool(0.5) {
-			now = d.Write(now, addr, line)
+			now = demandWrite(d, now, addr, line)
 			shadow[addr] = line
 		}
-		got, done := d.Read(now, addr)
+		got, done := readLine(d, now, addr)
 		now = done
 		want, ok := shadow[addr]
 		if !ok {
@@ -321,9 +322,9 @@ func TestTimeMonotoneProperty(t *testing.T) {
 		addr := src.Uint64n(testLines)
 		var done units.Time
 		if src.Bool(0.3) {
-			done = d.Write(now, addr, line)
+			done = demandWrite(d, now, addr, line)
 		} else {
-			_, done = d.Read(now, addr)
+			_, done = readLine(d, now, addr)
 		}
 		if done < now {
 			t.Fatalf("completion %v before issue %v", done, now)
@@ -340,7 +341,7 @@ func BenchmarkDeviceWrite(b *testing.B) {
 	rng.New(1).Fill(line)
 	var now units.Time
 	for i := 0; i < b.N; i++ {
-		now = d.Write(now, uint64(i)%geom.Lines(), line)
+		now = demandWrite(d, now, uint64(i)%geom.Lines(), line)
 	}
 }
 
@@ -351,8 +352,8 @@ func TestChannelBusSerializesTransfers(t *testing.T) {
 
 	// Two reads to different banks: array accesses overlap, but the single
 	// channel serializes the two 16 ns bursts.
-	_, done1 := d.Read(0, 0)
-	_, done2 := d.Read(0, 16)
+	_, done1 := readLine(d, 0, 0)
+	_, done2 := readLine(d, 0, 16)
 	if done1 != units.Time(91*units.Nanosecond) {
 		t.Fatalf("first read done = %v, want 91ns (75 array + 16 bus)", done1)
 	}
@@ -363,7 +364,7 @@ func TestChannelBusSerializesTransfers(t *testing.T) {
 
 func TestChannelBusDisabledByDefault(t *testing.T) {
 	d := testDevice()
-	_, done := d.Read(0, 0)
+	_, done := readLine(d, 0, 0)
 	if done != units.Time(75*units.Nanosecond) {
 		t.Fatalf("read done = %v, want 75ns with bus modelling off", done)
 	}
@@ -374,7 +375,7 @@ func TestChannelBusWriteTransfersBeforeProgram(t *testing.T) {
 	geom.Channels = 1
 	d := New(geom, config.DefaultTiming(), config.DefaultEnergy())
 	line := make([]byte, config.LineSize)
-	done := d.Write(0, 0, line)
+	done := demandWrite(d, 0, 0, line)
 	if done != units.Time(316*units.Nanosecond) {
 		t.Fatalf("write done = %v, want 316ns (16 bus + 300 program)", done)
 	}
@@ -385,12 +386,12 @@ func TestClosePagePolicyNeverHits(t *testing.T) {
 	geom.ClosePage = true
 	d := New(geom, config.DefaultTiming(), config.DefaultEnergy())
 	line := make([]byte, config.LineSize)
-	now := d.Write(0, 0, line)
-	_, done := d.Read(now, 0) // same row, but the page was closed
+	now := demandWrite(d, 0, 0, line)
+	_, done := readLine(d, now, 0) // same row, but the page was closed
 	if done.Sub(now) != 75*units.Nanosecond {
 		t.Fatalf("closed-page read latency = %v, want full 75ns", done.Sub(now))
 	}
-	d.Read(done, 0)
+	readLine(d, done, 0)
 	if d.Stats().RowHits != 0 {
 		t.Fatalf("row hits = %d under closed-page policy", d.Stats().RowHits)
 	}
@@ -430,7 +431,7 @@ func TestSampleEpochMatchesBruteForce(t *testing.T) {
 			if i%3 == 0 {
 				addr = dataBound + r.Uint64()%20
 			}
-			d.Write(0, addr, line)
+			demandWrite(d, 0, addr, line)
 		}
 	}
 	check := func(stage string) {
@@ -474,7 +475,7 @@ func TestSampleEpochMatchesBruteForce(t *testing.T) {
 	// And the restored device keeps maintaining correctly.
 	for i := 0; i < 50; i++ {
 		r.Fill(line)
-		d2.Write(0, r.Uint64()%30, line)
+		demandWrite(d2, 0, r.Uint64()%30, line)
 	}
 	var e2 timeline.Epoch
 	d2.SampleEpoch(&e2, 0, dataBound)
@@ -486,4 +487,15 @@ func TestSampleEpochMatchesBruteForce(t *testing.T) {
 	if e2.WearMax != wMax2 || math.Abs(e2.WearMean-wMean2) > 1e-9 {
 		t.Fatalf("restored+written: (%d %v), want (%d %v)", e2.WearMax, e2.WearMean, wMax2, wMean2)
 	}
+}
+
+// demandWrite is a demand write and readLine a read into a fresh line: the
+// forms the tests drive the device with.
+func demandWrite(d *Device, now units.Time, addr uint64, data []byte) units.Time {
+	return d.WriteTagged(now, addr, data, attr.CauseDemand)
+}
+
+func readLine(d *Device, now units.Time, addr uint64) ([]byte, units.Time) {
+	out := make([]byte, config.LineSize)
+	return out, d.ReadInto(now, addr, out)
 }

@@ -113,23 +113,34 @@ func (s *Source) Bool(p float64) bool {
 	return s.Float64() < p
 }
 
-// Geometric returns a sample from the geometric distribution with success
-// probability p, i.e. the number of failures before the first success.
-// It is used for inter-arrival gaps such as "instructions between memory
-// operations". p must be in (0, 1].
-func (s *Source) Geometric(p float64) uint64 {
-	if p >= 1 {
-		return 0
-	}
+// Geometric is the geometric distribution with success probability p: the
+// number of failures before the first success. It is used for
+// inter-arrival gaps such as "instructions between memory operations", and
+// holds log(1-p) so a draw computes one logarithm, not two.
+type Geometric struct {
+	logQ    float64 // log(1-p)
+	certain bool    // p >= 1: every draw is 0 and takes no random number
+}
+
+// NewGeometric returns the distribution for p, which must be in (0, 1].
+func NewGeometric(p float64) Geometric {
 	if p <= 0 {
 		panic("rng: Geometric with p <= 0")
+	}
+	return Geometric{logQ: math.Log(1 - p), certain: p >= 1}
+}
+
+// Draw returns one sample, taking one Float64 from s unless p is 1.
+func (g Geometric) Draw(s *Source) uint64 {
+	if g.certain {
+		return 0
 	}
 	u := s.Float64()
 	// Avoid log(0).
 	if u == 0 {
 		u = math.SmallestNonzeroFloat64
 	}
-	return uint64(math.Log(u) / math.Log(1-p))
+	return uint64(math.Log(u) / g.logQ)
 }
 
 // Fill fills b with pseudo-random bytes.

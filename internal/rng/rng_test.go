@@ -111,17 +111,53 @@ func TestBoolProbability(t *testing.T) {
 func TestGeometricMean(t *testing.T) {
 	s := New(17)
 	const p, draws = 0.25, 200000
+	g := NewGeometric(p)
 	var sum float64
 	for i := 0; i < draws; i++ {
-		sum += float64(s.Geometric(p))
+		sum += float64(g.Draw(s))
 	}
 	mean := sum / draws
 	want := (1 - p) / p // mean of failures-before-success geometric
 	if math.Abs(mean-want) > want*0.05 {
 		t.Fatalf("Geometric(%v) mean = %v, want ~%v", p, mean, want)
 	}
-	if s.Geometric(1) != 0 {
+	if NewGeometric(1).Draw(s) != 0 {
 		t.Fatal("Geometric(1) != 0")
+	}
+}
+
+// geometricPerCall is the per-call form Geometric replaced, which computed
+// log(1-p) on every draw.
+func geometricPerCall(s *Source, p float64) uint64 {
+	if p >= 1 {
+		return 0
+	}
+	u := s.Float64()
+	if u == 0 {
+		u = math.SmallestNonzeroFloat64
+	}
+	return uint64(math.Log(u) / math.Log(1-p))
+}
+
+// TestGeometricMatchesPerCallForm: holding log(1-p) changes no draw. A
+// million draws at a gap probability the profiles use (MemGap 25), and
+// fewer near the ends of (0, 1], equal the per-call form's from an equal
+// source, and both sources stay in step (p = 1 takes no random number).
+func TestGeometricMatchesPerCallForm(t *testing.T) {
+	for _, tc := range []struct {
+		p     float64
+		draws int
+	}{{1.0 / 26, 1_000_000}, {1e-6, 100_000}, {0.999, 100_000}, {1, 1000}} {
+		a, b := New(23), New(23)
+		g := NewGeometric(tc.p)
+		for i := 0; i < tc.draws; i++ {
+			if got, want := g.Draw(a), geometricPerCall(b, tc.p); got != want {
+				t.Fatalf("p=%v draw %d: %d, per-call form %d", tc.p, i, got, want)
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("p=%v: sources out of step after %d draws", tc.p, tc.draws)
+		}
 	}
 }
 

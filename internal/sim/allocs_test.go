@@ -3,6 +3,9 @@ package sim
 import (
 	"runtime"
 	"testing"
+
+	"dewrite/internal/config"
+	"dewrite/internal/workload"
 )
 
 // TestRunAllocationsPerRequest pins the harness's request step at zero
@@ -42,4 +45,18 @@ func mallocs(f func()) uint64 {
 	f()
 	runtime.ReadMemStats(&after)
 	return after.Mallocs - before.Mallocs
+}
+
+// TestNewMemoryAllocations bounds building a DeWrite memory at the
+// benchmark's geometry: its four metadata-cache partitions each hold their
+// ways in one slice, so the count does not grow with their set counts.
+func TestNewMemoryAllocations(t *testing.T) {
+	prof, _ := workload.ByName("lbm")
+	cfg := config.Default()
+	got := min(mallocs(func() { NewMemory(SchemeDeWrite, prof.WorkingSetLines, cfg) }),
+		mallocs(func() { NewMemory(SchemeDeWrite, prof.WorkingSetLines, cfg) }))
+	if got > 20 {
+		t.Errorf("NewMemory(DeWrite) made %d mallocs, want at most 20", got)
+	}
+	t.Logf("NewMemory(DeWrite): %d mallocs", got)
 }

@@ -210,15 +210,6 @@ func (l *Latency) P95() units.Duration { return l.Percentile(0.95) }
 // P99 returns the 99th-percentile observation.
 func (l *Latency) P99() units.Duration { return l.Percentile(0.99) }
 
-// String summarizes the aggregate for reports.
-func (l *Latency) String() string {
-	if l.count == 0 {
-		return "n=0"
-	}
-	return fmt.Sprintf("n=%d mean=%v min=%v max=%v p50=%v p95=%v p99=%v",
-		l.count, l.Mean(), l.min, l.max, l.P50(), l.P95(), l.P99())
-}
-
 // Histogram counts occurrences of integer-valued observations. It is sparse:
 // only observed values consume memory, so it works for both small enums
 // (reference counts) and wide domains (wear per line).

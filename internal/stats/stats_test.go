@@ -48,9 +48,6 @@ func TestLatency(t *testing.T) {
 	if l.Sum() != 60*units.Nanosecond {
 		t.Fatalf("Sum = %v", l.Sum())
 	}
-	if !strings.Contains(l.String(), "n=3") {
-		t.Fatalf("String = %q", l.String())
-	}
 }
 
 func TestLatencyMinTracksFirstObservation(t *testing.T) {

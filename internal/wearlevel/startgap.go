@@ -14,23 +14,16 @@ package wearlevel
 import (
 	"fmt"
 
-	"dewrite/internal/attr"
+	"dewrite/internal/config"
 	"dewrite/internal/stats"
 	"dewrite/internal/units"
 )
 
-// Device is the line-addressable memory Start-Gap sits on; *nvm.Device
-// satisfies it.
+// Device is the line-addressable memory Start-Gap sits on;
+// *baseline.SecureNVM satisfies it. ReadInto copies one line into dst.
 type Device interface {
-	Read(now units.Time, lineAddr uint64) ([]byte, units.Time)
+	ReadInto(now units.Time, lineAddr uint64, dst []byte) units.Time
 	Write(now units.Time, lineAddr uint64, data []byte) units.Time
-}
-
-// taggedWriter is the optional cause-tagging extension of Device that
-// *nvm.Device provides; gap-movement copies use it when available so the
-// attribution ledger books them as wear-leveling writes, not demand writes.
-type taggedWriter interface {
-	WriteTagged(now units.Time, lineAddr uint64, data []byte, cause attr.Cause) units.Time
 }
 
 // StartGap remaps a region of n logical lines onto n+1 physical slots
@@ -49,6 +42,8 @@ type StartGap struct {
 	moves     stats.Counter
 	rotations stats.Counter
 	writes    stats.Counter
+
+	line [config.LineSize]byte // scratch: the line a gap move copies
 }
 
 // New returns a Start-Gap layer over dev for n logical lines at physical
@@ -89,16 +84,10 @@ func (s *StartGap) Physical(la uint64) uint64 {
 	return s.base + (s.gap+1+j)%s.m
 }
 
-// Read returns the line's contents and the completion time.
-func (s *StartGap) Read(now units.Time, la uint64) ([]byte, units.Time) {
-	return s.dev.Read(now, s.Physical(la))
-}
-
-// ReadInto is Read with the line copied into dst, which must hold one line.
+// ReadInto copies logical line la into dst, which must hold one line, and
+// returns the completion time.
 func (s *StartGap) ReadInto(now units.Time, la uint64, dst []byte) units.Time {
-	line, done := s.Read(now, la)
-	copy(dst, line)
-	return done
+	return s.dev.ReadInto(now, s.Physical(la), dst)
 }
 
 // Write stores the line and advances the wear-leveling schedule: every psi
@@ -119,12 +108,8 @@ func (s *StartGap) Write(now units.Time, la uint64, data []byte) units.Time {
 // Every m moves the whole region has rotated forward by one slot.
 func (s *StartGap) moveGap(now units.Time) units.Time {
 	src := (s.gap + s.m - 1) % s.m
-	line, t := s.dev.Read(now, s.base+src)
-	if tw, ok := s.dev.(taggedWriter); ok {
-		t = tw.WriteTagged(t, s.base+s.gap, line, attr.CauseWearLevel)
-	} else {
-		t = s.dev.Write(t, s.base+s.gap, line)
-	}
+	t := s.dev.ReadInto(now, s.base+src, s.line[:])
+	t = s.dev.Write(t, s.base+s.gap, s.line[:])
 	s.gap = src
 	s.ringK = (s.ringK + s.n - 1) % s.n
 	s.moves.Inc()

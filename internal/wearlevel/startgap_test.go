@@ -4,8 +4,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dewrite/internal/baseline"
 	"dewrite/internal/config"
-	"dewrite/internal/nvm"
 	"dewrite/internal/rng"
 	"dewrite/internal/units"
 )
@@ -18,10 +18,10 @@ type modelDevice struct {
 
 func newModelDevice() *modelDevice { return &modelDevice{slots: map[uint64][]byte{}} }
 
-func (d *modelDevice) Read(now units.Time, a uint64) ([]byte, units.Time) {
-	out := make([]byte, config.LineSize)
-	copy(out, d.slots[a])
-	return out, now
+func (d *modelDevice) ReadInto(now units.Time, a uint64, dst []byte) units.Time {
+	clear(dst)
+	copy(dst, d.slots[a])
+	return now
 }
 
 func (d *modelDevice) Write(now units.Time, a uint64, data []byte) units.Time {
@@ -63,6 +63,7 @@ func TestReadYourWritesAcrossManyRotations(t *testing.T) {
 	shadow := map[uint64]byte{}
 	src := rng.New(9)
 	var now units.Time
+	got := make([]byte, config.LineSize)
 	for i := 0; i < 500; i++ {
 		la := src.Uint64n(5)
 		tag := byte(src.Uint64())
@@ -71,8 +72,7 @@ func TestReadYourWritesAcrossManyRotations(t *testing.T) {
 		// Verify every written line after every single write (the gap moves
 		// each time, so this exercises the copy path hard).
 		for l, want := range shadow {
-			got, done := sg.Read(now, l)
-			now = done
+			now = sg.ReadInto(now, l, got)
 			if got[0] != want {
 				t.Fatalf("write %d: logical %d reads %d, want %d", i, l, got[0], want)
 			}
@@ -106,10 +106,10 @@ func TestPsiControlsOverhead(t *testing.T) {
 func TestHotLineWearSpreadsAcrossSlots(t *testing.T) {
 	// A single hot logical line hammered forever must, thanks to rotation,
 	// spread its writes over every physical slot.
-	geom := config.SmallNVM(64 * 1024)
-	dev := nvm.New(geom, config.DefaultTiming(), config.DefaultEnergy())
 	const n = 8
-	sg := New(dev, 0, n, 4)
+	mem := baseline.NewSecureNVM(n+1, config.Default())
+	dev := mem.Device()
+	sg := New(mem, 0, n, 4)
 	var now units.Time
 	line := lineFor(0xab)
 	for i := 0; i < 4000; i++ {
@@ -207,4 +207,31 @@ func TestPhysicalBoundsPanic(t *testing.T) {
 		}
 	}()
 	sg.Physical(4)
+}
+
+// TestReadIntoWriteAllocations pins reads and writes through Start-Gap,
+// gap moves included, at zero allocations over SecureNVM, as abl-wear
+// stacks them, once every slot has been written: a read lands in the
+// caller's line and a gap move copies through the layer's own scratch line.
+func TestReadIntoWriteAllocations(t *testing.T) {
+	const n = 8
+	sg := New(baseline.NewSecureNVM(n+1, config.Default()), 0, n, 1) // psi=1: every write moves the gap
+	line, got := lineFor(1), make([]byte, config.LineSize)
+	var now units.Time
+	for i := 0; i < 4*(n+1); i++ {
+		now = sg.Write(now, uint64(i)%n, line)
+	}
+	var la uint64
+	avg := testing.AllocsPerRun(200, func() {
+		line[0]++
+		now = sg.Write(now, la%n, line)
+		now = sg.ReadInto(now, la%n, got)
+		la++
+	})
+	if avg != 0 {
+		t.Errorf("Write+ReadInto: %.2f allocs/op, want 0", avg)
+	}
+	if got[0] != line[0] {
+		t.Errorf("read %d, want %d", got[0], line[0])
+	}
 }

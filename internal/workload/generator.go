@@ -40,6 +40,7 @@ func (b *lineBlocks) copyLine(l *lineBuf) []byte {
 type Generator struct {
 	prof Profile
 	src  *rng.Source
+	gap  rng.Geometric // instructions between memory operations
 
 	// shadow holds the live plaintext of every logical line, built in place
 	// by each write; live marks the lines ever written. Both are allocated
@@ -82,6 +83,7 @@ func NewGenerator(p Profile, seed uint64) *Generator {
 	g := &Generator{
 		prof: p,
 		src:  rng.New(seed),
+		gap:  rng.NewGeometric(1 / (1 + max(p.MemGap, 0))),
 	}
 	// Isolated glitches: single writes that deviate from the current
 	// duplication state without ending the run (e.g. one unique line in the
@@ -190,7 +192,7 @@ func (g *Generator) SetRecycle(on bool) { g.recycle = on }
 func (g *Generator) Next() trace.Request {
 	thread := int(g.seq % uint64(g.prof.Threads))
 	g.seq++
-	gap := g.gap()
+	gap := g.gap.Draw(g.src)
 
 	if len(g.written) == 0 || g.src.Bool(g.prof.WriteFrac) {
 		return g.nextWrite(thread, gap)
@@ -213,13 +215,6 @@ func (g *Generator) Next() trace.Request {
 		Thread: thread,
 		Gap:    gap,
 	}
-}
-
-func (g *Generator) gap() uint64 {
-	if g.prof.MemGap <= 0 {
-		return 0
-	}
-	return g.src.Geometric(1 / (1 + g.prof.MemGap))
 }
 
 func (g *Generator) nextWrite(thread int, gap uint64) trace.Request {
