@@ -51,8 +51,8 @@ const (
 	// the result and the stored contents never change.
 	CauseVerify
 	// CauseWearLevel is a Start-Gap rotation write: the gap-move copy that
-	// spreads wear across the region. Start-Gap runs only over SecureNVM,
-	// which books every write it takes as demand, so this counter stays
+	// spreads wear across the region. Start-Gap's only program use,
+	// abl-wear, attaches no recorder, so no report shows this counter above
 	// zero today; the cause keeps its slot and name in reports.
 	CauseWearLevel
 	// CauseRemap is a relocation write: the device programming a line into

@@ -177,6 +177,13 @@ func (s *SecureNVM) counterAccess(now units.Time, logical uint64, write bool) un
 // counter must be bumped first), so AES sits on the write critical path —
 // exactly the cost structure DeWrite's elimination avoids.
 func (s *SecureNVM) Write(now units.Time, logical uint64, data []byte) units.Time {
+	return s.WriteTagged(now, logical, data, attr.CauseDemand)
+}
+
+// WriteTagged is Write with the array write's provenance cause made
+// explicit: a layer stacked on the baseline (Start-Gap's gap moves) books
+// its own writes under their own cause in the attribution ledger.
+func (s *SecureNVM) WriteTagged(now units.Time, logical uint64, data []byte, cause attr.Cause) units.Time {
 	if len(data) != config.LineSize {
 		panic(fmt.Sprintf("baseline: line of %d bytes", len(data)))
 	}
@@ -192,7 +199,7 @@ func (s *SecureNVM) Write(now units.Time, logical uint64, data []byte) units.Tim
 
 	ct := s.ctScratch[:]
 	s.enc.EncryptLine(ct, data, logical, counter)
-	done, ok := s.dev.WriteChecked(encDone, logical, ct)
+	done, ok := s.dev.WriteCheckedTagged(encDone, logical, ct, cause)
 	if ok {
 		if len(s.poisoned) != 0 {
 			delete(s.poisoned, logical)
@@ -221,9 +228,11 @@ func (s *SecureNVM) Read(now units.Time, logical uint64) ([]byte, units.Time) {
 }
 
 // ReadInto is Read without the per-call allocation: the plaintext is
-// decrypted into dst, which must hold one line.
+// decrypted into dst, which must hold one line. A nil dst is a timing-only
+// read: timing, counters, energy and fault draws are as for a line, but the
+// ciphertext is not copied out of the device and nothing is decrypted.
 func (s *SecureNVM) ReadInto(now units.Time, logical uint64, dst []byte) units.Time {
-	if len(dst) != config.LineSize {
+	if dst != nil && len(dst) != config.LineSize {
 		panic(fmt.Sprintf("baseline: read into %d bytes", len(dst)))
 	}
 	s.checkAddr(logical)
@@ -237,7 +246,10 @@ func (s *SecureNVM) ReadInto(now units.Time, logical uint64, dst []byte) units.T
 		s.readLat.Observe(ctrDone.Sub(now))
 		return ctrDone
 	}
-	ct := s.lineScratch[:]
+	var ct []byte // nil: a timing-only read copies nothing out
+	if dst != nil {
+		ct = s.lineScratch[:]
+	}
 	readDone := s.dev.ReadInto(ctrDone, logical, ct)
 	otpDone := ctrDone.Add(s.cfg.Timing.AESLine)
 	s.rec.Phase(attr.PhaseEncrypt, ctrDone, otpDone)

@@ -66,10 +66,11 @@ func (sh *Shredder) Write(now units.Time, logical uint64, data []byte) units.Tim
 
 // ReadInto copies the plaintext of a line into dst, which must hold one
 // line: zeros for a shredded line, with only a counter-cache access; other
-// lines take the SecureNVM path.
+// lines take the SecureNVM path. A nil dst is a timing-only read, as for
+// SecureNVM.ReadInto.
 func (sh *Shredder) ReadInto(now units.Time, logical uint64, dst []byte) units.Time {
 	if sh.shredded[logical] {
-		if len(dst) != config.LineSize {
+		if dst != nil && len(dst) != config.LineSize {
 			panic(fmt.Sprintf("baseline: read into %d bytes", len(dst)))
 		}
 		done := sh.inner.counterAccess(now, logical, false)

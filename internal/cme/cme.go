@@ -38,23 +38,24 @@ const keySize = 16
 
 // padSlots is the size of an engine's direct-mapped pad memo; slot addr mod
 // padSlots holds the last pad generated for an address that maps there. At
-// 1024 slots a memo is 272 KiB, and it catches 61 % of lbm's pad requests
-// (31 % of vips'), the reads and verify reads of lines written shortly
-// before. Larger memos gain a few points each doubling while the experiment
-// suite, which builds hundreds of engines, pays for every one.
+// 1024 slots a memo is 272 KiB. Over 1 M requests at seed 7 it catches 48 %
+// of lbm's pad requests (224 k of 467 k) and 6 % of vips' (31 k of 527 k),
+// mostly verify reads of lines written shortly before; the harness's reads
+// are timing-only and request no pad. Larger memos gain a few points each
+// doubling while the experiment suite, which builds hundreds of engines,
+// pays for every one.
 const padSlots = 1024
 
 // Engine encrypts and decrypts 256 B lines under a single secret key. It owns
-// its seed scratch and pad memo, so it is not safe for concurrent use: give
-// each goroutine its own engine, as each core.Controller owns one.
+// its pad memo, so it is not safe for concurrent use: give each goroutine its
+// own engine, as each core.Controller owns one.
 type Engine struct {
 	cipher cipher.Block
 	rec    *attr.Recorder // nil when attribution is off
 
 	// The block cipher is an interface, so every buffer handed to it
-	// escapes. Pads are generated into the memo and copied or XORed out,
-	// which keeps the callers' lines off the heap.
-	seed [aes.BlockSize]byte
+	// escapes. Pads are generated in place in the memo and copied or XORed
+	// out, which keeps the callers' lines off the heap.
 	memo *padMemo // nil until the first pad, so construction stays cheap
 }
 
@@ -129,12 +130,18 @@ func (e *Engine) genPad(addr, counter uint64) *[config.LineSize]byte {
 		return pad
 	}
 	// Seed layout: addr (8 B LE) | counter (7 B LE) | block index (1 B).
-	// The block index keeps the 16 pads of one line distinct.
-	binary.LittleEndian.PutUint64(e.seed[0:8], addr)
-	binary.LittleEndian.PutUint64(e.seed[8:16], ctr)
-	for block := 0; block < config.AESBlocksPerLine; block++ {
-		e.seed[15] = byte(block)
-		e.cipher.Encrypt(pad[block*aes.BlockSize:(block+1)*aes.BlockSize], e.seed[:])
+	// The block index keeps the 16 pads of one line distinct. All 16 seeds
+	// are written into the slot first and each block is then encrypted in
+	// place, so no call waits on a seed the previous one read and the CPU
+	// overlaps the 16 AES calls.
+	for off := 0; off < config.LineSize; off += aes.BlockSize {
+		binary.LittleEndian.PutUint64(pad[off:off+8], addr)
+		binary.LittleEndian.PutUint64(pad[off+8:off+16], ctr)
+		pad[off+15] = byte(off / aes.BlockSize)
+	}
+	for off := 0; off < config.LineSize; off += aes.BlockSize {
+		s := pad[off : off+aes.BlockSize]
+		e.cipher.Encrypt(s, s)
 	}
 	e.memo.tags[slot] = tag
 	return pad
@@ -147,8 +154,15 @@ func (e *Engine) EncryptLine(dst, src []byte, addr, counter uint64) {
 }
 
 // DecryptLine recovers the plaintext of src into dst; counter mode is
-// symmetric, so this is the same pad XOR as EncryptLine.
+// symmetric, so this is the same pad XOR as EncryptLine. A nil dst is a
+// timing-only read: the modelled hardware still generates the pad, so the
+// engine counts its aes-pad op, but it neither makes the pad on the host
+// nor reads src.
 func (e *Engine) DecryptLine(dst, src []byte, addr, counter uint64) {
+	if dst == nil {
+		e.rec.Op(attr.OpAESPad)
+		return
+	}
 	e.xorPad(dst, src, addr, counter)
 }
 

@@ -209,9 +209,13 @@ func TestPadGoldenVector(t *testing.T) {
 // engine hands it escapes; a regression that passes a caller's line (or a
 // pad it declared locally) through moves that buffer to the heap on every
 // call, and these pins fail. AllocsPerRun warms up with one uncounted call,
-// which is where the engine allocates its pad memo.
+// which is where the engine allocates its pad memo. After it, every call
+// with a fixed (addr, counter) is a memo hit; the "miss" cases bump the
+// counter on each call, so every call generates its pad, as a unique
+// write's does.
 func TestLineAllocations(t *testing.T) {
 	e := testEngine(t)
+	ctr := uint64(3)
 	checks := []struct {
 		name string
 		fn   func()
@@ -227,6 +231,21 @@ func TestLineAllocations(t *testing.T) {
 		{"Pad", func() {
 			var pad [config.LineSize]byte
 			e.Pad(pad[:], 7, 3)
+		}},
+		{"EncryptLine miss", func() {
+			var src, dst [config.LineSize]byte
+			ctr++
+			e.EncryptLine(dst[:], src[:], 7, ctr)
+		}},
+		{"DecryptLine miss", func() {
+			var src, dst [config.LineSize]byte
+			ctr++
+			e.DecryptLine(dst[:], src[:], 7, ctr)
+		}},
+		{"Pad miss", func() {
+			var pad [config.LineSize]byte
+			ctr++
+			e.Pad(pad[:], 7, ctr)
 		}},
 	}
 	for _, c := range checks {

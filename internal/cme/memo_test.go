@@ -156,8 +156,9 @@ func TestPadMemoDecryptsStoredBytes(t *testing.T) {
 }
 
 // TestPadOpCountedOnHits checks that every pad request counts one aes-pad
-// op, whether or not the memo answers it: the op models the hardware's OTP
-// generation, which the memo does not remove.
+// op, whether the memo answers it or the read is timing-only (a nil dst):
+// the op models the hardware's OTP generation, which neither removes. A
+// timing-only decrypt generates no pad on the host.
 func TestPadOpCountedOnHits(t *testing.T) {
 	e := testEngine(t)
 	rec := attr.NewRecorder(1, 0)
@@ -165,6 +166,10 @@ func TestPadOpCountedOnHits(t *testing.T) {
 	const n = 9
 	var t0 units.Time
 	rec.Begin(attr.KindRead, 0, 7, t0)
+	e.DecryptLine(nil, nil, 7, 3)
+	if e.memo != nil {
+		t.Fatal("a timing-only decrypt generated a pad")
+	}
 	line := make([]byte, config.LineSize)
 	for i := 0; i < n; i++ {
 		switch i % 3 {
@@ -183,7 +188,7 @@ func TestPadOpCountedOnHits(t *testing.T) {
 			got += op.Count
 		}
 	}
-	if got != n {
-		t.Fatalf("%d pad requests on one (addr, counter) counted %d aes-pad ops", n, got)
+	if got != n+1 {
+		t.Fatalf("%d pad requests on one (addr, counter) counted %d aes-pad ops", n+1, got)
 	}
 }

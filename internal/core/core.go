@@ -807,9 +807,12 @@ func (c *Controller) Read(now units.Time, logical uint64) ([]byte, units.Time) {
 }
 
 // ReadInto is Read without the per-call allocation: the plaintext is
-// decrypted into dst, which must hold one line. Detected corruption
-// (poisoned lines, integrity failures) is counted but not surfaced; callers
-// that must distinguish it use ReadVerified.
+// decrypted into dst, which must hold one line. A nil dst is a timing-only
+// read: every timing step, counter, energy charge, fault draw and integrity
+// check is as for a line, but the ciphertext is not copied out of the
+// device (unless the integrity tree hashes it) and nothing is decrypted.
+// Detected corruption (poisoned lines, integrity failures) is counted but
+// not surfaced; callers that must distinguish it use ReadVerified.
 func (c *Controller) ReadInto(now units.Time, logical uint64, dst []byte) units.Time {
 	done, _ := c.readInto(now, logical, dst)
 	return done
@@ -829,7 +832,9 @@ func (c *Controller) readInto(now units.Time, logical uint64, dst []byte) (units
 	if logical >= c.layout.DataLines {
 		panic(fmt.Sprintf("core: read of %#x beyond %d data lines", logical, c.layout.DataLines))
 	}
-	c.checkLine(dst)
+	if dst != nil {
+		c.checkLine(dst)
+	}
 	c.reads.Inc()
 	t := c.cfg.Timing
 
@@ -864,8 +869,12 @@ func (c *Controller) readInto(now units.Time, logical uint64, dst []byte) (units
 		ctrDone = c.metaAccess(mapDone, c.addrCache, c.layout.AddrMapLine(loc), false, c.pfAddr)
 	}
 
-	// OTP generation overlaps the array read.
-	ct := c.lineScratch[:]
+	// OTP generation overlaps the array read. A timing-only read copies
+	// the ciphertext out only for the integrity tree to hash.
+	var ct []byte
+	if dst != nil || c.tree != nil {
+		ct = c.lineScratch[:]
+	}
 	readDone := c.dev.ReadInto(ctrDone, loc, ct)
 	otpDone := ctrDone.Add(t.AESLine)
 	c.rec.Phase(attr.PhaseEncrypt, ctrDone, otpDone)

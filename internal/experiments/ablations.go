@@ -34,17 +34,16 @@ func (s *Suite) ablationApps() []workload.Profile {
 }
 
 // replayThrough drives one prepared stream through a memory back to back,
-// each request issued when the previous one completes, discarding read
-// plaintext into a reusable buffer. It returns the last completion time.
+// each request issued when the previous one completes; its reads are
+// timing-only. It returns the last completion time.
 func replayThrough(mem sim.Memory, prep *sim.Prepared) units.Time {
 	var now units.Time
-	var buf [config.LineSize]byte
 	for i := range prep.Requests {
 		req := &prep.Requests[i]
 		if req.Op == trace.Write {
 			now = mem.Write(now, req.Addr, req.Data)
 		} else {
-			now = mem.ReadInto(now, req.Addr, buf[:])
+			now = mem.ReadInto(now, req.Addr, nil)
 		}
 	}
 	return now

@@ -98,16 +98,6 @@ func (d *Device) verifyPenalty(done units.Time) units.Time {
 	return done.Add(d.rowHitLat)
 }
 
-// WriteChecked is a demand WriteTagged with the write-verify outcome
-// surfaced: it returns false when the line's cells are worn out and the
-// degradation ladder could not place the data (correction budget exhausted,
-// spare region full). On failure the stored contents are unchanged and the
-// line is permanently stuck; the caller (controller) is expected to relocate
-// the data. Without an armed fault layer it always succeeds.
-func (d *Device) WriteChecked(now units.Time, lineAddr uint64, data []byte) (units.Time, bool) {
-	return d.writeChecked(now, lineAddr, data, attr.CauseDemand)
-}
-
 // writeChecked walks the degradation ladder, attributing each array pulse:
 // the first pulse keeps the caller's cause (it carries the intended data, and
 // in the common worn-line case the data still lands via ECP), a pulse against

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"dewrite/internal/attr"
 	"dewrite/internal/config"
 	"dewrite/internal/fault"
 )
@@ -41,7 +42,7 @@ func FuzzLoadContents(f *testing.F) {
 		for j := range line {
 			line[j] = byte(w)
 		}
-		d2.WriteChecked(0, uint64(w%4), line[:])
+		d2.WriteCheckedTagged(0, uint64(w%4), line[:], attr.CauseDemand)
 	}
 	var v2 bytes.Buffer
 	if err := d2.SaveContents(&v2); err != nil {

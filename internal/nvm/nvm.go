@@ -227,7 +227,7 @@ func (d *Device) readInto(now units.Time, lineAddr uint64, open bool, dst []byte
 // flipped relative to the previous contents, which the bit-level
 // write-reduction experiments consume. With the fault layer armed, a write
 // that the degradation ladder cannot place fails silently here — callers
-// that can relocate data use WriteChecked instead. cause is the write's
+// that can relocate data use WriteCheckedTagged instead. cause is the write's
 // provenance: demand writes, metadata writebacks, unique-line placements,
 // wear-leveling moves and the like tag their array writes so the
 // attribution ledger can decompose the device's write total by cause.
@@ -237,8 +237,12 @@ func (d *Device) WriteTagged(now units.Time, lineAddr uint64, data []byte, cause
 	return done
 }
 
-// WriteCheckedTagged is WriteChecked with the provenance cause made explicit;
-// see WriteTagged.
+// WriteCheckedTagged is WriteTagged with the write-verify outcome surfaced:
+// it returns false when the line's cells are worn out and the degradation
+// ladder could not place the data (correction budget exhausted, spare
+// region full). On failure the stored contents are unchanged and the line
+// is permanently stuck; the caller (controller) is expected to relocate the
+// data. Without an armed fault layer it always succeeds.
 func (d *Device) WriteCheckedTagged(now units.Time, lineAddr uint64, data []byte, cause attr.Cause) (units.Time, bool) {
 	return d.writeChecked(now, lineAddr, data, cause)
 }

@@ -24,9 +24,10 @@ import (
 
 // Memory is the request interface every secure-NVM scheme implements
 // (core.Controller, baseline.SecureNVM, baseline.Shredder). ReadInto copies
-// the plaintext into dst, which must hold one line. The harness reads
-// through it into one reusable buffer, which keeps the simulation loop
-// allocation-free.
+// the plaintext into dst, which must hold one line. A nil dst is a
+// timing-only read, like nvm.Device.ReadInto's: the completion time and
+// every counter are as for a line, but nothing is copied out or decrypted.
+// The harness never looks at what it reads, so its reads are timing-only.
 type Memory interface {
 	Write(now units.Time, logical uint64, data []byte) units.Time
 	ReadInto(now units.Time, logical uint64, dst []byte) units.Time
@@ -425,7 +426,6 @@ type driver struct {
 	rec       *attr.Recorder
 	hierarchy *cache.Hierarchy
 	shadow    map[uint64][]byte // line contents for hierarchy write-backs
-	readBuf   [config.LineSize]byte
 
 	// countZeros counts all-zero write payloads for the timeline, which
 	// the schemes other than Shredder don't track themselves.
@@ -524,7 +524,7 @@ func (d *driver) read(th int, addr uint64, fill bool) {
 		issue = d.machine.IssueRead(th)
 	}
 	d.rec.Begin(attr.KindRead, th, addr, issue)
-	done := d.mem.ReadInto(issue, addr, d.readBuf[:])
+	done := d.mem.ReadInto(issue, addr, nil)
 	d.rec.End(done)
 	if fill {
 		d.machine.CompleteRead(th, done)

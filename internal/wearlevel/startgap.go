@@ -14,16 +14,19 @@ package wearlevel
 import (
 	"fmt"
 
+	"dewrite/internal/attr"
 	"dewrite/internal/config"
 	"dewrite/internal/stats"
 	"dewrite/internal/units"
 )
 
 // Device is the line-addressable memory Start-Gap sits on;
-// *baseline.SecureNVM satisfies it. ReadInto copies one line into dst.
+// *baseline.SecureNVM satisfies it. ReadInto copies one line into dst (a nil
+// dst is a timing-only read); WriteTagged books the array write under cause
+// in the attribution ledger, so a gap move is told from a demand write.
 type Device interface {
 	ReadInto(now units.Time, lineAddr uint64, dst []byte) units.Time
-	Write(now units.Time, lineAddr uint64, data []byte) units.Time
+	WriteTagged(now units.Time, lineAddr uint64, data []byte, cause attr.Cause) units.Time
 }
 
 // StartGap remaps a region of n logical lines onto n+1 physical slots
@@ -84,8 +87,8 @@ func (s *StartGap) Physical(la uint64) uint64 {
 	return s.base + (s.gap+1+j)%s.m
 }
 
-// ReadInto copies logical line la into dst, which must hold one line, and
-// returns the completion time.
+// ReadInto copies logical line la into dst, which must hold one line (a nil
+// dst is a timing-only read), and returns the completion time.
 func (s *StartGap) ReadInto(now units.Time, la uint64, dst []byte) units.Time {
 	return s.dev.ReadInto(now, s.Physical(la), dst)
 }
@@ -93,7 +96,7 @@ func (s *StartGap) ReadInto(now units.Time, la uint64, dst []byte) units.Time {
 // Write stores the line and advances the wear-leveling schedule: every psi
 // writes the gap moves one slot (one read plus one write of overhead).
 func (s *StartGap) Write(now units.Time, la uint64, data []byte) units.Time {
-	done := s.dev.Write(now, s.Physical(la), data)
+	done := s.dev.WriteTagged(now, s.Physical(la), data, attr.CauseDemand)
 	s.writes.Inc()
 	s.writesToMove--
 	if s.writesToMove == 0 {
@@ -109,7 +112,7 @@ func (s *StartGap) Write(now units.Time, la uint64, data []byte) units.Time {
 func (s *StartGap) moveGap(now units.Time) units.Time {
 	src := (s.gap + s.m - 1) % s.m
 	t := s.dev.ReadInto(now, s.base+src, s.line[:])
-	t = s.dev.Write(t, s.base+s.gap, s.line[:])
+	t = s.dev.WriteTagged(t, s.base+s.gap, s.line[:], attr.CauseWearLevel)
 	s.gap = src
 	s.ringK = (s.ringK + s.n - 1) % s.n
 	s.moves.Inc()

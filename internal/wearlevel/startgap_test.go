@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dewrite/internal/attr"
 	"dewrite/internal/baseline"
 	"dewrite/internal/config"
 	"dewrite/internal/rng"
@@ -24,7 +25,7 @@ func (d *modelDevice) ReadInto(now units.Time, a uint64, dst []byte) units.Time 
 	return now
 }
 
-func (d *modelDevice) Write(now units.Time, a uint64, data []byte) units.Time {
+func (d *modelDevice) WriteTagged(now units.Time, a uint64, data []byte, _ attr.Cause) units.Time {
 	d.slots[a] = append([]byte(nil), data...)
 	return now
 }
@@ -132,6 +133,40 @@ func TestHotLineWearSpreadsAcrossSlots(t *testing.T) {
 	// Without leveling, one slot would carry all 4000 writes.
 	if max >= 4000 {
 		t.Fatalf("max per-slot wear %d: no leveling happened", max)
+	}
+}
+
+// TestGapMovesBookedAsWearLevel runs Start-Gap at psi 2 over SecureNVM with
+// an attribution recorder attached: each gap move's copy is booked under the
+// wearlevel cause and each logical write under demand, and the causes still
+// sum to the device's line writes.
+func TestGapMovesBookedAsWearLevel(t *testing.T) {
+	const n = 16
+	mem := baseline.NewSecureNVM(n+1, config.Default())
+	rec := attr.NewRecorder(1, 0)
+	mem.SetAttr(rec)
+	sg := New(mem, 0, n, 2)
+	src := rng.New(3)
+	var now units.Time
+	for i := 0; i < 1001; i++ {
+		now = sg.Write(now, src.Uint64n(n), lineFor(byte(i)))
+	}
+	led, st := rec.Ledger(), sg.Stats()
+	if st.GapMoves != 500 {
+		t.Fatalf("GapMoves = %d, want 500 (1001 writes / psi 2)", st.GapMoves)
+	}
+	if got := led.Writes(attr.CauseWearLevel); got != st.GapMoves {
+		t.Errorf("ledger books %d wear-level writes, Start-Gap moved the gap %d times", got, st.GapMoves)
+	}
+	if got := led.Writes(attr.CauseDemand); got != st.Writes {
+		t.Errorf("ledger books %d demand writes, Start-Gap took %d", got, st.Writes)
+	}
+	var sum uint64
+	for c := attr.Cause(0); int(c) < attr.NumCauses; c++ {
+		sum += led.Writes(c)
+	}
+	if dev := mem.Device().Stats().Writes; sum != dev {
+		t.Errorf("causes sum to %d line writes, device counted %d", sum, dev)
 	}
 }
 
